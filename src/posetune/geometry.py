@@ -213,15 +213,25 @@ def transform_cloud(cloud: PointCloud, pose: Pose) -> PointCloud:
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     """One point per occupied voxel: the centroid of that voxel's points.
 
-    Voxel keys are ``floor(coordinate / voxel)`` per axis. Averaged normals are
-    renormalized; averaged colors stay in range by convexity.
+    Voxel keys are ``floor(coordinate / voxel)`` per axis, shifted to start at
+    zero and packed into one mixed-radix int64 with x most significant, so a
+    1-D ``np.unique`` gives the voxels in lexicographic (x, y, z) order.
+    Averaged normals are renormalized; a voxel whose normals cancel to zero
+    takes the normal of its first point. Averaged colors stay in range by
+    convexity.
     """
     if voxel <= 0:
         raise ValueError("voxel size must be positive")
     if len(cloud) == 0:
         return cloud
     keys = np.floor(cloud.points / voxel).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    keys -= keys.min(axis=0)
+    spans = keys.max(axis=0) + 1
+    if float(spans[0]) * float(spans[1]) * float(spans[2]) < 2.0 ** 62:
+        packed = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
+        _, inverse, counts = np.unique(packed, return_inverse=True, return_counts=True)
+    else:  # the packed key would overflow int64
+        _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     k = len(counts)
 
     def bucket_mean(values: np.ndarray) -> np.ndarray:
@@ -234,7 +244,12 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     if cloud.normals is not None:
         normals = bucket_mean(cloud.normals)
         lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-        lengths[lengths == 0] = 1.0
+        cancelled = lengths[:, 0] == 0
+        if cancelled.any():
+            first = np.full(k, len(cloud))
+            np.minimum.at(first, inverse, np.arange(len(cloud)))
+            normals[cancelled] = cloud.normals[first[cancelled]]
+            lengths[cancelled] = 1.0
         normals /= lengths
     colors = None if cloud.colors is None else bucket_mean(cloud.colors)
     return PointCloud(points, normals, colors)

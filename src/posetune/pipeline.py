@@ -46,9 +46,7 @@ class FixedParams:
     min_matches: int = 100
     scene_voxel: float = 1.0
     icp_model_voxel: float = 5.0
-    max_keypoints: int = 100
     ransac_chunk: int = 50
-    normal_radius: float = 10.0
 
 
 FIXED = FixedParams()
@@ -163,22 +161,25 @@ class ScenePrep:
     tree: cKDTree | None
     seed_indices: np.ndarray
     seed_density: np.ndarray
+    depth_edges: np.ndarray   # ``_depth_edges(scene.depth)``, shared by every depth check
 
 
 def prepare_scene(scene: Scene, cp: ContinuousParams, dp: DiscreteParams,
                   seed=0) -> ScenePrep:
-    """Voxel-downsample the scene and score uniform interest seeds by density."""
+    """Voxel-downsample the scene, score uniform interest seeds by density, and
+    find the scene's depth edges once for all depth checks."""
     cloud = voxel_downsample(scene.cloud, FIXED.scene_voxel)
+    edges = _depth_edges(scene.depth)
     n = len(cloud)
     if n == 0:
-        return ScenePrep(cloud, None, np.empty(0, dtype=np.int64), np.empty(0))
+        return ScenePrep(cloud, None, np.empty(0, dtype=np.int64), np.empty(0), edges)
     tree = cKDTree(cloud.points)
     n_seeds = min(max(4 * dp.classified, 8), n)
     rng = derive_rng(seed, "seeds")
     seed_idx = rng.choice(n, size=n_seeds, replace=False)
     density = tree.query_ball_point(cloud.points[seed_idx], cp.cut_radius / 2,
                                     return_length=True).astype(np.float64)
-    return ScenePrep(cloud, tree, seed_idx, density)
+    return ScenePrep(cloud, tree, seed_idx, density, edges)
 
 
 def _model_color(model: ObjectModel) -> np.ndarray | None:
@@ -296,13 +297,40 @@ def _batched_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nda
     return rot, trans
 
 
+def _residual_features(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-match terms of ||R s + t - d||^2 that do not depend on (R, t).
+
+    With s, d centred on their means and t' = R mean(s) + t - mean(d),
+    ||R s + t - d||^2 = ||s||^2 + ||d||^2 - 2 vec(R).vec(d s^T)
+    + 2 (R^T t').s - 2 t'.d + ||t'||^2. Takes the centred s, d and returns
+    the (16, n) features [vec(d s^T), s, d, 1] and the (n,) constant
+    ||s||^2 + ||d||^2; pair them with ``_residual_weights``.
+    """
+    outer = (d[:, :, None] * s[:, None, :]).reshape(-1, 9)
+    features = np.hstack([outer, s, d, np.ones((len(s), 1))]).T.copy()
+    return features, np.einsum("ni,ni->n", s, s) + np.einsum("ni,ni->n", d, d)
+
+
+def _residual_weights(rot: np.ndarray, trans: np.ndarray, src_mean: np.ndarray,
+                      dst_mean: np.ndarray) -> np.ndarray:
+    """(k, 16) weights that turn ``_residual_features`` into squared residuals."""
+    shift = np.einsum("kij,j->ki", rot, src_mean) + trans - dst_mean
+    return np.hstack([-2.0 * rot.reshape(-1, 9),
+                      2.0 * np.einsum("kji,kj->ki", rot, shift),
+                      -2.0 * shift,
+                      np.einsum("ki,ki->k", shift, shift)[:, None]])
+
+
 def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
                 diagonal: float, seed=0) -> list[PoseHypothesis]:
     """Chunked RANSAC over the matches; one refined hypothesis per chunk of 50.
 
-    The inlier distance is ``ransac_dist`` rescaled by diagonal/100. Each
-    chunk's best 3-sample solution is refit on its inliers. Hypotheses come
-    back sorted by inlier count. Collinear samples are redrawn.
+    The inlier distance is ``ransac_dist`` rescaled by diagonal/100. The
+    squared residuals of a chunk's 3-sample solutions come from one
+    (k x 16)(16 x n) product with per-match features computed once per call
+    (see ``_residual_features``). Each chunk's best solution is refit on its
+    inliers. Hypotheses come back sorted by inlier count. Collinear samples
+    are redrawn.
     """
     if ransac_dist <= 0 or iterations < 1:
         raise ValueError("ransac_dist and iterations must be positive")
@@ -311,6 +339,8 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
         raise ValueError("need at least 3 matches")
     threshold_sq = (ransac_dist * diagonal / DIAGONAL_REF) ** 2
     src_all, dst_all = matches.model_points, matches.scene_points
+    src_mean, dst_mean = src_all.mean(axis=0), dst_all.mean(axis=0)
+    features, constant = _residual_features(src_all - src_mean, dst_all - dst_mean)
     hypotheses: list[PoseHypothesis] = []
     chunk_starts = range(0, iterations, FIXED.ransac_chunk)
     for chunk_id, start in enumerate(chunk_starts):
@@ -328,9 +358,8 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
             picks[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
             src = src_all[picks]
         rot, trans = _batched_rigid(src, dst_all[picks])
-        moved = np.einsum("kij,nj->kni", rot, src_all) + trans[:, None, :]
-        moved -= dst_all[None]
-        inliers = np.einsum("kni,kni->kn", moved, moved) < threshold_sq
+        weights = _residual_weights(rot, trans, src_mean, dst_mean)
+        inliers = weights @ features + constant < threshold_sq
         counts = inliers.sum(axis=1)
         best = int(np.argmax(counts))
         if counts[best] < 3:
@@ -349,26 +378,45 @@ def c2f_icp(hypothesis: PoseHypothesis, candidate: PointCloud, model: ObjectMode
     """Three-stage coarse-to-fine ICP against the candidate cloud.
 
     Stage k uses a correspondence cut-off of ``icp_dist * icp_scale**(2-k)``
-    rescaled by diagonal/100, with the model at a 5 mm voxel grid. If no
-    stage ever finds correspondences the input returns flagged "icp stalled".
+    rescaled by diagonal/100, with the model at a 5 mm voxel grid (built once
+    per model, see ``icp_model_points``). If no stage ever finds
+    correspondences the input returns flagged "icp stalled".
     """
     if icp_dist <= 0 or icp_scale <= 0 or icp_iters < 1:
         raise ValueError("invalid ICP parameters")
-    model_pts = voxel_downsample(model.cloud, FIXED.icp_model_voxel).points
     return _icp_refine(hypothesis, cKDTree(candidate.points), candidate.points,
-                       model_pts, model.diagonal, icp_dist, icp_scale, icp_iters)
+                       icp_model_points(model), model.diagonal, icp_dist, icp_scale,
+                       icp_iters)
+
+
+def icp_model_points(model: ObjectModel) -> np.ndarray:
+    """The model cloud at the ICP voxel size, computed once and kept on the model.
+
+    Kept as an attribute of the model object, so it is freed with the model.
+    """
+    points = model.__dict__.get("_icp_points")
+    if points is None:
+        points = voxel_downsample(model.cloud, FIXED.icp_model_voxel).points
+        object.__setattr__(model, "_icp_points", points)
+    return points
 
 
 def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
                 model_pts: np.ndarray, diagonal: float, icp_dist: float,
                 icp_scale: float, icp_iters: int) -> PoseHypothesis:
+    """Point-to-point ICP stages with a shrinking correspondence cut-off.
+
+    The KD query is bounded by the stage's cut-off, so the search stops at it;
+    a model point with no target point that close gets no correspondence
+    (Rusinkiewicz & Levoy, 3DIM 2001).
+    """
     pose = hypothesis.pose
     moved = False
     for stage in range(FIXED.icp_resolutions):
         cutoff = icp_dist * icp_scale ** (FIXED.icp_resolutions - 1 - stage) \
             * diagonal / DIAGONAL_REF
         for _ in range(icp_iters):
-            dist, nearest = tree.query(pose.apply(model_pts))
+            dist, nearest = tree.query(pose.apply(model_pts), distance_upper_bound=cutoff)
             mask = dist < cutoff
             if mask.sum() < 3:
                 break
@@ -381,7 +429,8 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
 
 def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
                 background_dist: float, accept_dist: float,
-                cam: CameraIntrinsics | None = None) -> PoseHypothesis:
+                cam: CameraIntrinsics | None = None,
+                depth_edges: np.ndarray | None = None) -> PoseHypothesis:
     """Score the hypothesis by rendered-depth agreement plus contour support.
 
     Rendered model pixels where the scene is closer by more than
@@ -392,7 +441,9 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     the hypothesis (the sensor saw through it) and count as violations.
     The contour term is the fraction of model silhouette pixels within
     2 px of a scene depth discontinuity. The final score is
-    0.5*agreement*(1-violation) + 0.5*contour.
+    0.5*agreement*(1-violation) + 0.5*contour. ``depth_edges`` is the scene's
+    ``_depth_edges`` mask when the caller already has it (``ScenePrep``);
+    without it the mask is computed here.
     """
     cam = cam or scene.cam
     model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), cam)
@@ -414,7 +465,9 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     silhouette = solid & ~ndimage.binary_erosion(solid)
     contour = 0.0
     if silhouette.any():
-        contour = float(np.mean(_depth_edges(scene_depth)[silhouette]))
+        if depth_edges is None:
+            depth_edges = _depth_edges(scene_depth)
+        contour = float(np.mean(depth_edges[silhouette]))
     score = float(np.clip(0.5 * agreement * (1.0 - violation) + 0.5 * contour, 0.0, 1.0))
     return replace(hypothesis, depth_score=score)
 
@@ -473,7 +526,6 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
     timings["t_net"] += time.perf_counter() - t0
 
     best: PoseHypothesis | None = None
-    model_icp = None
     for ci, (candidate, matches) in enumerate(zip(ranked, votes)):
         if matches is None:
             continue
@@ -483,8 +535,7 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
         timings["t_ran"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if model_icp is None:
-            model_icp = voxel_downsample(model.cloud, FIXED.icp_model_voxel).points
+        model_icp = icp_model_points(model)
         tree = cKDTree(candidate.points)
         refined = [_icp_refine(h, tree, candidate.points, model_icp, model.diagonal,
                                cp.icp_dist, cp.icp_scale, dp.icp_iters)
@@ -494,7 +545,7 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
         t0 = time.perf_counter()
         for hyp in refined:
             checked = depth_check(hyp, scene, model, cp.background_dist,
-                                  cp.accept_dist, scene.cam)
+                                  cp.accept_dist, scene.cam, prep.depth_edges)
             if best is None or checked.depth_score > best.depth_score:
                 best = checked
         timings["t_depth"] += time.perf_counter() - t0

@@ -362,12 +362,15 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
         runtimes.append(bundle.total_time)
         for model in models:
             result = bundle.results[model.object_id]
+            if not result.found:
+                per_object[model.object_id].append(0.0)
+                continue
+            score = evaluate_pose(model, scene.gt_poses[model.object_id],
+                                  result.hypothesis.pose, scene.cam, scene.depth)
+            records.append((model.object_id, f"eval/{i:03d}", score))
             per_object[model.object_id].append(
-                _instance_score(config, model, scene, result))
-            if result.found:
-                records.append((model.object_id, f"eval/{i:03d}", evaluate_pose(
-                    model, scene.gt_poses[model.object_id],
-                    result.hypothesis.pose, scene.cam, scene.depth)))
+                float(score.correct_add) if config.metric == "add"
+                else score.bop_recall_contribution)
     recall = float(np.mean([v for vals in per_object.values() for v in vals]))
     report = {
         "mode": tag,

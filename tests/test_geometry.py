@@ -15,6 +15,7 @@ from posetune.geometry import (
     transform_cloud,
     voxel_downsample,
 )
+from posetune.objects import make_object
 
 
 def rng(seed=0):
@@ -141,6 +142,48 @@ class TestVoxelDownsample:
         cloud = PointCloud([[0.1, 0, 0], [0.2, 0, 0]], normals)
         out = voxel_downsample(cloud, 1.0)
         np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0)
+
+    @staticmethod
+    def row_unique_reference(cloud: PointCloud, voxel: float) -> PointCloud:
+        """The earlier formulation: ``np.unique`` over (x, y, z) key rows."""
+        keys = np.floor(cloud.points / voxel).astype(np.int64)
+        _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                       return_counts=True)
+
+        def bucket_mean(values):
+            acc = np.zeros((len(counts), 3))
+            np.add.at(acc, inverse.reshape(-1), values)
+            return acc / counts[:, None]
+
+        normals = bucket_mean(cloud.normals)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        return PointCloud(bucket_mean(cloud.points), normals, bucket_mean(cloud.colors))
+
+    # the last case spans more voxels than one int64 key can number
+    @pytest.mark.parametrize("seed,voxel", [(0, 1.0), (1, 5.0), (2, 0.37), (3, 40.0),
+                                            (4, 1e-5)])
+    def test_packed_keys_match_row_unique_reference(self, seed, voxel):
+        g = rng(seed)
+        pts = g.uniform(-120, 80, (3000, 3)) + g.uniform(-1e4, 1e4, 3)
+        normals = g.normal(size=(3000, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        cloud = PointCloud(pts, normals, g.uniform(0, 1, (3000, 3)))
+        out = voxel_downsample(cloud, voxel)
+        ref = self.row_unique_reference(cloud, voxel)
+        np.testing.assert_array_equal(out.points, ref.points)
+        np.testing.assert_array_equal(out.normals, ref.normals)
+        np.testing.assert_array_equal(out.colors, ref.colors)
+
+    def test_lshape_normals_stay_unit(self):
+        # the two boxes of the L share a face with opposite normals
+        out = voxel_downsample(make_object({"shape": "lshape", "id": "l"}).cloud, 5.0)
+        np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0)
+
+    def test_cancelled_normals_take_first_point_normal(self):
+        normals = np.array([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]])
+        cloud = PointCloud([[0.1, 0, 0], [0.2, 0, 0], [5.0, 0, 0]], normals)
+        out = voxel_downsample(cloud, 1.0)
+        np.testing.assert_array_equal(out.normals, [[0, 0, 1.0], [1.0, 0, 0]])
 
 
 class TestEstimateNormals:

@@ -3,10 +3,14 @@ import time
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
+from posetune import pipeline
 from posetune.geometry import ObjectModel, PointCloud, Pose, random_rotation, rotation_about_axis, transform_cloud, voxel_downsample
 from posetune.metrics import add_correct, add_score
 from posetune.objects import make_box
 from posetune.pipeline import (
+    DIAGONAL_REF,
     FIXED,
     ContinuousParams,
     DiscreteParams,
@@ -19,11 +23,14 @@ from posetune.pipeline import (
     estimate_all,
     extract_candidates,
     generate_votes,
+    icp_model_points,
     kabsch,
+    prepare_scene,
     rank_candidates,
     ransac_pose,
 )
 from posetune.scenes import Scene, generate_scene
+from posetune.seeding import derive_rng
 from posetune.camera import default_camera, render_depth
 
 OPTIMIZED = ContinuousParams(vote_threshold=0.174, ransac_dist=19.88, icp_dist=4.85,
@@ -216,6 +223,56 @@ class TestRansac:
             assert add_correct(box, pose1, h1.pose, False) == \
                 add_correct(doubled, pose2, h2.pose, False)
 
+    @staticmethod
+    def direct_residual_reference(matches, ransac_dist, iterations, diagonal, seed):
+        """The earlier formulation: residuals R s + t - d of a chunk as (k, n, 3)."""
+        n = len(matches)
+        threshold_sq = (ransac_dist * diagonal / DIAGONAL_REF) ** 2
+        src_all, dst_all = matches.model_points, matches.scene_points
+        hypotheses = []
+        for chunk_id, start in enumerate(range(0, iterations, FIXED.ransac_chunk)):
+            k = min(FIXED.ransac_chunk, iterations - start)
+            rng = derive_rng(seed, "ransac", chunk_id)
+            picks = rng.integers(0, n, size=(k, 3))
+            src = src_all[picks]
+            for _ in range(4):
+                area = np.linalg.norm(np.cross(src[:, 1] - src[:, 0],
+                                               src[:, 2] - src[:, 0]), axis=1)
+                bad = area < 1e-9 * diagonal * diagonal
+                if not bad.any():
+                    break
+                picks[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
+                src = src_all[picks]
+            rot, trans = pipeline._batched_rigid(src, dst_all[picks])
+            moved = np.einsum("kij,nj->kni", rot, src_all) + trans[:, None, :]
+            moved -= dst_all[None]
+            inliers = np.einsum("kni,kni->kn", moved, moved) < threshold_sq
+            counts = inliers.sum(axis=1)
+            best = int(np.argmax(counts))
+            if counts[best] < 3:
+                continue
+            pose = kabsch(src_all[inliers[best]], dst_all[inliers[best]])
+            residual = pose.apply(src_all) - dst_all
+            refined = np.einsum("ni,ni->n", residual, residual) < threshold_sq
+            hypotheses.append(PoseHypothesis(pose, int(refined.sum())))
+        hypotheses.sort(key=lambda h: -h.inlier_count)
+        return hypotheses
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_matches_direct_residual_reference(self, box, trial):
+        g = np.random.default_rng(200 + trial)
+        pose = Pose(random_rotation(g), [g.uniform(-60, 60), g.uniform(-60, 60), 700.0])
+        matches = synthetic_matches(box, pose, 60 + 40 * trial, 30 * trial, 0.8,
+                                    seed=300 + trial)
+        ransac_dist = (4.0, 10.0, 19.88)[trial % 3]
+        got = ransac_pose(matches, ransac_dist, 500, box.diagonal, seed=trial)
+        ref = self.direct_residual_reference(matches, ransac_dist, 500, box.diagonal,
+                                             seed=trial)
+        assert [h.inlier_count for h in got] == [h.inlier_count for h in ref]
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a.pose.rotation, b.pose.rotation, atol=1e-9)
+            np.testing.assert_allclose(a.pose.translation, b.pose.translation, atol=1e-9)
+
 
 class TestC2fIcp:
     def test_truth_is_fixed_point(self, box):
@@ -244,6 +301,50 @@ class TestC2fIcp:
         assert "icp stalled" in out.flags
         np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
 
+    def test_bounded_query_matches_unbounded(self, box, cluttered_scene):
+        gt = cluttered_scene.gt_poses["crate"]
+        # the box's visible points plus surrounding clutter and floor
+        near = np.linalg.norm(cluttered_scene.cloud.points - gt.translation, axis=1) < 90
+        target = cluttered_scene.cloud.points[near]
+        tree = cKDTree(target)
+        model_pts = icp_model_points(box)
+        g = np.random.default_rng(43)
+        for _ in range(4):
+            start = Pose(rotation_about_axis(g.normal(size=3), 0.08) @ gt.rotation,
+                         gt.translation + g.normal(0, 3.0, 3))
+            out = pipeline._icp_refine(PoseHypothesis(start, 50), tree, target,
+                                       model_pts, box.diagonal, 4.85, 1.24, 10)
+            # reference: unbounded query, far matches dropped by the mask only
+            pose = start
+            for stage in range(FIXED.icp_resolutions):
+                cutoff = 4.85 * 1.24 ** (FIXED.icp_resolutions - 1 - stage) \
+                    * box.diagonal / DIAGONAL_REF
+                for _ in range(10):
+                    dist, nearest = tree.query(pose.apply(model_pts))
+                    mask = dist < cutoff
+                    if mask.sum() < 3:
+                        break
+                    pose = kabsch(model_pts[mask], target[nearest[mask]])
+            np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
+            np.testing.assert_array_equal(out.pose.translation, pose.translation)
+
+    def test_model_cloud_voxelized_once_per_model(self, cluttered_scene, monkeypatch):
+        model = make_box("crate", [45, 60, 35], [0.85, 0.25, 0.2])
+        voxels = []
+        original = pipeline.voxel_downsample
+
+        def counted(cloud, voxel):
+            voxels.append(voxel)
+            return original(cloud, voxel)
+
+        monkeypatch.setattr(pipeline, "voxel_downsample", counted)
+        for seed in range(2):
+            estimate_all(cluttered_scene, [model], OPTIMIZED, SMALL_DP, seed=seed)
+        assert voxels.count(FIXED.icp_model_voxel) == 1
+        assert voxels.count(FIXED.scene_voxel) == 2
+        np.testing.assert_array_equal(
+            icp_model_points(model), original(model.cloud, FIXED.icp_model_voxel).points)
+
 
 class TestDepthCheck:
     def test_exact_pose_scores_high(self, box, clean_scene):
@@ -267,6 +368,16 @@ class TestDepthCheck:
         loose = depth_check(PoseHypothesis(pose, 10), cluttered_scene, box,
                             background_dist=1e9, accept_dist=5.0)
         assert loose.depth_score >= tight.depth_score
+
+    def test_precomputed_edges_give_same_score(self, box, cluttered_scene):
+        edges = prepare_scene(cluttered_scene, OPTIMIZED, SMALL_DP).depth_edges
+        gt = cluttered_scene.gt_poses["crate"]
+        for offset in ([0, 0, 0], [6.0, -3.0, 0], [40.0, 0, 10.0], [160.0, 0, 0]):
+            hyp = PoseHypothesis(Pose(gt.rotation, gt.translation + offset), 10)
+            own = depth_check(hyp, cluttered_scene, box, 86.0, 12.0)
+            shared = depth_check(hyp, cluttered_scene, box, 86.0, 12.0,
+                                 depth_edges=edges)
+            assert shared.depth_score == own.depth_score
 
 
 class TestEstimate:

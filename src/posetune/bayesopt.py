@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -66,7 +66,7 @@ class SearchSpace:
             "accept_dist": (1.0, 20.0),
             "cut_radius": (30.0, 150.0),
         }
-        assert tuple(bounds) == ContinuousParams.FIELD_ORDER
+        assert list(bounds) == [f.name for f in fields(ContinuousParams)]
         lo, hi = zip(*bounds.values())
         return SearchSpace(tuple(bounds), np.array(lo), np.array(hi))
 
@@ -277,7 +277,7 @@ def optimize_continuous(
 def trace_to_csv(trace: list[TraceEntry]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["iteration", "kappa", *ContinuousParams.FIELD_ORDER, "value"])
+    writer.writerow(["iteration", "kappa", *(f.name for f in fields(ContinuousParams)), "value"])
     for entry in trace:
         kappa = "" if entry.kappa is None else entry.kappa
         writer.writerow([entry.iteration, kappa,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,8 +25,7 @@ class CameraIntrinsics:
             raise ValueError("principal point outside image")
 
     def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height}
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "CameraIntrinsics":

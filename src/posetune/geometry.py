@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 ROTATION_TOL = 1e-9
 NORMAL_TOL = 1e-6
@@ -253,48 +252,6 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
         normals /= lengths
     colors = None if cloud.colors is None else bucket_mean(cloud.colors)
     return PointCloud(points, normals, colors)
-
-
-def estimate_normals(cloud: PointCloud, radius: float) -> PointCloud:
-    """Covariance-based normals from neighbors within ``radius``.
-
-    Each normal is the smallest-eigenvalue eigenvector of the neighborhood
-    covariance, flipped to face the sensor at the origin (scene extends along
-    +z). A point with fewer than 3 neighbors falls back to the direction
-    toward the sensor.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    pts = cloud.points
-    n = len(pts)
-    if n == 0:
-        return PointCloud(pts, np.zeros((0, 3)), cloud.colors)
-    tree = cKDTree(pts)
-    neighborhoods = tree.query_ball_point(pts, radius)
-    normals = np.empty((n, 3))
-    for i, idx in enumerate(neighborhoods):
-        if len(idx) < 3:
-            normals[i] = _toward_sensor(pts[i])
-            continue
-        local = pts[idx]
-        cov = np.cov(local.T)
-        _, vecs = np.linalg.eigh(cov)
-        normal = vecs[:, 0]
-        # eigh can return a degenerate direction for exactly collinear points
-        if not np.isfinite(normal).all():
-            normals[i] = _toward_sensor(pts[i])
-            continue
-        if normal @ pts[i] > 0:
-            normal = -normal
-        normals[i] = normal / np.linalg.norm(normal)
-    return PointCloud(pts, normals, cloud.colors)
-
-
-def _toward_sensor(point: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(point)
-    if norm == 0:
-        return np.array([0.0, 0.0, -1.0])
-    return -point / norm
 
 
 def bbox_diagonal(cloud: PointCloud) -> float:

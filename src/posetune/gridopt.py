@@ -13,10 +13,8 @@ from __future__ import annotations
 import io
 import csv
 import itertools
-import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -36,13 +34,13 @@ class GridSpec:
     icp_iters: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("classified", "estimated", "ransac_iters", "depth_checked", "icp_iters"):
-            values = tuple(int(v) for v in getattr(self, name))
+        for f in fields(self):
+            values = tuple(int(v) for v in getattr(self, f.name))
             if not values:
-                raise ValueError(f"{name} list is empty")
+                raise ValueError(f"{f.name} list is empty")
             if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{name} values must be strictly increasing")
-            object.__setattr__(self, name, values)
+                raise ValueError(f"{f.name} values must be strictly increasing")
+            object.__setattr__(self, f.name, values)
 
     @staticmethod
     def reference() -> "GridSpec":
@@ -51,17 +49,9 @@ class GridSpec:
                         ransac_iters=(500, 1500, 2500), depth_checked=(1, 2, 5, 10),
                         icp_iters=(10, 30, 50))
 
-    def to_dict(self) -> dict:
-        return {"classified": list(self.classified), "estimated": list(self.estimated),
-                "ransac_iters": list(self.ransac_iters),
-                "depth_checked": list(self.depth_checked),
-                "icp_iters": list(self.icp_iters)}
-
     @staticmethod
     def from_dict(data: dict) -> "GridSpec":
-        return GridSpec(tuple(data["classified"]), tuple(data["estimated"]),
-                        tuple(data["ransac_iters"]), tuple(data["depth_checked"]),
-                        tuple(data["icp_iters"]))
+        return GridSpec(**{f.name: data[f.name] for f in fields(GridSpec)})
 
 
 @dataclass(frozen=True)
@@ -71,8 +61,7 @@ class ParetoEntry:
     recall: float
 
     def to_dict(self) -> dict:
-        return {"params": self.params.as_dict(), "runtime": self.runtime,
-                "recall": self.recall}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,51 +76,46 @@ class RuntimeCoefficients:
     residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("t_pre", "t_net", "t_ran", "t_icp", "t_depth"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f, value in zip(fields(self), self.as_tuple()):
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.t_pre, self.t_net, self.t_ran, self.t_icp, self.t_depth)
+        """The stage durations, without the fit residual."""
+        return astuple(self)[:-1]
 
     def to_dict(self) -> dict:
-        return {"t_pre": self.t_pre, "t_net": self.t_net, "t_ran": self.t_ran,
-                "t_icp": self.t_icp, "t_depth": self.t_depth,
-                "residual": self.residual}
+        return asdict(self)
 
 
 def enumerate_grid(spec: GridSpec) -> list[DiscreteParams]:
     """Feasible Cartesian product, in deterministic nested order."""
     out = []
-    for pc, pe, ri, dc, ii in itertools.product(spec.classified, spec.estimated,
-                                                spec.ransac_iters, spec.depth_checked,
-                                                spec.icp_iters):
+    for pc, pe, ri, dc, ii in itertools.product(*astuple(spec)):
         if pe <= pc and dc <= ri:
             out.append(DiscreteParams(pc, pe, ri, dc, ii))
     return out
 
 
-def evaluate_grid(grid: list[DiscreteParams],
-                  objective: Callable[[DiscreteParams], tuple[float, float]],
-                  parallelism: int = 1) -> list[ParetoEntry]:
-    """Measure (runtime, recall) for every tuple; failures score recall 0."""
-
-    def run(params: DiscreteParams) -> ParetoEntry:
+def evaluate_grid(
+    grid: list[DiscreteParams],
+    objective: Callable[[DiscreteParams], tuple[float, float]],
+) -> list[ParetoEntry]:
+    """Measure (runtime, recall) for every tuple, one after another so that no
+    two wall times contend; failures score recall 0."""
+    entries = []
+    for params in grid:
         start = time.perf_counter()
         try:
             runtime, recall = objective(params)
         except Exception:
-            return ParetoEntry(params, time.perf_counter() - start, 0.0)
-        return ParetoEntry(params, float(runtime), float(recall))
-
-    if parallelism <= 1:
-        return [run(p) for p in grid]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(run, grid))
+            runtime, recall = time.perf_counter() - start, 0.0
+        entries.append(ParetoEntry(params, float(runtime), float(recall)))
+    return entries
 
 
 def _entry_sort_key(entry: ParetoEntry):
-    return (entry.runtime, entry.recall, tuple(entry.params.as_dict().values()))
+    return (entry.runtime, entry.recall, astuple(entry.params))
 
 
 def pareto_front(entries: list[ParetoEntry]) -> list[ParetoEntry]:
@@ -192,9 +176,7 @@ class BudgetSelection:
     within_budget: bool
 
     def to_dict(self) -> dict:
-        return {"entry": self.entry.to_dict(),
-                "predicted_runtime": self.predicted_runtime,
-                "within_budget": self.within_budget}
+        return asdict(self)
 
 
 def select_for_budget(front: list[ParetoEntry], coeffs: RuntimeCoefficients,
@@ -214,17 +196,10 @@ def select_for_budget(front: list[ParetoEntry], coeffs: RuntimeCoefficients,
     return BudgetSelection(entry, predicted, True)
 
 
-def front_to_json(front: list[ParetoEntry], coeffs: RuntimeCoefficients) -> str:
-    return json.dumps({"front": [e.to_dict() for e in front],
-                       "coefficients": coeffs.to_dict()}, sort_keys=True, indent=1)
-
-
 def measurements_to_csv(entries: list[ParetoEntry]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["classified", "estimated", "ransac_iters", "depth_checked",
-                     "icp_iters", "runtime", "recall"])
+    writer.writerow([*(f.name for f in fields(DiscreteParams)), "runtime", "recall"])
     for e in entries:
-        writer.writerow([*e.params.as_dict().values(),
-                         f"{e.runtime:.6f}", f"{e.recall:.6f}"])
+        writer.writerow([*astuple(e.params), f"{e.runtime:.6f}", f"{e.recall:.6f}"])
     return buf.getvalue()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -52,12 +52,6 @@ class MetricScore:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} outside [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"add": self.add, "add_i": self.add_i, "vsd": self.vsd,
-                "mssd": self.mssd, "mspd": self.mspd,
-                "correct_add": self.correct_add,
-                "bop_recall_contribution": self.bop_recall_contribution}
 
 
 def _sym_poses(model: ObjectModel) -> list[Pose]:
@@ -182,21 +176,17 @@ def evaluate_pose(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics
     )
 
 
-def bop_average_recall(scores: list[MetricScore]) -> float:
-    """Average recall over a set of evaluated estimates."""
-    if not scores:
-        raise ValueError("no evaluations")
-    return float(np.mean([s.bop_recall_contribution for s in scores]))
-
-
 def scores_to_csv(records: list[tuple[str, str, MetricScore]]) -> str:
-    """Serialize (object_id, scene_id, score) records as CSV text."""
+    """Serialize (object_id, scene_id, score) records as CSV text.
+
+    Every score but the BOP recall contribution gets a column, in field order.
+    """
+    columns = [f.name for f in fields(MetricScore)][:-1]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["object_id", "scene_id", "add", "add_i", "vsd",
-                     "mssd", "mspd", "correct_add"])
+    writer.writerow(["object_id", "scene_id", *columns])
     for object_id, scene_id, s in records:
-        writer.writerow([object_id, scene_id, f"{s.add:.6f}", f"{s.add_i:.6f}",
-                         f"{s.vsd:.6f}", f"{s.mssd:.6f}", f"{s.mspd:.6f}",
-                         int(s.correct_add)])
+        writer.writerow([object_id, scene_id,
+                         *(int(v) if isinstance(v, (bool, np.bool_)) else f"{v:.6f}"
+                           for v in astuple(s)[:len(columns)])])
     return buf.getvalue()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ObjectModel, PointCloud, Pose, farthest_point_sample, rotation_about_axis
+from .geometry import ObjectModel, PointCloud, Pose, rotation_about_axis
 
 # Dense enough that splat renders stay solid at desk-scale depths.
 SURFACE_SPACING = 1.4  # mm between sampled surface points

@@ -10,7 +10,7 @@ every distance threshold scales with the object diagonal.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 from scipy import ndimage
@@ -71,25 +71,15 @@ class ContinuousParams:
         if self.vote_threshold > 1:
             raise ValueError("vote_threshold must be <= 1")
 
-    FIELD_ORDER = ("vote_threshold", "ransac_dist", "icp_dist", "icp_scale",
-                   "background_dist", "accept_dist", "cut_radius")
-
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELD_ORDER}
+        return asdict(self)
 
     def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in self.FIELD_ORDER])
+        return np.array(astuple(self))
 
     @staticmethod
     def from_vector(values) -> "ContinuousParams":
         return ContinuousParams(*[float(v) for v in values])
-
-    @staticmethod
-    def heuristic() -> "ContinuousParams":
-        """Hand-tuned defaults: the baseline the optimizer is measured against."""
-        return ContinuousParams(vote_threshold=0.95, ransac_dist=10.0, icp_dist=2.5,
-                                icp_scale=2.0, background_dist=10.0, accept_dist=5.0,
-                                cut_radius=72.0)
 
 
 @dataclass(frozen=True)
@@ -112,15 +102,11 @@ class DiscreteParams:
             raise ValueError("depth_checked exceeds ransac_iters")
 
     def as_dict(self) -> dict:
-        return {"classified": self.classified, "estimated": self.estimated,
-                "ransac_iters": self.ransac_iters, "depth_checked": self.depth_checked,
-                "icp_iters": self.icp_iters}
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "DiscreteParams":
-        return DiscreteParams(int(data["classified"]), int(data["estimated"]),
-                              int(data["ransac_iters"]), int(data["depth_checked"]),
-                              int(data["icp_iters"]))
+        return DiscreteParams(**{f.name: int(data[f.name]) for f in fields(DiscreteParams)})
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ that makes every scene reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +51,10 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be >= 0")
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.xyz_sigma, self.normal_sigma, self.rgb_sigma,
-                self.rgb_shift, self.rotation_max, self.flatten_frac)
+        return astuple(self)
 
     def as_dict(self) -> dict:
-        return {"xyz_sigma": self.xyz_sigma, "normal_sigma": self.normal_sigma,
-                "rgb_sigma": self.rgb_sigma, "rgb_shift": self.rgb_shift,
-                "rotation_max": self.rotation_max, "flatten_frac": self.flatten_frac}
+        return asdict(self)
 
     @staticmethod
     def from_tuple(values) -> "NoiseConfig":
@@ -65,7 +62,7 @@ class NoiseConfig:
 
     @staticmethod
     def zero() -> "NoiseConfig":
-        return NoiseConfig(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return NoiseConfig(*(0.0 for _ in fields(NoiseConfig)))
 
 
 def default_noise_config() -> NoiseConfig:

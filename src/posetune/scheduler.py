@@ -8,7 +8,7 @@ on to the next channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from .scenes import NoiseConfig, default_jump_sizes, default_noise_config
@@ -37,12 +37,6 @@ class SchedulerState:
     recorded_loss: float
     epoch: int
     phase: str
-
-    def to_dict(self) -> dict:
-        return {"levels": self.levels.as_dict(), "jump_sizes": self.jump_sizes.as_dict(),
-                "active_index": self.active_index, "frozen": list(self.frozen),
-                "recorded_loss": self.recorded_loss, "epoch": self.epoch,
-                "phase": self.phase}
 
 
 def initial_state(jump_sizes: NoiseConfig | None = None) -> SchedulerState:
@@ -141,9 +135,7 @@ class EpochRecord:
     phase: str
 
     def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "loss": self.loss,
-                "levels": self.levels.as_dict(), "active_index": self.active_index,
-                "frozen": list(self.frozen), "phase": self.phase}
+        return asdict(self)
 
 
 def run_scheduled_training(

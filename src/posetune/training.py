@@ -8,7 +8,7 @@ smoothly and the scheduler's feedback loop stays meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -16,7 +16,6 @@ from scipy.spatial import cKDTree
 from .geometry import ObjectModel
 from .pipeline import VOTE_CONF_FRACTION
 from .scenes import NoiseConfig, Scene, apply_domain_randomization
-from .seeding import derive_rng
 
 EPOCH_DECAY = 0.94
 LOSS_FLOOR = 0.05
@@ -31,7 +30,6 @@ class SurrogateTrainer:
     scenes: list[Scene]
     model: ObjectModel
     seed: int = 0
-    history: list[float] = field(default_factory=list)
 
     def matching_quality(self, scene: Scene) -> float:
         """Mean vote confidence plus color agreement around the true pose."""
@@ -61,6 +59,4 @@ class SurrogateTrainer:
                 scene, noise, seed=(self.seed, "train", epoch, i))
             qualities.append(self.matching_quality(noised))
         quality = float(np.mean(qualities)) if qualities else 0.0
-        loss = LOSS_FLOOR + EPOCH_DECAY ** epoch * (1.0 - quality)
-        self.history.append(loss)
-        return loss
+        return LOSS_FLOOR + EPOCH_DECAY ** epoch * (1.0 - quality)

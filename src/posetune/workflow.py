@@ -1,17 +1,20 @@
-"""End-to-end experiment stages behind the service and CLI.
+"""End-to-end experiment stages.
 
 Four resumable stages share one output directory: scene generation, noise
 scheduling against the surrogate trainer, the two-phase parameter
 optimization, and held-out evaluation with budget selection. All randomness
 derives from the config's master seed through named sub-streams, so re-runs
-are reproducible byte for byte (timing fields aside).
+reproduce the scenes, the DR traces, the continuous search and the grid
+recalls byte for byte. What depends on measured wall time does not: the grid
+``runtime`` column, and through it ``front_*.json`` (the Pareto front and the
+fitted runtime coefficients) and the budget selection made from them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from .gridopt import (
     predict_runtime,
     select_for_budget,
 )
-from .metrics import add_correct, evaluate_pose, recall_contribution, scores_to_csv
+from .metrics import MetricScore, add_correct, evaluate_pose, recall_contribution, scores_to_csv
 from .objects import make_object, save_object
 from .pipeline import ContinuousParams, DiscreteParams, estimate_all
 from .scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene, load_scene, save_scene
@@ -72,8 +75,16 @@ class ExperimentConfig:
     grid: dict | None = None
 
     def __post_init__(self):
-        if self.validation_scenes < 1:
-            raise ValueError("validation set empty")
+        for split in SPLITS:
+            if _split_count(self, split) < 1:
+                raise ValueError(f"{split}_scenes must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not self.budget_seconds > 0:
+            raise ValueError("budget_seconds must be positive")
+        for name in ("clutter", "occlusion"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.metric not in ("bop", "add"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if not self.objects:
@@ -81,8 +92,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        allowed = set(ExperimentConfig.__dataclass_fields__)
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return ExperimentConfig(**data)
@@ -92,8 +102,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name)
-                for name in ExperimentConfig.__dataclass_fields__}
+        return asdict(self)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(
@@ -148,8 +157,7 @@ SPLITS = ("train", "validation", "eval")
 
 
 def _split_count(config: ExperimentConfig, split: str) -> int:
-    return {"train": config.train_scenes, "validation": config.validation_scenes,
-            "eval": config.eval_scenes}[split]
+    return getattr(config, f"{split}_scenes")
 
 
 def _scene_dir(config: ExperimentConfig, split: str, index: int) -> Path:
@@ -241,29 +249,24 @@ def _noised_split(config: ExperimentConfig, split: str, levels: NoiseConfig | No
             for i, s in enumerate(scenes)]
 
 
-def _instance_score(config: ExperimentConfig, model: ObjectModel, scene: Scene,
-                    result) -> float:
-    if not result.found:
-        return 0.0
-    gt = scene.gt_poses[model.object_id]
-    if config.metric == "add":
-        return float(add_correct(model, gt, result.hypothesis.pose,
-                                 model.is_symmetric))
-    return recall_contribution(model, gt, result.hypothesis.pose, scene.cam,
-                               scene.depth)
+def _score_scenes(config: ExperimentConfig, models: list[ObjectModel], scenes: list[Scene],
+                  cp: ContinuousParams, dp: DiscreteParams, stream: str, score):
+    """Estimate each scene once and score every instance.
 
-
-def _scene_set_recall(config: ExperimentConfig, models, scenes, cp, dp) -> tuple[float, float]:
-    """(mean image runtime, mean recall) over a scene set."""
-    scores, runtimes = [], []
+    ``score(model, scene, pose)`` is called once per found instance. Returns
+    the per-scene runtimes and one ``(scene index, object id, score)`` record
+    per instance, in scene then model order, with 0 for an instance not found.
+    """
+    runtimes, records = [], []
     for i, scene in enumerate(scenes):
         bundle = estimate_all(scene, models, cp, dp,
-                              seed=stream_seed(config.seed, "est", i))
+                              seed=stream_seed(config.seed, stream, i))
         runtimes.append(bundle.total_time)
         for model in models:
-            scores.append(_instance_score(config, model, scene,
-                                          bundle.results[model.object_id]))
-    return float(np.mean(runtimes)), float(np.mean(scores))
+            result = bundle.results[model.object_id]
+            records.append((i, model.object_id,
+                            score(model, scene, result.hypothesis.pose) if result.found else 0))
+    return runtimes, records
 
 
 def _mode_tag(no_dr: bool) -> str:
@@ -284,8 +287,21 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     opt_dir = config.out() / "opt"
     opt_dir.mkdir(parents=True, exist_ok=True)
 
+    def instance_recall(model: ObjectModel, scene: Scene, pose) -> float:
+        # one metric call: the full evaluate_pose would about double the cost
+        gt = scene.gt_poses[model.object_id]
+        if config.metric == "add":
+            return float(add_correct(model, gt, pose, model.is_symmetric))
+        return recall_contribution(model, gt, pose, scene.cam, scene.depth)
+
+    def measure(cp: ContinuousParams, dp: DiscreteParams) -> tuple[float, float]:
+        """(mean image runtime, mean recall) over the validation scenes."""
+        runtimes, records = _score_scenes(config, models, scenes, cp, dp, "est",
+                                          instance_recall)
+        return float(np.mean(runtimes)), float(np.mean([r[2] for r in records]))
+
     def continuous_objective(cp: ContinuousParams) -> float:
-        return _scene_set_recall(config, models, scenes, cp, BO_FIXED_DISCRETE)[1]
+        return measure(cp, BO_FIXED_DISCRETE)[1]
 
     try:
         best_cp, trace = optimize_continuous(
@@ -299,7 +315,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     (opt_dir / f"trace_{tag}.csv").write_text(trace_to_csv(trace))
 
     def discrete_objective(dp: DiscreteParams) -> tuple[float, float]:
-        return _scene_set_recall(config, models, scenes, best_cp, dp)
+        return measure(best_cp, dp)
 
     try:
         grid = enumerate_grid(config.grid_spec())
@@ -330,47 +346,41 @@ def load_optimization(config: ExperimentConfig, no_dr: bool = False):
     data = json.loads(front_path.read_text())
     front = [ParetoEntry(DiscreteParams.from_dict(e["params"]), e["runtime"],
                          e["recall"]) for e in data["front"]]
-    raw = dict(data["coefficients"])
-    coeffs = RuntimeCoefficients(**raw)
-    return cp, front, coeffs
+    return cp, front, RuntimeCoefficients(**data["coefficients"])
 
 
 def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
-                 objects: int | None = None, no_dr: bool = False,
-                 force: bool = False) -> dict:
+                 no_dr: bool = False, force: bool = False) -> dict:
     """Select a front entry for the budget and score it on held-out scenes."""
     tag = _mode_tag(no_dr)
     budget = config.budget_seconds if budget is None else float(budget)
-    object_count = objects if objects is not None else len(config.objects)
+    models = build_models(config)
+    object_count = len(models)
     stage = f"evaluate-{tag}-{budget:g}-{object_count}"
     done = _stage_complete(config, stage)
     if done and not force:
         return done
-    models = build_models(config)
     cp, front, coeffs = load_optimization(config, no_dr)
     levels = learned_levels(config)
     scenes = _noised_split(config, "eval", levels, "evalnoise")
     selection = select_for_budget(front, coeffs, object_count, budget)
     dp = selection.entry.params
 
+    def instance_scores(model: ObjectModel, scene: Scene, pose) -> MetricScore:
+        return evaluate_pose(model, scene.gt_poses[model.object_id], pose, scene.cam,
+                             scene.depth)
+
+    runtimes, records = _score_scenes(config, models, scenes, cp, dp, "eval-est",
+                                      instance_scores)
     per_object: dict[str, list[float]] = {m.object_id: [] for m in models}
-    records = []
-    runtimes = []
-    for i, scene in enumerate(scenes):
-        bundle = estimate_all(scene, models, cp, dp,
-                              seed=stream_seed(config.seed, "eval-est", i))
-        runtimes.append(bundle.total_time)
-        for model in models:
-            result = bundle.results[model.object_id]
-            if not result.found:
-                per_object[model.object_id].append(0.0)
-                continue
-            score = evaluate_pose(model, scene.gt_poses[model.object_id],
-                                  result.hypothesis.pose, scene.cam, scene.depth)
-            records.append((model.object_id, f"eval/{i:03d}", score))
-            per_object[model.object_id].append(
-                float(score.correct_add) if config.metric == "add"
-                else score.bop_recall_contribution)
+    rows = []
+    for i, object_id, score in records:
+        if not isinstance(score, MetricScore):  # not found
+            per_object[object_id].append(0.0)
+            continue
+        rows.append((object_id, f"eval/{i:03d}", score))
+        per_object[object_id].append(float(score.correct_add) if config.metric == "add"
+                                     else score.bop_recall_contribution)
     recall = float(np.mean([v for vals in per_object.values() for v in vals]))
     report = {
         "mode": tag,
@@ -390,5 +400,5 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
     stamp = f"{tag}_{budget:g}_{object_count}"
     (eval_dir / f"report_{stamp}.json").write_text(
         json.dumps(report, sort_keys=True, indent=1))
-    (eval_dir / f"scores_{stamp}.csv").write_text(scores_to_csv(records))
+    (eval_dir / f"scores_{stamp}.csv").write_text(scores_to_csv(rows))
     return _finish_stage(config, stage, report)

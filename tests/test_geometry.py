@@ -8,7 +8,6 @@ from posetune.geometry import (
     PointCloud,
     Pose,
     bbox_diagonal,
-    estimate_normals,
     farthest_point_sample,
     random_rotation,
     rotation_about_axis,
@@ -184,38 +183,6 @@ class TestVoxelDownsample:
         cloud = PointCloud([[0.1, 0, 0], [0.2, 0, 0], [5.0, 0, 0]], normals)
         out = voxel_downsample(cloud, 1.0)
         np.testing.assert_array_equal(out.normals, [[0, 0, 1.0], [1.0, 0, 0]])
-
-
-class TestEstimateNormals:
-    def test_plane_points_get_plane_normal(self):
-        g = rng(2)
-        pts = np.column_stack([g.uniform(-30, 30, 300), g.uniform(-30, 30, 300),
-                               np.zeros(300)])
-        out = estimate_normals(PointCloud(pts), 10.0)
-        angles = np.degrees(np.arccos(np.clip(np.abs(out.normals[:, 2]), -1, 1)))
-        assert angles.max() < 0.06  # within 1e-3 rad of +-z
-
-    def test_sphere_normals_near_radial(self):
-        g = rng(4)
-        d = g.normal(size=(3000, 3))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        center = np.array([0.0, 0.0, 300.0])
-        pts = center + 50.0 * d
-        out = estimate_normals(PointCloud(pts), 10.0)
-        # analytic oracle: sphere normal is the radial direction
-        cos = np.abs(np.sum(out.normals * d, axis=1))
-        assert np.degrees(np.arccos(np.clip(cos, -1, 1))).max() < 5.0
-
-    def test_isolated_point_faces_viewpoint(self):
-        out = estimate_normals(PointCloud([[0.0, 0.0, 100.0]]), 10.0)
-        np.testing.assert_allclose(out.normals[0], [0, 0, -1.0])
-
-    def test_orientation_toward_sensor(self):
-        g = rng(8)
-        pts = np.column_stack([g.uniform(-20, 20, 200), g.uniform(-20, 20, 200),
-                               np.full(200, 500.0)])
-        out = estimate_normals(PointCloud(pts), 10.0)
-        assert (out.normals[:, 2] < 0).all()
 
 
 class TestBboxDiagonal:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from posetune.gridopt import (
     enumerate_grid,
     evaluate_grid,
     fit_runtime_model,
-    front_to_json,
     measurements_to_csv,
     pareto_front,
     predict_runtime,
@@ -90,16 +87,6 @@ class TestEvaluateGrid:
         out = evaluate_grid([DiscreteParams(8, 2, 500, 1, 10)], broken)
         assert out[0].recall == 0.0
         assert out[0].runtime >= 0.0
-
-    def test_parallel_matches_serial(self):
-        grid = enumerate_grid(GridSpec((2, 4), (1, 2), (100,), (1,), (5,)))
-
-        def objective(p):
-            return (p.classified * 0.1 + p.estimated, p.estimated / 10)
-
-        serial = evaluate_grid(grid, objective, parallelism=1)
-        parallel = evaluate_grid(grid, objective, parallelism=4)
-        assert [e.to_dict() for e in serial] == [e.to_dict() for e in parallel]
 
 
 class TestParetoFront:
@@ -270,12 +257,6 @@ class TestSelectForBudget:
 
 
 class TestEmissions:
-    def test_front_json(self):
-        text = front_to_json([entry(8, 2, 500, 1, 10, 1.0, 0.5)], PLANTED)
-        data = json.loads(text)
-        assert data["coefficients"]["t_pre"] == PLANTED.t_pre
-        assert data["front"][0]["recall"] == 0.5
-
     def test_measurements_csv(self):
         text = measurements_to_csv([entry(8, 2, 500, 1, 10, 1.0, 0.5)])
         lines = text.strip().splitlines()

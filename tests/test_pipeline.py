@@ -75,7 +75,7 @@ class TestParameterTypes:
             DiscreteParams(8, 2, 5, 10, 10)
 
     def test_vector_roundtrip(self):
-        params = ContinuousParams.heuristic()
+        params = OPTIMIZED
         again = ContinuousParams.from_vector(params.as_vector())
         assert again == params
 

@@ -237,7 +237,9 @@ def optimize_continuous(
 ) -> tuple[ContinuousParams, list[TraceEntry]]:
     """Run the schedule, one objective evaluation per iteration.
 
-    A failing objective scores 0 for that iteration and the run continues.
+    An objective that raises ``ValueError`` or ``np.linalg.LinAlgError`` (an
+    invalid pose, a failed decomposition) scores 0 for that iteration and the
+    run continues; any other exception is a bug and propagates.
     Returns the best observed parameters with the full trace.
     """
     rng = derive_rng(seed, "bo")
@@ -262,7 +264,7 @@ def optimize_continuous(
             params = ContinuousParams.from_vector(space.denormalize(unit))
             try:
                 value = float(objective(params))
-            except Exception:
+            except (ValueError, np.linalg.LinAlgError):
                 value = 0.0
             xs.append(unit)
             ys.append(value)

@@ -72,6 +72,18 @@ def render_depth(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     return depth
 
 
+def pixel_window(mask: np.ndarray, margin: int) -> tuple[slice, slice] | None:
+    """Bounding box of the set pixels of ``mask`` grown by ``margin`` px and
+    clipped to the image, as (row, column) slices; None when no pixel is set."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if len(rows) == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    height, width = mask.shape
+    return (slice(max(rows[0] - margin, 0), min(rows[-1] + 1 + margin, height)),
+            slice(max(cols[0] - margin, 0), min(cols[-1] + 1 + margin, width)))
+
+
 def visible_mask(points: np.ndarray, depth: np.ndarray, cam: CameraIntrinsics,
                  tolerance: float) -> np.ndarray:
     """Boolean mask of points whose splat pixel they themselves front (z-buffer test)."""

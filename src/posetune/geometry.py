@@ -233,9 +233,12 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
         _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     k = len(counts)
 
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
+
     def bucket_mean(values: np.ndarray) -> np.ndarray:
-        acc = np.zeros((k, values.shape[1]))
-        np.add.at(acc, inverse, values)
+        # bincount adds each voxel's values in point order, as np.add.at does
+        acc = np.column_stack([np.bincount(inverse, weights=column, minlength=k)
+                               for column in values.T])
         return acc / counts[:, None]
 
     points = bucket_mean(cloud.points)

@@ -102,13 +102,15 @@ def evaluate_grid(
     objective: Callable[[DiscreteParams], tuple[float, float]],
 ) -> list[ParetoEntry]:
     """Measure (runtime, recall) for every tuple, one after another so that no
-    two wall times contend; failures score recall 0."""
+    two wall times contend. An objective that raises ``ValueError`` or
+    ``np.linalg.LinAlgError`` scores recall 0 at the time spent until then;
+    any other exception is a bug and propagates."""
     entries = []
     for params in grid:
         start = time.perf_counter()
         try:
             runtime, recall = objective(params)
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             runtime, recall = time.perf_counter() - start, 0.0
         entries.append(ParetoEntry(params, float(runtime), float(recall)))
     return entries

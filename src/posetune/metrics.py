@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .camera import CameraIntrinsics, project_points, render_depth
+from .camera import CameraIntrinsics, pixel_window, project_points, render_depth
 from .geometry import ObjectModel, Pose
 
 # Correctness threshold fractions shared by the recall ladder, 5%..50%.
@@ -24,6 +24,10 @@ MSPD_BASE_THRESHOLDS = tuple(5.0 * i for i in range(1, 11))
 MSPD_REFERENCE_WIDTH = 640.0
 # Depth slack when deciding whether a rendered model pixel is visible.
 VSD_VISIBILITY_DELTA = 15.0
+# Pixels the VSD closing looks at beyond the renders' bounding box: the 3x3
+# min filter reaches 1 px past a footprint, and the 3x3 max filter after it
+# must also see the empty pixels 1 px past that.
+CLOSING_MARGIN = 2
 # Default misalignment tolerance for the headline VSD number, as a fraction
 # of the object diagonal.
 VSD_TAU_FRACTION = 0.1
@@ -82,30 +86,35 @@ def add_correct(model: ObjectModel, gt: Pose, est: Pose, symmetric: bool) -> boo
     return score < ADD_CORRECT_FRACTION * model.diagonal
 
 
-def mssd_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
-    """Max surface distance, minimized over the object's symmetry transforms."""
+def _posed(model: ObjectModel, gt: Pose, est: Pose) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The model posed by ``gt``, and posed by ``est`` after each symmetry
+    transform, identity first (``est.apply(sym.apply(pts))``, not the
+    composed pose, which rounds differently)."""
     if len(model.cloud) == 0:
         raise ValueError("empty model")
     pts = model.cloud.points
-    gt_pts = gt.apply(pts)
-    best = np.inf
-    for sym in _sym_poses(model):
-        est_pts = est.apply(sym.apply(pts))
-        best = min(best, float(np.linalg.norm(gt_pts - est_pts, axis=1).max()))
-    return best
+    return gt.apply(pts), [est.apply(sym.apply(pts)) for sym in _sym_poses(model)]
+
+
+def _mssd(gt_pts: np.ndarray, est_copies: list[np.ndarray]) -> float:
+    return min(float(np.linalg.norm(gt_pts - est_pts, axis=1).max())
+               for est_pts in est_copies)
+
+
+def _mspd(gt_pts: np.ndarray, est_copies: list[np.ndarray], cam: CameraIntrinsics) -> float:
+    gt_px = project_points(gt_pts, cam)
+    return min(float(np.linalg.norm(gt_px - project_points(est_pts, cam), axis=1).max())
+               for est_pts in est_copies)
+
+
+def mssd_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
+    """Max surface distance, minimized over the object's symmetry transforms."""
+    return _mssd(*_posed(model, gt, est))
 
 
 def mspd_score(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics) -> float:
     """Max projected pixel distance, minimized over symmetry transforms."""
-    if len(model.cloud) == 0:
-        raise ValueError("empty model")
-    pts = model.cloud.points
-    gt_px = project_points(gt.apply(pts), cam)
-    best = np.inf
-    for sym in _sym_poses(model):
-        est_px = project_points(est.apply(sym.apply(pts)), cam)
-        best = min(best, float(np.linalg.norm(gt_px - est_px, axis=1).max()))
-    return best
+    return _mspd(*_posed(model, gt, est), cam)
 
 
 def _close_depth(depth: np.ndarray) -> np.ndarray:
@@ -115,11 +124,23 @@ def _close_depth(depth: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(filled), filled, 0.0)
 
 
-def _vsd_errors(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics,
+def _vsd_errors(gt_pts: np.ndarray, est_pts: np.ndarray, cam: CameraIntrinsics,
                 scene_depth: np.ndarray, taus: list[float]) -> list[float]:
-    """VSD error for each tolerance in ``taus`` with one pair of renders."""
-    d_gt = _close_depth(render_depth(gt.apply(model.cloud.points), cam))
-    d_est = _close_depth(render_depth(est.apply(model.cloud.points), cam))
+    """VSD error for each tolerance in ``taus`` with one pair of renders.
+
+    Both renders are full-frame. The closing and the visibility counts run on
+    the union of the two footprints' bounding boxes grown by
+    ``CLOSING_MARGIN``: outside it both closed depths are 0, and each window
+    edge either lies on the image border or has only empty pixels beyond it.
+    """
+    d_gt = render_depth(gt_pts, cam)
+    d_est = render_depth(est_pts, cam)
+    window = pixel_window((d_gt > 0) | (d_est > 0), CLOSING_MARGIN)
+    if window is None:
+        return [1.0] * len(taus)
+    d_gt = _close_depth(d_gt[window])
+    d_est = _close_depth(d_est[window])
+    scene_depth = scene_depth[window]
     free = scene_depth == 0
     # A rendered pixel counts as visible where the scene holds no closer surface;
     # missing scene depth counts as visible.
@@ -142,16 +163,25 @@ def vsd_score(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics,
         raise ValueError("tau must be positive")
     if scene_depth.shape != (cam.height, cam.width):
         raise ValueError("depth image does not match camera")
-    return _vsd_errors(model, gt, est, cam, scene_depth, [tau])[0]
+    pts = model.cloud.points
+    return _vsd_errors(gt.apply(pts), est.apply(pts), cam, scene_depth, [tau])[0]
 
 
 def recall_contribution(model: ObjectModel, gt: Pose, est: Pose,
                         cam: CameraIntrinsics, scene_depth: np.ndarray) -> float:
-    """Per-estimate recall: VSD/MSSD/MSPD correctness averaged over the ladder."""
-    mssd = mssd_score(model, gt, est)
-    mspd = mspd_score(model, gt, est, cam)
+    """Per-estimate recall: VSD/MSSD/MSPD correctness averaged over the ladder.
+
+    The model is posed once by ``gt`` and once per symmetry copy by ``est``;
+    MSSD, MSPD and VSD (through the identity copy) all read those clouds. An
+    estimate that puts a model point at or behind the camera plane, in any
+    symmetry copy, misses every MSPD threshold.
+    """
+    gt_pts, est_copies = _posed(model, gt, est)
+    mssd = _mssd(gt_pts, est_copies)
+    behind = any(np.any(est_pts[:, 2] <= 0) for est_pts in est_copies)
+    mspd = np.inf if behind else _mspd(gt_pts, est_copies, cam)
     taus = [f * model.diagonal for f in LADDER_FRACTIONS]
-    vsd_errs = _vsd_errors(model, gt, est, cam, scene_depth, taus)
+    vsd_errs = _vsd_errors(gt_pts, est_copies[0], cam, scene_depth, taus)
     vsd_hits = np.mean([err < f for err, f in zip(vsd_errs, LADDER_FRACTIONS)])
     mssd_hits = np.mean([mssd < f * model.diagonal for f in LADDER_FRACTIONS])
     px_scale = cam.width / MSPD_REFERENCE_WIDTH

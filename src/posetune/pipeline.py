@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .camera import CameraIntrinsics, render_depth
+from .camera import CameraIntrinsics, pixel_window, render_depth
 from .geometry import ObjectModel, PointCloud, Pose, bbox_diagonal, rotation_about_axis, voxel_downsample
 from .scenes import Scene
 from .seeding import derive_rng
@@ -34,6 +34,11 @@ VOTE_CONF_FRACTION = 0.08
 COLOR_SIM_SCALE = 0.3
 # Scene depth jump treated as a geometric edge for the contour check (mm).
 DEPTH_EDGE_JUMP = 20.0
+# Pixels the depth check looks at beyond the render's bounding box: the 3x3
+# dilation of the footprint reaches 1 px past it, and the erosion of that
+# dilated mask reads 1 px further, which lies outside the window and holds
+# only the zeros its ``border_value=0`` supplies.
+SILHOUETTE_MARGIN = 1
 
 
 @dataclass(frozen=True)
@@ -395,9 +400,16 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
     The KD query is bounded by the stage's cut-off, so the search stops at it;
     a model point with no target point that close gets no correspondence
     (Rusinkiewicz & Levoy, 3DIM 2001).
+
+    A stage stops at a fixed point: when an iteration finds the same
+    ``mask`` and matched indices as those that produced the current pose,
+    ``kabsch`` would return that pose bit for bit, and so would every later
+    iteration of the stage. Every step taken still builds its pose through
+    ``kabsch``.
     """
     pose = hypothesis.pose
     moved = False
+    produced_by = None   # the (mask, matched indices) that ``pose`` was fitted to
     for stage in range(FIXED.icp_resolutions):
         cutoff = icp_dist * icp_scale ** (FIXED.icp_resolutions - 1 - stage) \
             * diagonal / DIAGONAL_REF
@@ -406,7 +418,12 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
             mask = dist < cutoff
             if mask.sum() < 3:
                 break
-            pose = kabsch(model_pts[mask], target[nearest[mask]])
+            matched = nearest[mask]
+            if produced_by is not None and np.array_equal(mask, produced_by[0]) \
+                    and np.array_equal(matched, produced_by[1]):
+                break
+            pose = kabsch(model_pts[mask], target[matched])
+            produced_by = (mask, matched)
             moved = True
     if not moved:
         return replace(hypothesis, flags=hypothesis.flags + ("icp stalled",))
@@ -429,14 +446,23 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     2 px of a scene depth discontinuity. The final score is
     0.5*agreement*(1-violation) + 0.5*contour. ``depth_edges`` is the scene's
     ``_depth_edges`` mask when the caller already has it (``ScenePrep``);
-    without it the mask is computed here.
+    without it the mask is computed here, and only if the silhouette is
+    not empty.
+
+    The render is full-frame; every comparison and filter after it runs on
+    the rendered pixels' bounding box grown by ``SILHOUETTE_MARGIN``. Outside
+    that window every mask is False, and each window edge either lies on the
+    image border or sees only zeros beyond it, so the filters' ``reflect``
+    mode and ``border_value=0`` read what they would on the full frame.
     """
     cam = cam or scene.cam
     model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), cam)
-    rendered = model_depth > 0
-    if not rendered.any():
+    window = pixel_window(model_depth > 0, SILHOUETTE_MARGIN)
+    if window is None:
         return replace(hypothesis, depth_score=0.0)
-    scene_depth = scene.depth
+    model_depth = model_depth[window]
+    rendered = model_depth > 0
+    scene_depth = scene.depth[window]
     valid = scene_depth > 0
     overlap = rendered & valid
     diff = scene_depth - model_depth
@@ -452,8 +478,8 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     contour = 0.0
     if silhouette.any():
         if depth_edges is None:
-            depth_edges = _depth_edges(scene_depth)
-        contour = float(np.mean(depth_edges[silhouette]))
+            depth_edges = _depth_edges(scene.depth)
+        contour = float(np.mean(depth_edges[window][silhouette]))
     score = float(np.clip(0.5 * agreement * (1.0 - violation) + 0.5 * contour, 0.0, 1.0))
     return replace(hypothesis, depth_score=score)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -126,23 +127,34 @@ def _marker(config: ExperimentConfig, stage: str) -> Path:
 
 
 def _stage_complete(config: ExperimentConfig, stage: str, extra: str = "") -> dict | None:
+    """The stage's summary if its marker matches this config, else None.
+
+    A marker that does not parse, or lacks ``config_hash`` or ``summary``,
+    counts as not done, so the stage runs again and rewrites it.
+    """
     marker = _marker(config, stage)
     if not marker.exists():
         return None
-    data = json.loads(marker.read_text())
-    if data.get("config_hash") == config.fingerprint() + extra:
-        summary = data["summary"]
-        summary["skipped"] = True
-        return summary
-    return None
+    try:
+        data = json.loads(marker.read_text())
+        if data["config_hash"] != config.fingerprint() + extra:
+            return None
+        return dict(data["summary"], skipped=True)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def _finish_stage(config: ExperimentConfig, stage: str, summary: dict,
                   extra: str = "") -> dict:
+    """Write the stage marker atomically: a temporary file in the same
+    directory, then ``os.replace`` over the marker."""
     config.out().mkdir(parents=True, exist_ok=True)
-    _marker(config, stage).write_text(json.dumps(
+    marker = _marker(config, stage)
+    partial = marker.with_name(marker.name + ".tmp")
+    partial.write_text(json.dumps(
         {"stage": stage, "config_hash": config.fingerprint() + extra,
          "summary": summary}, sort_keys=True, indent=1))
+    os.replace(partial, marker)
     return dict(summary, skipped=False)
 
 

@@ -186,13 +186,23 @@ class TestOptimizeContinuous:
         def flaky(params):
             calls.append(1)
             if len(calls) % 2 == 0:
-                raise RuntimeError("boom")
+                raise ValueError("rotation is not orthonormal")
+            if len(calls) == 5:
+                raise np.linalg.LinAlgError("SVD did not converge")
             return 0.7
 
         sched = Schedule(((6, None),))
         _, trace = optimize_continuous(flaky, SearchSpace.default(), sched, seed=3)
         values = [t.value for t in trace]
-        assert values == [0.7, 0.0, 0.7, 0.0, 0.7, 0.0]
+        assert values == [0.7, 0.0, 0.7, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError, RuntimeError])
+    def test_objective_bug_propagates(self, error):
+        def broken(params):
+            raise error("bug")
+
+        with pytest.raises(error):
+            optimize_continuous(broken, SearchSpace.default(), Schedule(((3, None),)), seed=3)
 
     def test_deterministic_with_fixed_seed(self):
         space = unit_space()

@@ -82,11 +82,19 @@ class TestEvaluateGrid:
 
     def test_failure_records_zero_recall(self):
         def broken(params):
-            raise RuntimeError("no scenes")
+            raise ValueError("behind camera")
 
         out = evaluate_grid([DiscreteParams(8, 2, 500, 1, 10)], broken)
         assert out[0].recall == 0.0
         assert out[0].runtime >= 0.0
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError, RuntimeError])
+    def test_objective_bug_propagates(self, error):
+        def broken(params):
+            raise error("bug")
+
+        with pytest.raises(error):
+            evaluate_grid([DiscreteParams(8, 2, 500, 1, 10)], broken)
 
 
 class TestParetoFront:

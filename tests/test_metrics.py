@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from posetune.camera import CameraIntrinsics, default_camera, render_depth
+from posetune import metrics
+from posetune.camera import CameraIntrinsics, default_camera, project_points, render_depth
 from posetune.geometry import ObjectModel, PointCloud, Pose, random_rotation, rotation_about_axis
 from posetune.metrics import (
     LADDER_FRACTIONS,
@@ -17,6 +19,8 @@ from posetune.metrics import (
     scores_to_csv,
     vsd_score,
 )
+from posetune.objects import make_cylinder, make_object
+from posetune.scenes import generate_scene
 
 
 def rng(seed=0):
@@ -240,6 +244,114 @@ class TestBopRecall:
             for f in LADDER_FRACTIONS)
         expected = (vsd_hits + mssd_hits + mspd_hits) / 30.0
         assert got == pytest.approx(expected)
+
+    def test_estimate_behind_camera_misses_every_mspd_threshold(self):
+        model = make_object({"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0]})
+        scene = generate_scene([model], 0.0, 0.0, seed=2)
+        gt = scene.gt_poses["box"]
+        est = Pose(gt.rotation, [gt.translation[0], gt.translation[1], 20.0])
+        with pytest.raises(ValueError, match="behind camera"):
+            mspd_score(model, gt, est, scene.cam)
+        got = recall_contribution(model, gt, est, scene.cam, scene.depth)
+        mssd = mssd_score(model, gt, est)
+        mssd_hits = sum(mssd < f * model.diagonal for f in LADDER_FRACTIONS)
+        vsd_hits = sum(
+            vsd_score(model, gt, est, scene.cam, scene.depth, f * model.diagonal) < f
+            for f in LADDER_FRACTIONS)
+        assert got == pytest.approx((vsd_hits + mssd_hits + 0) / 30.0)
+
+
+def full_frame_vsd_reference(model, gt, est, cam, scene_depth, taus):
+    """VSD errors with the closing and the counts on the full frame."""
+    def close(depth):
+        filled = ndimage.maximum_filter(
+            ndimage.minimum_filter(np.where(depth > 0, depth, np.inf), size=3), size=3)
+        return np.where(np.isfinite(filled), filled, 0.0)
+
+    d_gt = close(render_depth(gt.apply(model.cloud.points), cam))
+    d_est = close(render_depth(est.apply(model.cloud.points), cam))
+    free = scene_depth == 0
+    vis_gt = (d_gt > 0) & (free | (d_gt <= scene_depth + metrics.VSD_VISIBILITY_DELTA))
+    vis_est = (d_est > 0) & (free | (d_est <= scene_depth + metrics.VSD_VISIBILITY_DELTA))
+    union = vis_gt | vis_est
+    count = int(union.sum())
+    if count == 0:
+        return [1.0] * len(taus)
+    both = vis_gt & vis_est
+    single = int(union.sum() - both.sum())
+    diffs = np.abs(d_gt[both] - d_est[both])
+    return [float((single + int((diffs > tau).sum())) / count) for tau in taus]
+
+
+def per_symmetry_reference(model, gt, est, cam, scene_depth):
+    """(MSSD, MSPD, recall) with each symmetry copy posed inside its own loop."""
+    pts = model.cloud.points
+    syms = [Pose.identity(), *model.symmetry]
+    gt_pts = gt.apply(pts)
+    mssd = min(float(np.linalg.norm(gt_pts - est.apply(sym.apply(pts)), axis=1).max())
+               for sym in syms)
+    gt_px = project_points(gt_pts, cam)
+    mspd = min(float(np.linalg.norm(
+        gt_px - project_points(est.apply(sym.apply(pts)), cam), axis=1).max()) for sym in syms)
+    taus = [f * model.diagonal for f in LADDER_FRACTIONS]
+    vsd_errs = full_frame_vsd_reference(model, gt, est, cam, scene_depth, taus)
+    vsd_hits = np.mean([err < f for err, f in zip(vsd_errs, LADDER_FRACTIONS)])
+    mssd_hits = np.mean([mssd < f * model.diagonal for f in LADDER_FRACTIONS])
+    px_scale = cam.width / metrics.MSPD_REFERENCE_WIDTH
+    mspd_hits = np.mean([mspd < t * px_scale for t in MSPD_BASE_THRESHOLDS])
+    return mssd, mspd, float((vsd_hits + mssd_hits + mspd_hits) / 3.0)
+
+
+class TestAgainstFullForms:
+    """The windowed VSD and the shared posed clouds give what the full forms give."""
+
+    @pytest.fixture(scope="class")
+    def cylinder_scene(self):
+        model = make_cylinder("cyl", 25.0, 80.0, [0.3, 0.5, 0.7])
+        return model, generate_scene([model], 0.75, 0.18, seed=4)
+
+    @staticmethod
+    def estimates(gt: Pose, symmetry) -> dict[str, Pose]:
+        g = rng(21)
+        tilt = random_rotation(g)
+        return {
+            "exact": gt,
+            "symmetric copy": gt.compose(symmetry[2]),
+            "overlapping": Pose(rotation_about_axis([1, 0, 0], 0.1) @ gt.rotation,
+                                gt.translation + [6.0, -4.0, 9.0]),
+            "tilted": Pose(tilt, gt.translation + [0.0, 15.0, 0.0]),
+            "disjoint": Pose(gt.rotation, gt.translation + [150.0, 0.0, 0.0]),
+            "off image": Pose(gt.rotation, gt.translation + [2000.0, 0.0, 0.0]),
+            "at the left border": Pose(gt.rotation, [-gt.translation[2] * 160.0 / 260.0,
+                                                     0.0, gt.translation[2]]),
+        }
+
+    def test_windowed_vsd_matches_full_frame(self, cylinder_scene):
+        model, scene = cylinder_scene
+        gt = scene.gt_poses["cyl"]
+        taus = [f * model.diagonal for f in LADDER_FRACTIONS]
+        pts = model.cloud.points
+        off_image = Pose(gt.rotation, gt.translation + [-2000.0, 0.0, 0.0])
+        pairs = [(gt, est) for est in self.estimates(gt, model.symmetry).values()]
+        pairs.append((off_image, self.estimates(gt, model.symmetry)["off image"]))  # both empty
+        for a, b in pairs:
+            for first, second in ((a, b), (b, a)):
+                expected = full_frame_vsd_reference(model, first, second, scene.cam,
+                                                    scene.depth, taus)
+                got = metrics._vsd_errors(first.apply(pts), second.apply(pts), scene.cam,
+                                          scene.depth, taus)
+                assert got == expected
+
+    def test_cylinder_scores_match_per_symmetry_posing(self, cylinder_scene):
+        model, scene = cylinder_scene
+        assert len(model.symmetry) == 11
+        gt = scene.gt_poses["cyl"]
+        for name, est in self.estimates(gt, model.symmetry).items():
+            mssd, mspd, recall = per_symmetry_reference(model, gt, est, scene.cam,
+                                                        scene.depth)
+            assert mssd_score(model, gt, est) == mssd, name
+            assert mspd_score(model, gt, est, scene.cam) == mspd, name
+            assert recall_contribution(model, gt, est, scene.cam, scene.depth) == recall, name
 
 
 class TestMetricScoreType:

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from posetune import pipeline
@@ -328,6 +329,42 @@ class TestC2fIcp:
             np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
             np.testing.assert_array_equal(out.pose.translation, pose.translation)
 
+    def test_fixed_point_exit_matches_every_iteration(self, box, cluttered_scene, monkeypatch):
+        gt = cluttered_scene.gt_poses["crate"]
+        near = np.linalg.norm(cluttered_scene.cloud.points - gt.translation, axis=1) < 90
+        target = cluttered_scene.cloud.points[near]
+        tree = cKDTree(target)
+        model_pts = icp_model_points(box)
+        original = pipeline.kabsch
+        fits = []
+        monkeypatch.setattr(pipeline, "kabsch",
+                            lambda src, dst: fits.append(1) or original(src, dst))
+        g = np.random.default_rng(7)
+        steps = 0
+        # at icp_dist 40 every model point stays in reach, so only the matches change
+        for icp_dist in (4.85, 40.0):
+            for _ in range(3):
+                start = Pose(rotation_about_axis(g.normal(size=3), 0.08) @ gt.rotation,
+                             gt.translation + g.normal(0, 3.0, 3))
+                out = pipeline._icp_refine(PoseHypothesis(start, 50), tree, target,
+                                           model_pts, box.diagonal, icp_dist, 1.24, 10)
+                # reference: every iteration of every stage runs
+                pose = start
+                for stage in range(FIXED.icp_resolutions):
+                    cutoff = icp_dist * 1.24 ** (FIXED.icp_resolutions - 1 - stage) \
+                        * box.diagonal / DIAGONAL_REF
+                    for _ in range(10):
+                        dist, nearest = tree.query(pose.apply(model_pts),
+                                                   distance_upper_bound=cutoff)
+                        mask = dist < cutoff
+                        if mask.sum() < 3:
+                            break
+                        pose = original(model_pts[mask], target[nearest[mask]])
+                        steps += 1
+                np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
+                np.testing.assert_array_equal(out.pose.translation, pose.translation)
+        assert len(fits) < steps  # the exit fired
+
     def test_model_cloud_voxelized_once_per_model(self, cluttered_scene, monkeypatch):
         model = make_box("crate", [45, 60, 35], [0.85, 0.25, 0.2])
         voxels = []
@@ -378,6 +415,60 @@ class TestDepthCheck:
             shared = depth_check(hyp, cluttered_scene, box, 86.0, 12.0,
                                  depth_edges=edges)
             assert shared.depth_score == own.depth_score
+
+
+    @staticmethod
+    def full_frame_reference(hypothesis, scene, model, background_dist, accept_dist):
+        """``depth_check``'s score with every step on the full frame."""
+        model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), scene.cam)
+        rendered = model_depth > 0
+        if not rendered.any():
+            return 0.0
+        valid = scene.depth > 0
+        overlap = rendered & valid
+        diff = scene.depth - model_depth
+        foreground = overlap & (diff < -background_dist)
+        considered = int(rendered.sum() - foreground.sum())
+        if considered == 0:
+            return 0.0
+        agreement = float((overlap & (np.abs(diff) <= accept_dist)).sum()) / considered
+        violation = float((overlap & (diff > background_dist)).sum()) / considered
+        solid = ndimage.maximum_filter(rendered, size=3)
+        silhouette = solid & ~ndimage.binary_erosion(solid)
+        contour = 0.0
+        if silhouette.any():
+            contour = float(np.mean(pipeline._depth_edges(scene.depth)[silhouette]))
+        return float(np.clip(0.5 * agreement * (1.0 - violation) + 0.5 * contour, 0.0, 1.0))
+
+    @staticmethod
+    def border_poses(model, scene):
+        """A pose at the image centre, then poses whose footprint ends a few
+        pixels inside, on, or past each image border."""
+        cam = scene.cam
+        rot = scene.gt_poses["crate"].rotation
+        z = 520.0
+        centre = Pose(rot, [0.0, 0.0, z])
+        footprint = render_depth(centre.apply(model.cloud.points), cam) > 0
+        rows = np.flatnonzero(footprint.any(axis=1))
+        cols = np.flatnonzero(footprint.any(axis=0))
+        poses = [centre]
+        for gap in (-12, -2, -1, 0, 1, 2, 3):   # px left between footprint and border
+            for du, dv in ((gap - cols[0], 0), (cam.width - 1 - cols[-1] - gap, 0),
+                           (0, gap - rows[0]), (0, cam.height - 1 - rows[-1] - gap)):
+                poses.append(Pose(rot, [du * z / cam.fx, dv * z / cam.fy, z]))
+        return poses
+
+    def test_window_matches_full_frame_reference(self, box, cluttered_scene):
+        edges = pipeline._depth_edges(cluttered_scene.depth)
+        poses = self.border_poses(box, cluttered_scene)
+        gt = cluttered_scene.gt_poses["crate"]
+        poses += [gt, Pose(gt.rotation, gt.translation + [6.0, -3.0, 0])]
+        for pose in poses:
+            hyp = PoseHypothesis(pose, 10)
+            expected = self.full_frame_reference(hyp, cluttered_scene, box, 86.0, 12.0)
+            assert depth_check(hyp, cluttered_scene, box, 86.0, 12.0).depth_score == expected
+            assert depth_check(hyp, cluttered_scene, box, 86.0, 12.0,
+                               depth_edges=edges).depth_score == expected
 
 
 class TestEstimate:

@@ -201,3 +201,39 @@ class TestEndToEnd:
     def test_fingerprint_is_stable(self):
         # stage markers written by earlier versions stay valid
         assert tiny_config("experiment").fingerprint() == FINGERPRINT
+
+
+class TestStageMarkers:
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],                       # truncated write
+        lambda text: json.dumps({"stage": "generate"}),           # no config_hash
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "summary"}),             # no summary
+        lambda text: "[]",
+    ], ids=["truncated", "no-hash", "no-summary", "not-an-object"])
+    def test_damaged_marker_reruns_the_stage(self, tmp_path, damage):
+        config = tiny_config(tmp_path)
+        workflow.cmd_generate(config)
+        marker = tmp_path / "generate.done.json"
+        intact = marker.read_text()
+        marker.write_text(damage(intact))
+        assert workflow.cmd_generate(config)["skipped"] is False
+        assert marker.read_text() == intact
+        assert workflow.cmd_generate(config)["skipped"] is True
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == \
+            ["generate.done.json", "manifest.json"]
+
+    def test_objective_bug_becomes_stage_error(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        workflow.cmd_generate(config)
+        (tmp_path / "dr").mkdir()
+        (tmp_path / "dr" / "levels.json").write_text(json.dumps(
+            {"xyz_sigma": 0.5, "normal_sigma": 0.0, "rgb_sigma": 0.0, "rgb_shift": 0.0,
+             "rotation_max": 0.0, "flatten_frac": 0.0}))
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(workflow, "estimate_all", broken)
+        with pytest.raises(workflow.StageError, match="bug"):
+            workflow.cmd_optimize(config)

@@ -57,19 +57,71 @@ def render_depth(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
 
     Returns an (height, width) float array in mm; 0 marks pixels with no data.
     Points behind the camera or outside the image are dropped.
+
+    The splat goes through the flat index ``v * width + u`` into a 1-D buffer,
+    which is numpy's fast path for ``np.minimum.at``; the minimum per pixel
+    does not depend on the order the points arrive in. The points are copied
+    only when some lie behind the camera.
     """
-    depth = np.full((cam.height, cam.width), np.inf)
+    depth = np.full(cam.height * cam.width, np.inf)
     pts = np.asarray(points, dtype=np.float64)
     if len(pts):
         z = pts[:, 2]
         front = z > 0
-        pts, z = pts[front], z[front]
+        if not front.all():
+            pts, z = pts[front], z[front]
         u = np.rint(cam.fx * pts[:, 0] / z + cam.cx).astype(np.int64)
         v = np.rint(cam.fy * pts[:, 1] / z + cam.cy).astype(np.int64)
         inside = (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
-        np.minimum.at(depth, (v[inside], u[inside]), z[inside])
+        np.minimum.at(depth, v[inside] * cam.width + u[inside], z[inside])
     depth[np.isinf(depth)] = 0.0
-    return depth
+    return depth.reshape(cam.height, cam.width)
+
+
+def _box_reduce(image: np.ndarray, size: int, op: np.ufunc) -> np.ndarray:
+    """Reduce each pixel's centred ``size`` x ``size`` window with ``op``,
+    reading only pixels inside the image: shifted slices down the columns,
+    then along the rows."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError("window size must be odd and positive")
+    out = np.array(image)
+    for view in (out, out.T):
+        src = view.copy(order="K")   # same memory layout as ``view``: slices stride alike
+        for s in range(1, size // 2 + 1):
+            op(view[s:], src[:-s], out=view[s:])
+            op(view[:-s], src[s:], out=view[:-s])
+    return out
+
+
+def box_max(image: np.ndarray, size: int) -> np.ndarray:
+    """Maximum over each pixel's centred ``size`` x ``size`` window (odd size),
+    taken over the pixels of the window that lie inside the image.
+
+    This equals ``scipy.ndimage.maximum_filter(image, size)``: in its default
+    ``reflect`` mode every pixel past the border mirrors a pixel that an odd,
+    centred window already holds.
+    """
+    return _box_reduce(image, size, np.maximum)
+
+
+def box_min(image: np.ndarray, size: int) -> np.ndarray:
+    """Minimum counterpart of ``box_max``."""
+    return _box_reduce(image, size, np.minimum)
+
+
+def erode_cross(mask: np.ndarray) -> np.ndarray:
+    """4-neighbour erosion with a zero border: a pixel stays set only when it
+    and its four neighbours are set, so no pixel on the image border does
+    (``scipy.ndimage.binary_erosion`` with its default cross and
+    ``border_value=0``)."""
+    mask = np.asarray(mask, dtype=bool)
+    out = np.zeros_like(mask)
+    inner = out[1:-1, 1:-1]
+    np.logical_and(mask[1:-1, 1:-1], mask[:-2, 1:-1], out=inner)
+    inner &= mask[2:, 1:-1]
+    inner &= mask[1:-1, :-2]
+    inner &= mask[1:-1, 2:]
+    return out
 
 
 def pixel_window(mask: np.ndarray, margin: int) -> tuple[slice, slice] | None:

@@ -11,10 +11,10 @@ import csv
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .camera import CameraIntrinsics, pixel_window, project_points, render_depth
+from .camera import (CameraIntrinsics, box_max, box_min, pixel_window, project_points,
+                     render_depth)
 from .geometry import ObjectModel, Pose
 
 # Correctness threshold fractions shared by the recall ladder, 5%..50%.
@@ -26,8 +26,21 @@ MSPD_REFERENCE_WIDTH = 640.0
 VSD_VISIBILITY_DELTA = 15.0
 # Pixels the VSD closing looks at beyond the renders' bounding box: the 3x3
 # min filter reaches 1 px past a footprint, and the 3x3 max filter after it
-# must also see the empty pixels 1 px past that.
+# must also see the empty pixels 1 px past that. Both filters read only the
+# pixels inside the window, and every pixel past a window edge that is not
+# the image border is empty, so the closing matches the full frame's.
 CLOSING_MARGIN = 2
+# Every BOUND_STRIDE-th model point bounds a symmetry copy's MSSD and MSPD
+# from below, so a copy whose bound cannot beat the best full value so far
+# is never posed in full.
+BOUND_STRIDE = 64
+# A bound must beat the best value by more than PRUNE_SLACK * (bound + scale)
+# before its copy is skipped. The bound's rows are posed by the composed
+# pose, so they may round differently from the same rows of the full copy:
+# by a few 1e-16 * M mm, M the largest coordinate magnitude, and in pixels
+# by a few 1e-16 * f * rho * (1 + rho) with rho = M / (smallest z). ``scale``
+# is M for MSSD, and f * (1 + rho)**2 plus the image size for MSPD.
+PRUNE_SLACK = 1e-9
 # Default misalignment tolerance for the headline VSD number, as a fraction
 # of the object diagonal.
 VSD_TAU_FRACTION = 0.1
@@ -64,20 +77,12 @@ def _sym_poses(model: ObjectModel) -> list[Pose]:
 
 def add_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
     """Mean distance between corresponding model points under the two poses."""
-    if len(model.cloud) == 0:
-        raise ValueError("empty model")
-    pts = model.cloud.points
-    return float(np.linalg.norm(gt.apply(pts) - est.apply(pts), axis=1).mean())
+    return _PosedCopies(model, gt, est).add()
 
 
 def add_i_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
     """Mean nearest-point distance from the gt-posed cloud to the est-posed cloud."""
-    if len(model.cloud) == 0:
-        raise ValueError("empty model")
-    pts = model.cloud.points
-    tree = cKDTree(est.apply(pts))
-    dist, _ = tree.query(gt.apply(pts))
-    return float(dist.mean())
+    return _PosedCopies(model, gt, est).add_i()
 
 
 def add_correct(model: ObjectModel, gt: Pose, est: Pose, symmetric: bool) -> bool:
@@ -86,41 +91,164 @@ def add_correct(model: ObjectModel, gt: Pose, est: Pose, symmetric: bool) -> boo
     return score < ADD_CORRECT_FRACTION * model.diagonal
 
 
-def _posed(model: ObjectModel, gt: Pose, est: Pose) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The model posed by ``gt``, and posed by ``est`` after each symmetry
-    transform, identity first (``est.apply(sym.apply(pts))``, not the
-    composed pose, which rounds differently)."""
-    if len(model.cloud) == 0:
-        raise ValueError("empty model")
-    pts = model.cloud.points
-    return gt.apply(pts), [est.apply(sym.apply(pts)) for sym in _sym_poses(model)]
+def _bound_frame(model: ObjectModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Every ``BOUND_STRIDE``-th model point, the symmetry rotations and
+    translations stacked (identity first), and the model's reach
+    max |p| + max |t_sym|, computed once and kept on the model.
+
+    No point of any symmetry copy lies farther than the reach from the
+    estimate's translation. Kept as an attribute of the model object, so it
+    is freed with the model.
+    """
+    frame = model.__dict__.get("_bound_frame")
+    if frame is None:
+        pts = model.cloud.points
+        syms = _sym_poses(model)
+        sym_t = np.array([sym.translation for sym in syms])
+        reach = (float(np.linalg.norm(pts, axis=1).max())
+                 + float(np.linalg.norm(sym_t, axis=1).max()))
+        frame = (np.ascontiguousarray(pts[::BOUND_STRIDE]),
+                 np.array([sym.rotation for sym in syms]), sym_t, reach)
+        object.__setattr__(model, "_bound_frame", frame)
+    return frame
 
 
-def _mssd(gt_pts: np.ndarray, est_copies: list[np.ndarray]) -> float:
-    return min(float(np.linalg.norm(gt_pts - est_pts, axis=1).max())
-               for est_pts in est_copies)
+class _PosedCopies:
+    """One estimate's scores against its ground truth, sharing the posed model.
 
+    The model is posed once by ``gt``. Each symmetry copy is posed by ``est``
+    in full (``est.apply(sym.apply(pts))``, not the composed pose, which
+    rounds differently) on first use, once; the identity copy is copy 0. MSSD
+    and MSPD are the exact minima over the copies. Each visits the copies in
+    order of a lower bound, the max over every ``BOUND_STRIDE``-th point, and
+    stops at the first bound that cannot beat the best full value so far.
+    Each score is computed once per argument and then kept.
+    """
 
-def _mspd(gt_pts: np.ndarray, est_copies: list[np.ndarray], cam: CameraIntrinsics) -> float:
-    gt_px = project_points(gt_pts, cam)
-    return min(float(np.linalg.norm(gt_px - project_points(est_pts, cam), axis=1).max())
-               for est_pts in est_copies)
+    def __init__(self, model: ObjectModel, gt: Pose, est: Pose):
+        if len(model.cloud) == 0:
+            raise ValueError("empty model")
+        self.model = model
+        self.pts = model.cloud.points
+        self.est = est
+        self.syms = _sym_poses(model)
+        self.gt_pts = gt.apply(self.pts)
+        self._copies: dict[int, np.ndarray] = {}
+        self._kept: dict = {}
+        self._frame = _bound_frame(model)
+        reach = self._frame[3]
+        self.scale = reach + float(np.linalg.norm(est.translation))
+        # Smallest z any point of any copy can take.
+        self.z_min = float(est.translation[2]) - reach
+
+    def _keep(self, key, compute):
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
+    def copy(self, i: int) -> np.ndarray:
+        if i not in self._copies:
+            self._copies[i] = self.est.apply(self.syms[i].apply(self.pts))
+        return self._copies[i]
+
+    def add(self) -> float:
+        return float(np.linalg.norm(self.gt_pts - self.copy(0), axis=1).mean())
+
+    def add_i(self) -> float:
+        return float(cKDTree(self.copy(0)).query(self.gt_pts)[0].mean())
+
+    def sub_copies(self) -> np.ndarray:
+        """The bound rows of every copy, (copies, rows, 3), posed at once by
+        the composed poses."""
+        def pose_all():
+            sub, sym_rot, sym_t, _ = self._frame
+            rot = self.est.rotation @ sym_rot
+            trans = sym_t @ self.est.rotation.T + self.est.translation
+            return sub @ rot.transpose(0, 2, 1) + trans[:, None, :]
+        return self._keep("sub", pose_all)
+
+    def _min(self, bounds, exact, scale: float) -> float:
+        """``min(exact(i))`` over the copies; ``bounds()`` gives their lower bounds."""
+        if len(self.syms) == 1:
+            return exact(0)
+        bounds = bounds()
+        best = np.inf
+        for i in np.argsort(bounds, kind="stable"):
+            if bounds[i] - best > PRUNE_SLACK * (bounds[i] + scale):
+                break
+            best = min(best, exact(i))
+        return best
+
+    def mssd(self) -> float:
+        """Max surface distance, minimized over the symmetry copies."""
+        return self._keep("mssd", lambda: self._min(
+            lambda: np.linalg.norm(self.gt_pts[::BOUND_STRIDE] - self.sub_copies(),
+                                   axis=2).max(axis=1),
+            lambda i: float(np.linalg.norm(self.gt_pts - self.copy(i), axis=1).max()),
+            self.scale))
+
+    def mspd(self, cam: CameraIntrinsics) -> float:
+        """Max projected pixel distance, minimized over the symmetry copies;
+        infinite when a point of any copy lies at or behind the camera plane.
+
+        Unless every copy lies safely in front of the camera, every copy is
+        posed in full, checked, and scored.
+        """
+        return self._keep(("mspd", cam), lambda: self._mspd(cam))
+
+    def _mspd(self, cam: CameraIntrinsics) -> float:
+        safe = self.z_min > PRUNE_SLACK * self.scale
+        if not safe and any(np.any(self.copy(i)[:, 2] <= 0) for i in range(len(self.syms))):
+            return np.inf
+        gt_px = project_points(self.gt_pts, cam)
+
+        def exact(i: int) -> float:
+            return float(np.linalg.norm(gt_px - project_points(self.copy(i), cam), axis=1).max())
+
+        if not safe:
+            return min(exact(i) for i in range(len(self.syms)))
+
+        def bounds() -> np.ndarray:
+            subs = self.sub_copies()
+            px = project_points(subs.reshape(-1, 3), cam).reshape(*subs.shape[:2], 2)
+            return np.linalg.norm(gt_px[::BOUND_STRIDE] - px, axis=2).max(axis=1)
+
+        rho = self.scale / self.z_min
+        return self._min(bounds, exact,
+                         max(cam.fx, cam.fy) * (1.0 + rho) ** 2 + cam.width + cam.height)
+
+    def vsd_errors(self, cam: CameraIntrinsics, scene_depth: np.ndarray) -> list[float]:
+        """VSD errors of the identity copy at each ladder tolerance, then at
+        ``VSD_TAU_FRACTION`` of the diagonal."""
+        kept = self._kept.get(("vsd", cam))
+        if kept is None or kept[0] is not scene_depth:
+            taus = [f * self.model.diagonal for f in (*LADDER_FRACTIONS, VSD_TAU_FRACTION)]
+            kept = (scene_depth, _vsd_errors(self.gt_pts, self.copy(0), cam, scene_depth, taus))
+            self._kept[("vsd", cam)] = kept
+        return kept[1]
 
 
 def mssd_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
     """Max surface distance, minimized over the object's symmetry transforms."""
-    return _mssd(*_posed(model, gt, est))
+    return _PosedCopies(model, gt, est).mssd()
 
 
 def mspd_score(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics) -> float:
-    """Max projected pixel distance, minimized over symmetry transforms."""
-    return _mspd(*_posed(model, gt, est), cam)
+    """Max projected pixel distance, minimized over symmetry transforms.
+
+    Raises ValueError if a point of any symmetry copy lies at or behind the
+    camera plane.
+    """
+    mspd = _PosedCopies(model, gt, est).mspd(cam)
+    if np.isinf(mspd):
+        raise ValueError("behind camera")
+    return mspd
 
 
 def _close_depth(depth: np.ndarray) -> np.ndarray:
-    """Fill splat pinholes: min-filter then max-filter on the depth buffer."""
-    filled = ndimage.maximum_filter(
-        ndimage.minimum_filter(np.where(depth > 0, depth, np.inf), size=3), size=3)
+    """Fill splat pinholes: 3x3 min filter then 3x3 max filter on the depth
+    buffer, each over the window's pixels inside the buffer."""
+    filled = box_max(box_min(np.where(depth > 0, depth, np.inf), 3), 3)
     return np.where(np.isfinite(filled), filled, 0.0)
 
 
@@ -130,9 +258,13 @@ def _vsd_errors(gt_pts: np.ndarray, est_pts: np.ndarray, cam: CameraIntrinsics,
 
     Both renders are full-frame. The closing and the visibility counts run on
     the union of the two footprints' bounding boxes grown by
-    ``CLOSING_MARGIN``: outside it both closed depths are 0, and each window
-    edge either lies on the image border or has only empty pixels beyond it.
+    ``CLOSING_MARGIN``: outside it both closed depths are 0. The closing's
+    filters read only pixels inside the window, and each window edge either
+    lies on the image border or has only empty pixels beyond it, so they see
+    what they would on the full frame.
     """
+    if scene_depth.shape != (cam.height, cam.width):
+        raise ValueError("depth image does not match camera")
     d_gt = render_depth(gt_pts, cam)
     d_est = render_depth(est_pts, cam)
     window = pixel_window((d_gt > 0) | (d_est > 0), CLOSING_MARGIN)
@@ -161,48 +293,48 @@ def vsd_score(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics,
     """Fraction of visible-pixel disagreement beyond depth tolerance ``tau`` (mm)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if scene_depth.shape != (cam.height, cam.width):
-        raise ValueError("depth image does not match camera")
     pts = model.cloud.points
     return _vsd_errors(gt.apply(pts), est.apply(pts), cam, scene_depth, [tau])[0]
 
 
 def recall_contribution(model: ObjectModel, gt: Pose, est: Pose,
-                        cam: CameraIntrinsics, scene_depth: np.ndarray) -> float:
+                        cam: CameraIntrinsics, scene_depth: np.ndarray,
+                        posed: _PosedCopies | None = None) -> float:
     """Per-estimate recall: VSD/MSSD/MSPD correctness averaged over the ladder.
 
-    The model is posed once by ``gt`` and once per symmetry copy by ``est``;
-    MSSD, MSPD and VSD (through the identity copy) all read those clouds. An
+    MSSD, MSPD and VSD (through the identity copy) read one ``_PosedCopies``,
+    ``posed`` when the caller already has it for these arguments. An
     estimate that puts a model point at or behind the camera plane, in any
     symmetry copy, misses every MSPD threshold.
     """
-    gt_pts, est_copies = _posed(model, gt, est)
-    mssd = _mssd(gt_pts, est_copies)
-    behind = any(np.any(est_pts[:, 2] <= 0) for est_pts in est_copies)
-    mspd = np.inf if behind else _mspd(gt_pts, est_copies, cam)
-    taus = [f * model.diagonal for f in LADDER_FRACTIONS]
-    vsd_errs = _vsd_errors(gt_pts, est_copies[0], cam, scene_depth, taus)
+    if posed is None:
+        posed = _PosedCopies(model, gt, est)
+    vsd_errs = posed.vsd_errors(cam, scene_depth)[:len(LADDER_FRACTIONS)]
     vsd_hits = np.mean([err < f for err, f in zip(vsd_errs, LADDER_FRACTIONS)])
-    mssd_hits = np.mean([mssd < f * model.diagonal for f in LADDER_FRACTIONS])
+    mssd_hits = np.mean([posed.mssd() < f * model.diagonal for f in LADDER_FRACTIONS])
     px_scale = cam.width / MSPD_REFERENCE_WIDTH
-    mspd_hits = np.mean([mspd < t * px_scale for t in MSPD_BASE_THRESHOLDS])
+    mspd_hits = np.mean([posed.mspd(cam) < t * px_scale for t in MSPD_BASE_THRESHOLDS])
     return float((vsd_hits + mssd_hits + mspd_hits) / 3.0)
 
 
 def evaluate_pose(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics,
                   scene_depth: np.ndarray) -> MetricScore:
-    """Compute every score for one estimate against its ground truth."""
-    add = add_score(model, gt, est)
-    add_i = add_i_score(model, gt, est)
+    """Compute every score for one estimate against its ground truth.
+
+    Every score reads one ``_PosedCopies``. As in ``recall_contribution``, an
+    estimate that puts a model point of any symmetry copy at or behind the
+    camera plane gets an infinite MSPD.
+    """
+    posed = _PosedCopies(model, gt, est)
+    add, add_i = posed.add(), posed.add_i()
     return MetricScore(
         add=add,
         add_i=add_i,
-        vsd=vsd_score(model, gt, est, cam, scene_depth,
-                      VSD_TAU_FRACTION * model.diagonal),
-        mssd=mssd_score(model, gt, est),
-        mspd=mspd_score(model, gt, est, cam),
-        correct_add=add_correct(model, gt, est, model.is_symmetric),
-        bop_recall_contribution=recall_contribution(model, gt, est, cam, scene_depth),
+        vsd=posed.vsd_errors(cam, scene_depth)[-1],
+        mssd=posed.mssd(),
+        mspd=posed.mspd(cam),
+        correct_add=(add_i if model.is_symmetric else add) < ADD_CORRECT_FRACTION * model.diagonal,
+        bop_recall_contribution=recall_contribution(model, gt, est, cam, scene_depth, posed),
     )
 
 

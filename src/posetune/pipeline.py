@@ -13,10 +13,9 @@ import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .camera import CameraIntrinsics, pixel_window, render_depth
+from .camera import CameraIntrinsics, box_max, box_min, erode_cross, pixel_window, render_depth
 from .geometry import ObjectModel, PointCloud, Pose, bbox_diagonal, rotation_about_axis, voxel_downsample
 from .scenes import Scene
 from .seeding import derive_rng
@@ -35,9 +34,9 @@ COLOR_SIM_SCALE = 0.3
 # Scene depth jump treated as a geometric edge for the contour check (mm).
 DEPTH_EDGE_JUMP = 20.0
 # Pixels the depth check looks at beyond the render's bounding box: the 3x3
-# dilation of the footprint reaches 1 px past it, and the erosion of that
-# dilated mask reads 1 px further, which lies outside the window and holds
-# only the zeros its ``border_value=0`` supplies.
+# dilation of the footprint reaches 1 px past it. The erosion of that dilated
+# mask reads 1 px further; that pixel lies outside the window, where the
+# erosion's zero border stands in for the unset pixel of the full frame.
 SILHOUETTE_MARGIN = 1
 
 
@@ -452,8 +451,9 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     The render is full-frame; every comparison and filter after it runs on
     the rendered pixels' bounding box grown by ``SILHOUETTE_MARGIN``. Outside
     that window every mask is False, and each window edge either lies on the
-    image border or sees only zeros beyond it, so the filters' ``reflect``
-    mode and ``border_value=0`` read what they would on the full frame.
+    image border or sees only unset pixels beyond it. So the dilation, which
+    reads only pixels inside the window, and the erosion, which treats every
+    pixel past the window as unset, give what they would on the full frame.
     """
     cam = cam or scene.cam
     model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), cam)
@@ -473,8 +473,8 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     agreement = float((overlap & (np.abs(diff) <= accept_dist)).sum()) / considered
     violation = float((overlap & (diff > background_dist)).sum()) / considered
 
-    solid = ndimage.maximum_filter(rendered, size=3)
-    silhouette = solid & ~ndimage.binary_erosion(solid)
+    solid = box_max(rendered, 3)
+    silhouette = solid & ~erode_cross(solid)
     contour = 0.0
     if silhouette.any():
         if depth_edges is None:
@@ -487,12 +487,12 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
 def _depth_edges(scene_depth: np.ndarray) -> np.ndarray:
     """Pixels within 2 px of a depth discontinuity or a data-validity border."""
     valid = scene_depth > 0
-    dmax = ndimage.maximum_filter(np.where(valid, scene_depth, -np.inf), size=3)
-    dmin = ndimage.minimum_filter(np.where(valid, scene_depth, np.inf), size=3)
+    dmax = box_max(np.where(valid, scene_depth, -np.inf), 3)
+    dmin = box_min(np.where(valid, scene_depth, np.inf), 3)
     jump = np.isfinite(dmax) & np.isfinite(dmin) & (dmax - dmin > DEPTH_EDGE_JUMP)
-    solid_valid = ndimage.maximum_filter(valid, size=3)
-    border = solid_valid & ~ndimage.binary_erosion(solid_valid)
-    return ndimage.maximum_filter(jump | border, size=5)
+    solid_valid = box_max(valid, 3)
+    border = solid_valid & ~erode_cross(solid_valid)
+    return box_max(jump | border, 5)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ def setting():
     est = Pose(rotation_about_axis([1.0, 0.5, 0.0], 0.06) @ gt.rotation,
                gt.translation + [3.0, -2.0, 4.0])
     return dict(scene=scene, cyl=cyl, gt=gt, est=est, target=scene.cloud.points[near],
+                candidate=scene.cloud.select(np.flatnonzero(near)), models=models,
                 prep=pipeline.prepare_scene(scene, CP, DP, seed=0))
 
 
@@ -82,3 +83,30 @@ def test_voxel_downsample(benchmark, setting):
 def test_prepare_scene(benchmark, setting):
     prep = benchmark(pipeline.prepare_scene, setting["scene"], CP, DP, 0)
     assert len(prep.seed_indices) > 0
+
+
+def test_render_depth(benchmark, setting):
+    scene = setting["scene"]
+    points = setting["est"].apply(setting["cyl"].cloud.points)
+    depth = benchmark(pipeline.render_depth, points, scene.cam)
+    assert depth.shape == (scene.cam.height, scene.cam.width)
+
+
+def test_depth_edges(benchmark, setting):
+    depth = setting["scene"].depth
+    edges = benchmark(pipeline._depth_edges, depth)
+    assert edges.shape == depth.shape and edges.any()
+
+
+def test_ransac_pose(benchmark, setting):
+    cyl = setting["cyl"]
+    matches = pipeline.generate_votes(setting["candidate"], cyl, CP.vote_threshold,
+                                      setting["gt"], seed=0)
+    hyps = benchmark(pipeline.ransac_pose, matches, CP.ransac_dist, DP.ransac_iters,
+                     cyl.diagonal, 0)
+    assert hyps
+
+
+def test_generate_scene(benchmark, setting):
+    scene = benchmark(generate_scene, list(setting["models"].values()), 0.75, 0.18, 1_000_001)
+    assert len(scene.gt_poses) == len(OBJECTS)

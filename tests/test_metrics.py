@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -284,15 +286,20 @@ def full_frame_vsd_reference(model, gt, est, cam, scene_depth, taus):
 
 
 def per_symmetry_reference(model, gt, est, cam, scene_depth):
-    """(MSSD, MSPD, recall) with each symmetry copy posed inside its own loop."""
+    """(MSSD, MSPD, recall) with every symmetry copy posed in full, each inside
+    its own loop; MSPD is infinite when a point of any copy lies at or behind
+    the camera plane."""
     pts = model.cloud.points
     syms = [Pose.identity(), *model.symmetry]
     gt_pts = gt.apply(pts)
     mssd = min(float(np.linalg.norm(gt_pts - est.apply(sym.apply(pts)), axis=1).max())
                for sym in syms)
-    gt_px = project_points(gt_pts, cam)
-    mspd = min(float(np.linalg.norm(
-        gt_px - project_points(est.apply(sym.apply(pts)), cam), axis=1).max()) for sym in syms)
+    if any(np.any(est.apply(sym.apply(pts))[:, 2] <= 0) for sym in syms):
+        mspd = np.inf
+    else:
+        gt_px = project_points(gt_pts, cam)
+        mspd = min(float(np.linalg.norm(gt_px - project_points(est.apply(sym.apply(pts)), cam),
+                                        axis=1).max()) for sym in syms)
     taus = [f * model.diagonal for f in LADDER_FRACTIONS]
     vsd_errs = full_frame_vsd_reference(model, gt, est, cam, scene_depth, taus)
     vsd_hits = np.mean([err < f for err, f in zip(vsd_errs, LADDER_FRACTIONS)])
@@ -352,6 +359,137 @@ class TestAgainstFullForms:
             assert mssd_score(model, gt, est) == mssd, name
             assert mspd_score(model, gt, est, scene.cam) == mspd, name
             assert recall_contribution(model, gt, est, scene.cam, scene.depth) == recall, name
+
+
+class TestSymmetryPruning:
+    """MSSD and MSPD from the pruned copies equal every copy posed in full."""
+
+    @pytest.fixture(scope="class")
+    def cylinder_scene(self):
+        model = make_cylinder("cyl", 25.0, 80.0, [0.3, 0.5, 0.7])
+        return model, generate_scene([model], 0.75, 0.18, seed=4)
+
+    @staticmethod
+    def check(model, gt, est, scene):
+        """Assert the pruned scores equal the reference; return the number of
+        copies MSSD and MSPD posed in full."""
+        mssd, mspd, recall = per_symmetry_reference(model, gt, est, scene.cam, scene.depth)
+        assert mssd_score(model, gt, est) == mssd
+        if np.isinf(mspd):
+            with pytest.raises(ValueError, match="behind camera"):
+                mspd_score(model, gt, est, scene.cam)
+        else:
+            assert mspd_score(model, gt, est, scene.cam) == mspd
+        assert recall_contribution(model, gt, est, scene.cam, scene.depth) == recall
+        posed = metrics._PosedCopies(model, gt, est)
+        assert posed.mssd() == mssd
+        assert posed.mspd(scene.cam) == mspd
+        return set(posed._copies)
+
+    def test_best_copy_that_is_not_the_identity(self, cylinder_scene):
+        model, scene = cylinder_scene
+        gt = scene.gt_poses["cyl"]
+        for k in (1, 4, 7, 10):
+            turned = gt.compose(model.symmetry[k])
+            est = Pose(rotation_about_axis([1.0, 0.3, 0.0], 0.02) @ turned.rotation,
+                       turned.translation + [2.0, -1.0, 3.0])
+            posed = self.check(model, gt, est, scene)
+            # the copy that undoes the turn wins, and it is the only one posed in full
+            assert posed == {len(model.symmetry) - k}
+
+    def test_near_tie_between_two_copies(self, cylinder_scene):
+        model, scene = cylinder_scene
+        gt = scene.gt_poses["cyl"]
+        # half a symmetry step about the axis: copies 0 and 11 tie up to rounding
+        est = gt.compose(Pose(rotation_about_axis([0, 0, 1], np.pi / 12), np.zeros(3)))
+        posed = self.check(model, gt, est, scene)
+        assert {0, len(model.symmetry)} <= posed
+
+    def test_bound_rounded_above_its_copy_does_not_prune_it(self):
+        # a bound may round above its copy's exact value; within the slack it
+        # must not prune that copy
+        two_copies = SimpleNamespace(syms=[Pose.identity()] * 2)
+        exact = {0: 1.0, 1: 1.0 - 1e-14}
+        got = metrics._PosedCopies._min(two_copies, lambda: np.array([1.0, 1.0 + 1e-14]),
+                                        exact.__getitem__, 100.0)
+        assert got == 1.0 - 1e-14
+
+    def test_typical_estimates(self, cylinder_scene):
+        model, scene = cylinder_scene
+        gt = scene.gt_poses["cyl"]
+        g = rng(30)
+        for _ in range(12):
+            est = Pose(rotation_about_axis(g.normal(size=3), g.uniform(0, 0.3)) @ gt.rotation,
+                       gt.translation + g.normal(0, 8, 3))
+            assert len(self.check(model, gt, est, scene)) < 1 + len(model.symmetry)
+
+    def test_box_without_symmetry(self):
+        model = make_object({"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0]})
+        scene = generate_scene([model], 0.75, 0.18, seed=5)
+        gt = scene.gt_poses["box"]
+        g = rng(31)
+        for _ in range(4):
+            est = Pose(rotation_about_axis(g.normal(size=3), g.uniform(0, 0.3)) @ gt.rotation,
+                       gt.translation + g.normal(0, 8, 3))
+            assert self.check(model, gt, est, scene) == {0}
+
+    def test_near_camera_falls_back_to_every_copy(self, cylinder_scene):
+        model, scene = cylinder_scene
+        gt = scene.gt_poses["cyl"]
+        axis_on_view = np.eye(3)      # the cylinder's axis along the optical axis
+        reach = float(np.linalg.norm(model.cloud.points, axis=1).max())
+        # 60: safely in front, pruned. 45: the nearest cap at z = 5 mm, but the
+        # reach (47.2 mm) allows a point behind the camera, so every copy is
+        # posed. 20: the nearest cap behind the camera, MSPD infinite.
+        for tz, pruned in ((60.0, True), (45.0, False), (20.0, False)):
+            est = Pose(axis_on_view, [1.0, -2.0, tz])
+            assert (tz - reach > 0) == pruned
+            posed = self.check(model, gt, est, scene)
+            if tz == 45.0:
+                assert posed == set(range(1 + len(model.symmetry)))
+        with pytest.raises(ValueError, match="behind camera"):
+            mspd_score(model, gt, Pose(axis_on_view, [1.0, -2.0, 20.0]), scene.cam)
+
+
+class TestEvaluatePose:
+    """``evaluate_pose`` gives what the separate scores give."""
+
+    def test_matches_separate_scores(self):
+        cyl = make_cylinder("cyl", 25.0, 80.0, [0.3, 0.5, 0.7])
+        box = make_object({"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0]})
+        scene = generate_scene([cyl, box], 0.75, 0.18, seed=6)
+        g = rng(32)
+        for model in (cyl, box):
+            gt = scene.gt_poses[model.object_id]
+            ests = [gt, gt.compose(model.symmetry[3]) if model.symmetry else gt]
+            ests += [Pose(rotation_about_axis(g.normal(size=3), g.uniform(0, 0.4)) @ gt.rotation,
+                          gt.translation + g.normal(0, 10, 3)) for _ in range(4)]
+            for est in ests:
+                got = evaluate_pose(model, gt, est, scene.cam, scene.depth)
+                assert got.add == add_score(model, gt, est)
+                assert got.add_i == add_i_score(model, gt, est)
+                assert got.vsd == vsd_score(model, gt, est, scene.cam, scene.depth,
+                                            metrics.VSD_TAU_FRACTION * model.diagonal)
+                assert got.mssd == mssd_score(model, gt, est)
+                assert got.mspd == mspd_score(model, gt, est, scene.cam)
+                assert got.correct_add == add_correct(model, gt, est, model.is_symmetric)
+                assert got.bop_recall_contribution == recall_contribution(
+                    model, gt, est, scene.cam, scene.depth)
+
+    def test_estimate_behind_camera_gets_infinite_mspd(self):
+        # box scene seed 2 with the estimate's translation moved to z = 20 mm
+        model = make_object({"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0]})
+        scene = generate_scene([model], 0.0, 0.0, seed=2)
+        gt = scene.gt_poses["box"]
+        est = Pose(gt.rotation, [gt.translation[0], gt.translation[1], 20.0])
+        got = evaluate_pose(model, gt, est, scene.cam, scene.depth)
+        assert got.mspd == np.inf
+        assert got.mssd == mssd_score(model, gt, est)
+        assert got.vsd == vsd_score(model, gt, est, scene.cam, scene.depth,
+                                    metrics.VSD_TAU_FRACTION * model.diagonal)
+        assert got.bop_recall_contribution == recall_contribution(model, gt, est, scene.cam,
+                                                                  scene.depth)
+        assert scores_to_csv([("box", "s0", got)]).splitlines()[1].split(",")[6] == "inf"
 
 
 class TestMetricScoreType:

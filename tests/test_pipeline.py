@@ -30,7 +30,7 @@ from posetune.pipeline import (
     rank_candidates,
     ransac_pose,
 )
-from posetune.scenes import Scene, generate_scene
+from posetune.scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene
 from posetune.seeding import derive_rng
 from posetune.camera import default_camera, render_depth
 
@@ -383,6 +383,35 @@ class TestC2fIcp:
             icp_model_points(model), original(model.cloud, FIXED.icp_model_voxel).points)
 
 
+def ndimage_depth_edges(scene_depth):
+    """``pipeline._depth_edges`` with the ``scipy.ndimage`` filters it was first
+    written with."""
+    valid = scene_depth > 0
+    dmax = ndimage.maximum_filter(np.where(valid, scene_depth, -np.inf), size=3)
+    dmin = ndimage.minimum_filter(np.where(valid, scene_depth, np.inf), size=3)
+    jump = np.isfinite(dmax) & np.isfinite(dmin) & (dmax - dmin > pipeline.DEPTH_EDGE_JUMP)
+    solid_valid = ndimage.maximum_filter(valid, size=3)
+    border = solid_valid & ~ndimage.binary_erosion(solid_valid)
+    return ndimage.maximum_filter(jump | border, size=5)
+
+
+class TestDepthEdges:
+    def test_matches_ndimage_reference(self, clean_scene, cluttered_scene):
+        levels = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035,
+                             rgb_shift=0.07, rotation_max=6.25, flatten_frac=0.02)
+        depths = [clean_scene.depth, cluttered_scene.depth,
+                  apply_domain_randomization(cluttered_scene, levels, seed=1).depth]
+        g = np.random.default_rng(8)
+        patch = g.uniform(400.0, 800.0, (240, 320))
+        patch[g.random(patch.shape) < 0.3] = 0.0     # holes touching every border
+        depths += [patch, np.zeros((240, 320)), np.full((240, 320), 500.0),
+                   patch[:1], patch[:, :1], patch[:2, :2], patch[:5, :5]]
+        for depth in depths:
+            got = pipeline._depth_edges(depth)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, ndimage_depth_edges(depth))
+
+
 class TestDepthCheck:
     def test_exact_pose_scores_high(self, box, clean_scene):
         gt = clean_scene.gt_poses["crate"]
@@ -437,7 +466,7 @@ class TestDepthCheck:
         silhouette = solid & ~ndimage.binary_erosion(solid)
         contour = 0.0
         if silhouette.any():
-            contour = float(np.mean(pipeline._depth_edges(scene.depth)[silhouette]))
+            contour = float(np.mean(ndimage_depth_edges(scene.depth)[silhouette]))
         return float(np.clip(0.5 * agreement * (1.0 - violation) + 0.5 * contour, 0.0, 1.0))
 
     @staticmethod

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posetune
 from posetune import metrics, workflow
 from posetune.gridopt import ParetoEntry, RuntimeCoefficients
-from posetune.pipeline import ContinuousParams, DiscreteParams, estimate_all
+from posetune.geometry import Pose
+from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
+                               PoseHypothesis, SceneEstimate, estimate_all)
 from posetune.seeding import stream_seed
 
 OPTIMIZED = ContinuousParams(vote_threshold=0.174, ransac_dist=19.88, icp_dist=4.85,
@@ -81,6 +88,36 @@ class TestEvaluate:
                                        bundle.results[model.object_id])
                        for model in models]
         assert report["recall"] == float(np.mean(scores))
+
+    def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
+        # every box found with the translation moved to z = 20 mm: part of the
+        # model lies behind the camera, so MSPD is infinite
+        def behind(scene, models, cp, dp, seed=0):
+            results = {}
+            for model in models:
+                gt = scene.gt_poses[model.object_id]
+                pose = Pose(gt.rotation, [gt.translation[0], gt.translation[1], 20.0])
+                results[model.object_id] = EstimateResult(
+                    True, PoseHypothesis(pose, 100, 0.5), dict.fromkeys(STAGE_KEYS, 0.0))
+            return SceneEstimate(results, dict.fromkeys(STAGE_KEYS, 0.001))
+
+        monkeypatch.setattr(workflow, "estimate_all", behind)
+        report = workflow.cmd_evaluate(evaluated_config, force=True)
+        models = workflow.build_models(evaluated_config)
+        scenes = workflow._noised_split(evaluated_config, "eval",
+                                        workflow.learned_levels(evaluated_config), "evalnoise")
+        expected = []
+        for scene in scenes:
+            gt = scene.gt_poses["box"]
+            est = Pose(gt.rotation, [gt.translation[0], gt.translation[1], 20.0])
+            expected.append(metrics.recall_contribution(models[0], gt, est, scene.cam,
+                                                        scene.depth))
+        assert report["recall"] == float(np.mean(expected))
+        stamp = f"dr_{report['budget_seconds']:g}_{report['object_count']}"
+        rows = (evaluated_config.out() / "eval" / f"scores_{stamp}.csv").read_text()
+        lines = rows.strip().splitlines()
+        assert len(lines) == 1 + len(scenes)
+        assert all(line.split(",")[6] == "inf" for line in lines[1:])
 
 
 def tiny_config(output_dir) -> workflow.ExperimentConfig:
@@ -237,3 +274,14 @@ class TestStageMarkers:
         monkeypatch.setattr(workflow, "estimate_all", broken)
         with pytest.raises(workflow.StageError, match="bug"):
             workflow.cmd_optimize(config)
+
+
+def test_package_does_not_load_scipy_ndimage():
+    # a fresh interpreter, so that no other test's import counts
+    src = str(Path(posetune.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, posetune.workflow; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

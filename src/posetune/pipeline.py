@@ -172,8 +172,25 @@ def prepare_scene(scene: Scene, cp: ContinuousParams, dp: DiscreteParams,
     return ScenePrep(cloud, tree, seed_idx, density, edges)
 
 
+def _kept_on_model(model: ObjectModel, key: str, compute):
+    """``compute(model)``, computed once and kept as an attribute of the model
+    object, so it is freed with the model."""
+    if key not in model.__dict__:
+        object.__setattr__(model, key, compute(model))
+    return model.__dict__[key]
+
+
+def _mean_color(model: ObjectModel) -> np.ndarray | None:
+    if model.cloud.colors is None:
+        return None
+    color = model.cloud.colors.mean(axis=0)
+    color.setflags(write=False)   # shared by every caller
+    return color
+
+
 def _model_color(model: ObjectModel) -> np.ndarray | None:
-    return None if model.cloud.colors is None else model.cloud.colors.mean(axis=0)
+    """Mean colour of the model cloud, computed once per model."""
+    return _kept_on_model(model, "_mean_color", _mean_color)
 
 
 def _color_similarity(colors: np.ndarray | None, reference: np.ndarray | None) -> np.ndarray | float:
@@ -184,6 +201,7 @@ def _color_similarity(colors: np.ndarray | None, reference: np.ndarray | None) -
 
 def candidates_from_prep(prep: ScenePrep, model: ObjectModel, cp: ContinuousParams,
                          dp: DiscreteParams, seed=0) -> list[PointCloud]:
+    """Up to ``dp.classified`` local clouds of 512..2048 points around interest seeds."""
     if prep.tree is None or len(prep.seed_indices) == 0:
         return []
     cloud = prep.cloud
@@ -210,12 +228,6 @@ def candidates_from_prep(prep: ScenePrep, model: ObjectModel, cp: ContinuousPara
             idx = idx[np.sort(rng.choice(len(idx), FIXED.input_points, replace=False))]
         candidates.append(cloud.select(np.sort(idx)))
     return candidates
-
-
-def extract_candidates(scene: Scene, model: ObjectModel, cp: ContinuousParams,
-                       dp: DiscreteParams, seed=0) -> list[PointCloud]:
-    """Up to ``dp.classified`` local clouds of 512..2048 points around interest seeds."""
-    return candidates_from_prep(prepare_scene(scene, cp, dp, seed), model, cp, dp, seed)
 
 
 def _objectness(candidate: PointCloud, model: ObjectModel) -> float:
@@ -363,38 +375,45 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
     return hypotheses
 
 
-def c2f_icp(hypothesis: PoseHypothesis, candidate: PointCloud, model: ObjectModel,
-            icp_dist: float, icp_scale: float, icp_iters: int) -> PoseHypothesis:
-    """Three-stage coarse-to-fine ICP against the candidate cloud.
+def icp_model_points(model: ObjectModel) -> PointCloud:
+    """The model cloud at the ICP voxel size, points and normals, computed once
+    per model (see ``_kept_on_model``).
 
-    Stage k uses a correspondence cut-off of ``icp_dist * icp_scale**(2-k)``
-    rescaled by diagonal/100, with the model at a 5 mm voxel grid (built once
-    per model, see ``icp_model_points``). If no stage ever finds
-    correspondences the input returns flagged "icp stalled".
+    ICP matches only the points that face the camera at the hypothesis,
+    (R n) . (R p + t) < 0 (``facing_points``). The normals it reads are the
+    model's analytic normals, voxel-averaged here, never the DR-noised scene
+    normals. A model without normals raises ``ValueError``.
     """
-    if icp_dist <= 0 or icp_scale <= 0 or icp_iters < 1:
-        raise ValueError("invalid ICP parameters")
-    return _icp_refine(hypothesis, cKDTree(candidate.points), candidate.points,
-                       icp_model_points(model), model.diagonal, icp_dist, icp_scale,
-                       icp_iters)
+    if model.cloud.normals is None:
+        raise ValueError(f"model {model.object_id!r} has no normals; ICP keeps only "
+                         f"the model points that face the camera and needs them")
+    return _kept_on_model(model, "_icp_cloud",
+                          lambda m: voxel_downsample(m.cloud, FIXED.icp_model_voxel))
 
 
-def icp_model_points(model: ObjectModel) -> np.ndarray:
-    """The model cloud at the ICP voxel size, computed once and kept on the model.
+def facing_points(cloud: PointCloud, pose: Pose) -> np.ndarray:
+    """The points of ``cloud`` that face the camera at ``pose``.
 
-    Kept as an attribute of the model object, so it is freed with the model.
+    A point p with normal n faces the camera (at the origin, looking down +z)
+    when (R n) . (R p + t) < 0. A point facing away can have no sensor return,
+    so under this pose its ICP match could only be missing or a wrong match
+    to clutter (normal-compatibility selection, Rusinkiewicz & Levoy, 3DIM
+    2001).
     """
-    points = model.__dict__.get("_icp_points")
-    if points is None:
-        points = voxel_downsample(model.cloud, FIXED.icp_model_voxel).points
-        object.__setattr__(model, "_icp_points", points)
-    return points
+    posed = pose.apply(cloud.points)
+    facing = np.einsum("ni,ni->n", cloud.normals @ pose.rotation.T, posed) < 0
+    return cloud.points[facing]
 
 
 def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
                 model_pts: np.ndarray, diagonal: float, icp_dist: float,
                 icp_scale: float, icp_iters: int) -> PoseHypothesis:
     """Point-to-point ICP stages with a shrinking correspondence cut-off.
+
+    Stage k of ``FIXED.icp_resolutions`` uses the cut-off
+    ``icp_dist * icp_scale**(icp_resolutions - 1 - k)`` rescaled by
+    diagonal/100. If no stage finds 3 correspondences, the hypothesis comes
+    back unchanged and flagged "icp stalled".
 
     The KD query is bounded by the stage's cut-off, so the search stops at it;
     a model point with no target point that close gets no correspondence
@@ -521,6 +540,15 @@ STAGE_KEYS = ("t_pre", "t_net", "t_ran", "t_icp", "t_depth")
 def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
                        cp: ContinuousParams, dp: DiscreteParams, seed: int,
                        timings: dict[str, float]) -> EstimateResult:
+    """One object on a prepared scene: candidates, ranking, votes, RANSAC,
+    coarse-to-fine ICP and the depth check; stage times are added to ``timings``.
+
+    Each hypothesis is refined against only the ICP model points that face the
+    camera at its RANSAC pose, (R n) . (R p + t) < 0 (``facing_points``),
+    chosen once per hypothesis and kept for all its ICP stages. The normals are
+    the model's analytic ones (``icp_model_points``), so the DR ``normal_sigma``
+    channel still reaches no estimator stage.
+    """
     t0 = time.perf_counter()
     candidates = candidates_from_prep(prep, model, cp, dp, seed)
     ranked = rank_candidates(candidates, model)[:dp.estimated]
@@ -549,8 +577,8 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
         t0 = time.perf_counter()
         model_icp = icp_model_points(model)
         tree = cKDTree(candidate.points)
-        refined = [_icp_refine(h, tree, candidate.points, model_icp, model.diagonal,
-                               cp.icp_dist, cp.icp_scale, dp.icp_iters)
+        refined = [_icp_refine(h, tree, candidate.points, facing_points(model_icp, h.pose),
+                               model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters)
                    for h in hypotheses[:dp.depth_checked]]
         timings["t_icp"] += time.perf_counter() - t0
 
@@ -565,16 +593,6 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
     if best is None:
         return EstimateResult(False, None, timings, reason="no detection")
     return EstimateResult(True, best, timings)
-
-
-def estimate(scene: Scene, model: ObjectModel, cp: ContinuousParams,
-             dp: DiscreteParams, seed=0) -> EstimateResult:
-    """Full chain: candidates, ranking, votes, RANSAC, C2F-ICP, depth check."""
-    timings = dict.fromkeys(STAGE_KEYS, 0.0)
-    t0 = time.perf_counter()
-    prep = prepare_scene(scene, cp, dp, seed)
-    timings["t_pre"] = time.perf_counter() - t0
-    return _estimate_prepared(prep, scene, model, cp, dp, seed, timings)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .gridopt import (
 )
 from .metrics import MetricScore, add_correct, evaluate_pose, recall_contribution, scores_to_csv
 from .objects import make_object, save_object
-from .pipeline import ContinuousParams, DiscreteParams, estimate_all
+from .pipeline import ContinuousParams, DiscreteParams, estimate_all, icp_model_points
 from .scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene, load_scene, save_scene
 from .scheduler import run_scheduled_training
 from .seeding import stream_seed
@@ -159,8 +159,13 @@ def _finish_stage(config: ExperimentConfig, stage: str, summary: dict,
 
 
 def build_models(config: ExperimentConfig) -> list[ObjectModel]:
+    """The configured models, each with its ICP cloud built; a model that ICP
+    cannot use fails here rather than scoring 0 in every search call."""
     try:
-        return [make_object(spec) for spec in config.objects]
+        models = [make_object(spec) for spec in config.objects]
+        for model in models:
+            icp_model_points(model)
+        return models
     except (KeyError, ValueError, OSError) as exc:
         raise StageError("generate", f"bad object spec: {exc}") from exc
 

@@ -35,18 +35,24 @@ LEVELS = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035, rgb_shif
                      rotation_max=6.25, flatten_frac=0.02)
 
 
+def _offset(gt):
+    """A hypothesis near the truth, as RANSAC hands it to ICP."""
+    return Pose(rotation_about_axis([1.0, 0.5, 0.0], 0.06) @ gt.rotation,
+                gt.translation + [3.0, -2.0, 4.0])
+
+
 @pytest.fixture(scope="module")
 def setting():
     models = {spec["id"]: make_object(spec) for spec in OBJECTS}
     scene = apply_domain_randomization(
         generate_scene(list(models.values()), 0.75, 0.18, seed=1_000_000), LEVELS, seed=0)
-    cyl = models["cyl"]
-    gt = scene.gt_poses["cyl"]
-    near = np.linalg.norm(scene.cloud.points - gt.translation, axis=1) < 1.2 * cyl.diagonal
-    est = Pose(rotation_about_axis([1.0, 0.5, 0.0], 0.06) @ gt.rotation,
-               gt.translation + [3.0, -2.0, 4.0])
-    return dict(scene=scene, cyl=cyl, gt=gt, est=est, target=scene.cloud.points[near],
-                candidate=scene.cloud.select(np.flatnonzero(near)), models=models,
+    near = {oid: np.flatnonzero(np.linalg.norm(scene.cloud.points - scene.gt_poses[oid].translation,
+                                               axis=1) < 1.2 * model.diagonal)
+            for oid, model in models.items()}
+    return dict(scene=scene, cyl=models["cyl"], gt=scene.gt_poses["cyl"],
+                est=_offset(scene.gt_poses["cyl"]), target=scene.cloud.points[near["cyl"]],
+                candidate=scene.cloud.select(near["cyl"]), models=models,
+                box_est=_offset(scene.gt_poses["box"]), box_target=scene.cloud.points[near["box"]],
                 prep=pipeline.prepare_scene(scene, CP, DP, seed=0))
 
 
@@ -65,12 +71,37 @@ def test_recall_contribution_cylinder(benchmark, setting):
     assert 0.0 <= out <= 1.0
 
 
-def test_icp_refine(benchmark, setting):
-    cyl, target = setting["cyl"], setting["target"]
-    tree = cKDTree(target)
-    model_pts = pipeline.icp_model_points(cyl)
-    out = benchmark(pipeline._icp_refine, PoseHypothesis(setting["est"], 50), tree, target,
-                    model_pts, cyl.diagonal, CP.icp_dist, CP.icp_scale, DP.icp_iters)
+def _icp_case(model, est, target):
+    """``_icp_refine``'s arguments as ``estimate_all`` passes them: the model
+    points that face the camera at the hypothesis."""
+    model_pts = pipeline.facing_points(pipeline.icp_model_points(model), est)
+    return (PoseHypothesis(est, 50), cKDTree(target), target, model_pts, model.diagonal,
+            CP.icp_dist, CP.icp_scale, DP.icp_iters)
+
+
+def _icp_steps(args, monkeypatch):
+    """How many ICP steps ``_icp_refine`` takes on ``args``."""
+    steps = []
+    original = pipeline.kabsch
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "kabsch", lambda src, dst: steps.append(1) or original(src, dst))
+        pipeline._icp_refine(*args)
+    return len(steps)
+
+
+def test_icp_refine(benchmark, setting, monkeypatch):
+    # the cylinder creeps: every one of the 3 x icp_iters steps is taken
+    args = _icp_case(setting["cyl"], setting["est"], setting["target"])
+    assert _icp_steps(args, monkeypatch) == pipeline.FIXED.icp_resolutions * DP.icp_iters
+    out = benchmark(pipeline._icp_refine, *args)
+    assert "icp stalled" not in out.flags
+
+
+def test_icp_refine_fixed_point(benchmark, setting, monkeypatch):
+    # the box reaches its fixed point before the last step, so the exit is timed
+    args = _icp_case(setting["models"]["box"], setting["box_est"], setting["box_target"])
+    assert _icp_steps(args, monkeypatch) < pipeline.FIXED.icp_resolutions * DP.icp_iters
+    out = benchmark(pipeline._icp_refine, *args)
     assert "icp stalled" not in out.flags
 
 

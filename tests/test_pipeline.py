@@ -18,11 +18,10 @@ from posetune.pipeline import (
     InsufficientMatches,
     Matches,
     PoseHypothesis,
-    c2f_icp,
+    candidates_from_prep,
     depth_check,
-    estimate,
     estimate_all,
-    extract_candidates,
+    facing_points,
     generate_votes,
     icp_model_points,
     kabsch,
@@ -88,18 +87,21 @@ class TestParameterTypes:
 class TestExtractCandidates:
     def test_single_object_scene_yields_centered_candidate(self, box, clean_scene):
         dp = DiscreteParams(1, 1, 500, 1, 10)
-        candidates = extract_candidates(clean_scene, box, OPTIMIZED, dp, seed=0)
+        prep = prepare_scene(clean_scene, OPTIMIZED, dp, seed=0)
+        candidates = candidates_from_prep(prep, box, OPTIMIZED, dp, seed=0)
         assert len(candidates) == 1
         center = clean_scene.gt_poses["crate"].translation
         offset = np.linalg.norm(candidates[0].points.mean(axis=0) - center)
         assert offset < OPTIMIZED.cut_radius
 
     def test_empty_scene_gives_no_candidates(self, box):
-        assert extract_candidates(empty_scene(), box, OPTIMIZED, SMALL_DP) == []
+        prep = prepare_scene(empty_scene(), OPTIMIZED, SMALL_DP)
+        assert candidates_from_prep(prep, box, OPTIMIZED, SMALL_DP) == []
 
     def test_size_constraints_on_cluttered_scene(self, box, cluttered_scene):
-        candidates = extract_candidates(cluttered_scene, box, OPTIMIZED,
-                                        DiscreteParams(8, 8, 500, 1, 10), seed=1)
+        dp = DiscreteParams(8, 8, 500, 1, 10)
+        prep = prepare_scene(cluttered_scene, OPTIMIZED, dp, seed=1)
+        candidates = candidates_from_prep(prep, box, OPTIMIZED, dp, seed=1)
         assert 0 < len(candidates) <= 8
         for cand in candidates:
             assert FIXED.min_points <= len(cand) <= FIXED.input_points
@@ -129,7 +131,8 @@ class TestRankCandidates:
 class TestGenerateVotes:
     def make_candidate(self, box, clean_scene):
         dp = DiscreteParams(1, 1, 500, 1, 10)
-        return extract_candidates(clean_scene, box, OPTIMIZED, dp, seed=0)[0]
+        prep = prepare_scene(clean_scene, OPTIMIZED, dp, seed=0)
+        return candidates_from_prep(prep, box, OPTIMIZED, dp, seed=0)[0]
 
     def test_threshold_off_keeps_every_point(self, box, clean_scene):
         candidate = self.make_candidate(box, clean_scene)
@@ -281,7 +284,8 @@ class TestC2fIcp:
         model_icp = voxel_downsample(box.cloud, FIXED.icp_model_voxel)
         candidate = PointCloud(pose.apply(model_icp.points))
         hyp = PoseHypothesis(pose, 100)
-        out = c2f_icp(hyp, candidate, box, icp_dist=4.0, icp_scale=2.0, icp_iters=5)
+        out = pipeline._icp_refine(hyp, cKDTree(candidate.points), candidate.points,
+                                   model_icp.points, box.diagonal, 4.0, 2.0, 5)
         np.testing.assert_allclose(out.pose.rotation, pose.rotation, atol=1e-6)
         np.testing.assert_allclose(out.pose.translation, pose.translation, atol=1e-6)
 
@@ -290,15 +294,17 @@ class TestC2fIcp:
         pose = Pose(random_rotation(g), [0, 0, 520.0])
         candidate = transform_cloud(box.cloud, pose)
         start = Pose(pose.rotation, pose.translation + [2.0, 0, 0])
-        out = c2f_icp(PoseHypothesis(start, 100), candidate, box,
-                      icp_dist=4.85, icp_scale=1.24, icp_iters=10)
+        out = pipeline._icp_refine(PoseHypothesis(start, 100), cKDTree(candidate.points),
+                                   candidate.points, icp_model_points(box).points,
+                                   box.diagonal, 4.85, 1.24, 10)
         assert add_score(box, pose, out.pose) < 0.5
 
     def test_stalls_when_nothing_in_reach(self, box):
         pose = Pose(np.eye(3), [0, 0, 520.0])
         candidate = PointCloud(pose.apply(box.cloud.points) + [500.0, 0, 0])
-        out = c2f_icp(PoseHypothesis(pose, 100), candidate, box,
-                      icp_dist=2.0, icp_scale=1.0, icp_iters=5)
+        out = pipeline._icp_refine(PoseHypothesis(pose, 100), cKDTree(candidate.points),
+                                   candidate.points, icp_model_points(box).points,
+                                   box.diagonal, 2.0, 1.0, 5)
         assert "icp stalled" in out.flags
         np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
 
@@ -308,7 +314,7 @@ class TestC2fIcp:
         near = np.linalg.norm(cluttered_scene.cloud.points - gt.translation, axis=1) < 90
         target = cluttered_scene.cloud.points[near]
         tree = cKDTree(target)
-        model_pts = icp_model_points(box)
+        model_pts = icp_model_points(box).points
         g = np.random.default_rng(43)
         for _ in range(4):
             start = Pose(rotation_about_axis(g.normal(size=3), 0.08) @ gt.rotation,
@@ -334,7 +340,7 @@ class TestC2fIcp:
         near = np.linalg.norm(cluttered_scene.cloud.points - gt.translation, axis=1) < 90
         target = cluttered_scene.cloud.points[near]
         tree = cKDTree(target)
-        model_pts = icp_model_points(box)
+        model_pts = icp_model_points(box).points
         original = pipeline.kabsch
         fits = []
         monkeypatch.setattr(pipeline, "kabsch",
@@ -379,8 +385,73 @@ class TestC2fIcp:
             estimate_all(cluttered_scene, [model], OPTIMIZED, SMALL_DP, seed=seed)
         assert voxels.count(FIXED.icp_model_voxel) == 1
         assert voxels.count(FIXED.scene_voxel) == 2
-        np.testing.assert_array_equal(
-            icp_model_points(model), original(model.cloud, FIXED.icp_model_voxel).points)
+        expected = original(model.cloud, FIXED.icp_model_voxel)
+        np.testing.assert_array_equal(icp_model_points(model).points, expected.points)
+        np.testing.assert_array_equal(icp_model_points(model).normals, expected.normals)
+
+
+def facing_reference(cloud, pose):
+    """Row mask of the points whose rotated normal has a negative dot product
+    with their posed position, one point at a time."""
+    return np.array([(pose.rotation @ n) @ (pose.rotation @ p + pose.translation) < 0
+                     for p, n in zip(cloud.points, cloud.normals)])
+
+
+class TestFacingPoints:
+    def test_face_on_box_keeps_the_near_face(self, box):
+        cloud = icp_model_points(box)
+        pose = Pose(np.eye(3), [0.0, 0.0, 520.0])
+        kept = facing_points(cloud, pose)
+        np.testing.assert_array_equal(kept, cloud.points[facing_reference(cloud, pose)])
+        near = cloud.normals[:, 2] == -1.0
+        far = cloud.normals[:, 2] == 1.0
+        assert near.any() and far.any()
+        kept_rows = {tuple(p) for p in kept}
+        assert all(tuple(p) in kept_rows for p in cloud.points[near])
+        assert not any(tuple(p) in kept_rows for p in cloud.points[far])
+        # every kept point lies on the camera's side of the box centre
+        assert (kept[:, 2] < 0).all()
+
+    def test_turned_and_offset_box(self, box):
+        cloud = icp_model_points(box)
+        g = np.random.default_rng(47)
+        for _ in range(5):
+            pose = Pose(random_rotation(g), [g.uniform(-80, 80), g.uniform(-60, 60), 520.0])
+            mask = facing_reference(cloud, pose)
+            assert 0 < mask.sum() < len(cloud)
+            np.testing.assert_array_equal(facing_points(cloud, pose), cloud.points[mask])
+
+    def test_icp_gets_the_facing_subset_of_every_hypothesis(self, box, cluttered_scene,
+                                                              monkeypatch):
+        original = pipeline._icp_refine
+        calls = []
+
+        def recorded(hypothesis, tree, target, model_pts, *args):
+            calls.append((hypothesis.pose, model_pts))
+            return original(hypothesis, tree, target, model_pts, *args)
+
+        monkeypatch.setattr(pipeline, "_icp_refine", recorded)
+        estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=0)
+        assert calls
+        cloud = icp_model_points(box)
+        for pose, model_pts in calls:
+            mask = facing_reference(cloud, pose)
+            assert mask.sum() < len(cloud)
+            np.testing.assert_array_equal(model_pts, cloud.points[mask])
+
+    def test_model_without_normals_is_refused(self, box):
+        bare = ObjectModel.from_cloud("bare", PointCloud(box.cloud.points, colors=box.cloud.colors))
+        with pytest.raises(ValueError, match="'bare'.*normals"):
+            icp_model_points(bare)
+
+    def test_model_color_kept_on_the_model(self):
+        model = make_box("crate", [45, 60, 35], [0.85, 0.25, 0.2])
+        first = pipeline._model_color(model)
+        assert pipeline._model_color(model) is first
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, model.cloud.colors.mean(axis=0))
+        bare = ObjectModel.from_cloud("bare", PointCloud(model.cloud.points))
+        assert pipeline._model_color(bare) is None
 
 
 def ndimage_depth_edges(scene_depth):
@@ -502,27 +573,29 @@ class TestDepthCheck:
 
 class TestEstimate:
     def test_clean_scene_with_published_params(self, box, clean_scene):
-        result = estimate(clean_scene, box, OPTIMIZED, SMALL_DP, seed=0)
+        result = estimate_all(clean_scene, [box], OPTIMIZED, SMALL_DP, seed=0).results["crate"]
         assert result.found
         gt = clean_scene.gt_poses["crate"]
         assert add_correct(box, gt, result.hypothesis.pose, False)
 
-    def test_missing_object_reports_no_detection(self, box, clean_scene):
+    def test_missing_object_reports_no_detection(self, clean_scene):
         stranger = make_box("stranger", [40, 40, 40], [0.1, 0.8, 0.2])
-        result = estimate(clean_scene, stranger, OPTIMIZED, SMALL_DP, seed=0)
+        bundle = estimate_all(clean_scene, [stranger], OPTIMIZED, SMALL_DP, seed=0)
+        result = bundle.results["stranger"]
         assert not result.found
         assert result.reason == "no detection"
 
     def test_timings_nonnegative_and_bounded_by_wall(self, box, cluttered_scene):
         t0 = time.perf_counter()
-        result = estimate(cluttered_scene, box, OPTIMIZED, SMALL_DP, seed=0)
+        bundle = estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=0)
         wall = time.perf_counter() - t0
-        assert all(v >= 0 for v in result.timings.values())
-        assert sum(result.timings.values()) <= wall
+        assert all(v >= 0 for v in bundle.timings.values())
+        assert all(v >= 0 for v in bundle.results["crate"].timings.values())
+        assert sum(bundle.timings.values()) <= wall
 
     def test_deterministic(self, box, cluttered_scene):
-        a = estimate(cluttered_scene, box, OPTIMIZED, SMALL_DP, seed=4)
-        b = estimate(cluttered_scene, box, OPTIMIZED, SMALL_DP, seed=4)
+        a = estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=4).results["crate"]
+        b = estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=4).results["crate"]
         assert a.found == b.found
         np.testing.assert_array_equal(a.hypothesis.pose.rotation,
                                       b.hypothesis.pose.rotation)
@@ -530,7 +603,7 @@ class TestEstimate:
                                       b.hypothesis.pose.translation)
 
     def test_result_serialization(self, box, clean_scene):
-        result = estimate(clean_scene, box, OPTIMIZED, SMALL_DP, seed=0)
+        result = estimate_all(clean_scene, [box], OPTIMIZED, SMALL_DP, seed=0).results["crate"]
         data = result.to_dict()
         assert set(data["timing"]) == {"t_pre", "t_net", "t_ran", "t_icp", "t_depth"}
         assert len(data["pose"]["rotation"]) == 9
@@ -543,7 +616,7 @@ class TestEstimate:
         assert set(bundle.results) == {"crate", "slab"}
         assert bundle.timings["t_pre"] > 0
         assert bundle.total_time > 0
-        solo = estimate(scene, box, OPTIMIZED, SMALL_DP, seed=0)
+        solo = estimate_all(scene, [box], OPTIMIZED, SMALL_DP, seed=0).results["crate"]
         joint = bundle.results["crate"]
         np.testing.assert_allclose(solo.hypothesis.pose.translation,
                                    joint.hypothesis.pose.translation, atol=1e-9)
@@ -577,7 +650,7 @@ class TestRecallMonotonicity:
             for s in range(50):
                 scene = generate_scene([box], 0.5, 0.0, seed=600 + s)
                 dp = DiscreteParams(4, 2, ri, 2, 10)
-                result = estimate(scene, box, OPTIMIZED, dp, seed=s)
+                result = estimate_all(scene, [box], OPTIMIZED, dp, seed=s).results["crate"]
                 if result.found and add_correct(box, scene.gt_poses["crate"],
                                                 result.hypothesis.pose, False):
                     hits += 1

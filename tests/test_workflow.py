@@ -10,7 +10,8 @@ import pytest
 import posetune
 from posetune import metrics, workflow
 from posetune.gridopt import ParetoEntry, RuntimeCoefficients
-from posetune.geometry import Pose
+from posetune.geometry import ObjectModel, PointCloud, Pose
+from posetune.objects import make_box, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
                                PoseHypothesis, SceneEstimate, estimate_all)
 from posetune.seeding import stream_seed
@@ -167,6 +168,16 @@ class TestConfigValidation:
         data = dict(tiny_config("experiment").to_dict(), **{name: value})
         with pytest.raises(ValueError, match=name):
             workflow.ExperimentConfig.from_dict(data)
+
+    def test_model_without_normals_fails_generate(self, tmp_path):
+        box = make_box("box", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3])
+        bare = ObjectModel.from_cloud("bare", PointCloud(box.cloud.points))
+        save_object(bare, tmp_path / "bare.json")
+        config = workflow.ExperimentConfig.from_dict(
+            dict(tiny_config(tmp_path / "out").to_dict(),
+                 objects=[{"path": str(tmp_path / "bare.json")}]))
+        with pytest.raises(workflow.StageError, match="'bare' has no normals"):
+            workflow.cmd_generate(config)
 
     def test_accepts_boundary_values(self):
         data = dict(tiny_config("experiment").to_dict(), clutter=1.0, occlusion=0.0,

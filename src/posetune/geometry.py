@@ -186,6 +186,14 @@ class ObjectModel:
                            farthest_point_sample(cloud.points, max_keypoints), symmetry)
 
 
+def _kept_on_model(model: ObjectModel, key: str, compute):
+    """``compute(model)``, computed once and kept as an attribute of the model
+    object, so it is freed with the model."""
+    if key not in model.__dict__:
+        object.__setattr__(model, key, compute(model))
+    return model.__dict__[key]
+
+
 def farthest_point_sample(points: np.ndarray, count: int) -> np.ndarray:
     """Greedy farthest-point subset of at most ``count`` points (start: point 0)."""
     pts = np.asarray(points, dtype=np.float64)

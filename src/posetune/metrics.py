@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .camera import (CameraIntrinsics, box_max, box_min, pixel_window, project_points,
                      render_depth)
-from .geometry import ObjectModel, Pose
+from .geometry import ObjectModel, Pose, _kept_on_model
 
 # Correctness threshold fractions shared by the recall ladder, 5%..50%.
 LADDER_FRACTIONS = tuple(round(0.05 * i, 2) for i in range(1, 11))
@@ -85,32 +85,34 @@ def add_i_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
     return _PosedCopies(model, gt, est).add_i()
 
 
-def add_correct(model: ObjectModel, gt: Pose, est: Pose, symmetric: bool) -> bool:
+def add_correct(model: ObjectModel, gt: Pose, est: Pose) -> bool:
     """ADD (or ADD-I for symmetric objects) below 10% of the model diagonal."""
-    score = add_i_score(model, gt, est) if symmetric else add_score(model, gt, est)
-    return score < ADD_CORRECT_FRACTION * model.diagonal
+    posed = _PosedCopies(model, gt, est)
+    return _add_correct(model, posed.add, posed.add_i)
+
+
+def _add_correct(model: ObjectModel, add, add_i) -> bool:
+    """``add_correct`` from the scores ``add()`` and ``add_i()``; only the one read is called."""
+    return (add_i() if model.is_symmetric else add()) < ADD_CORRECT_FRACTION * model.diagonal
 
 
 def _bound_frame(model: ObjectModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Every ``BOUND_STRIDE``-th model point, the symmetry rotations and
     translations stacked (identity first), and the model's reach
-    max |p| + max |t_sym|, computed once and kept on the model.
+    max |p| + max |t_sym|, computed once per model (see ``_kept_on_model``).
 
     No point of any symmetry copy lies farther than the reach from the
-    estimate's translation. Kept as an attribute of the model object, so it
-    is freed with the model.
+    estimate's translation.
     """
-    frame = model.__dict__.get("_bound_frame")
-    if frame is None:
+    def compute(model: ObjectModel):
         pts = model.cloud.points
         syms = _sym_poses(model)
         sym_t = np.array([sym.translation for sym in syms])
         reach = (float(np.linalg.norm(pts, axis=1).max())
                  + float(np.linalg.norm(sym_t, axis=1).max()))
-        frame = (np.ascontiguousarray(pts[::BOUND_STRIDE]),
-                 np.array([sym.rotation for sym in syms]), sym_t, reach)
-        object.__setattr__(model, "_bound_frame", frame)
-    return frame
+        return (np.ascontiguousarray(pts[::BOUND_STRIDE]),
+                np.array([sym.rotation for sym in syms]), sym_t, reach)
+    return _kept_on_model(model, "_bound_frame", compute)
 
 
 class _PosedCopies:
@@ -122,7 +124,7 @@ class _PosedCopies:
     and MSPD are the exact minima over the copies. Each visits the copies in
     order of a lower bound, the max over every ``BOUND_STRIDE``-th point, and
     stops at the first bound that cannot beat the best full value so far.
-    Each score is computed once per argument and then kept.
+    The bound rows of every copy are posed once, on first use.
     """
 
     def __init__(self, model: ObjectModel, gt: Pose, est: Pose):
@@ -134,17 +136,12 @@ class _PosedCopies:
         self.syms = _sym_poses(model)
         self.gt_pts = gt.apply(self.pts)
         self._copies: dict[int, np.ndarray] = {}
-        self._kept: dict = {}
+        self._sub: np.ndarray | None = None
         self._frame = _bound_frame(model)
         reach = self._frame[3]
         self.scale = reach + float(np.linalg.norm(est.translation))
         # Smallest z any point of any copy can take.
         self.z_min = float(est.translation[2]) - reach
-
-    def _keep(self, key, compute):
-        if key not in self._kept:
-            self._kept[key] = compute()
-        return self._kept[key]
 
     def copy(self, i: int) -> np.ndarray:
         if i not in self._copies:
@@ -160,12 +157,12 @@ class _PosedCopies:
     def sub_copies(self) -> np.ndarray:
         """The bound rows of every copy, (copies, rows, 3), posed at once by
         the composed poses."""
-        def pose_all():
+        if self._sub is None:
             sub, sym_rot, sym_t, _ = self._frame
             rot = self.est.rotation @ sym_rot
             trans = sym_t @ self.est.rotation.T + self.est.translation
-            return sub @ rot.transpose(0, 2, 1) + trans[:, None, :]
-        return self._keep("sub", pose_all)
+            self._sub = sub @ rot.transpose(0, 2, 1) + trans[:, None, :]
+        return self._sub
 
     def _min(self, bounds, exact, scale: float) -> float:
         """``min(exact(i))`` over the copies; ``bounds()`` gives their lower bounds."""
@@ -181,11 +178,11 @@ class _PosedCopies:
 
     def mssd(self) -> float:
         """Max surface distance, minimized over the symmetry copies."""
-        return self._keep("mssd", lambda: self._min(
+        return self._min(
             lambda: np.linalg.norm(self.gt_pts[::BOUND_STRIDE] - self.sub_copies(),
                                    axis=2).max(axis=1),
             lambda i: float(np.linalg.norm(self.gt_pts - self.copy(i), axis=1).max()),
-            self.scale))
+            self.scale)
 
     def mspd(self, cam: CameraIntrinsics) -> float:
         """Max projected pixel distance, minimized over the symmetry copies;
@@ -194,9 +191,6 @@ class _PosedCopies:
         Unless every copy lies safely in front of the camera, every copy is
         posed in full, checked, and scored.
         """
-        return self._keep(("mspd", cam), lambda: self._mspd(cam))
-
-    def _mspd(self, cam: CameraIntrinsics) -> float:
         safe = self.z_min > PRUNE_SLACK * self.scale
         if not safe and any(np.any(self.copy(i)[:, 2] <= 0) for i in range(len(self.syms))):
             return np.inf
@@ -220,12 +214,8 @@ class _PosedCopies:
     def vsd_errors(self, cam: CameraIntrinsics, scene_depth: np.ndarray) -> list[float]:
         """VSD errors of the identity copy at each ladder tolerance, then at
         ``VSD_TAU_FRACTION`` of the diagonal."""
-        kept = self._kept.get(("vsd", cam))
-        if kept is None or kept[0] is not scene_depth:
-            taus = [f * self.model.diagonal for f in (*LADDER_FRACTIONS, VSD_TAU_FRACTION)]
-            kept = (scene_depth, _vsd_errors(self.gt_pts, self.copy(0), cam, scene_depth, taus))
-            self._kept[("vsd", cam)] = kept
-        return kept[1]
+        taus = [f * self.model.diagonal for f in (*LADDER_FRACTIONS, VSD_TAU_FRACTION)]
+        return _vsd_errors(self.gt_pts, self.copy(0), cam, scene_depth, taus)
 
 
 def mssd_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
@@ -297,45 +287,48 @@ def vsd_score(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics,
     return _vsd_errors(gt.apply(pts), est.apply(pts), cam, scene_depth, [tau])[0]
 
 
+def _ladder_recall(model: ObjectModel, cam: CameraIntrinsics, vsd_errs: list[float],
+                   mssd: float, mspd: float) -> float:
+    """VSD/MSSD/MSPD correctness averaged over the ladder, from scores already
+    computed. ``vsd_errs`` starts with the errors at the ladder tolerances;
+    any after them are not read."""
+    vsd_hits = np.mean([err < f for err, f in zip(vsd_errs, LADDER_FRACTIONS)])
+    mssd_hits = np.mean([mssd < f * model.diagonal for f in LADDER_FRACTIONS])
+    px_scale = cam.width / MSPD_REFERENCE_WIDTH
+    mspd_hits = np.mean([mspd < t * px_scale for t in MSPD_BASE_THRESHOLDS])
+    return float((vsd_hits + mssd_hits + mspd_hits) / 3.0)
+
+
 def recall_contribution(model: ObjectModel, gt: Pose, est: Pose,
-                        cam: CameraIntrinsics, scene_depth: np.ndarray,
-                        posed: _PosedCopies | None = None) -> float:
+                        cam: CameraIntrinsics, scene_depth: np.ndarray) -> float:
     """Per-estimate recall: VSD/MSSD/MSPD correctness averaged over the ladder.
 
     MSSD, MSPD and VSD (through the identity copy) read one ``_PosedCopies``,
-    ``posed`` when the caller already has it for these arguments. An
-    estimate that puts a model point at or behind the camera plane, in any
-    symmetry copy, misses every MSPD threshold.
+    and each is computed once. An estimate that puts a model point at or
+    behind the camera plane, in any symmetry copy, misses every MSPD
+    threshold.
     """
-    if posed is None:
-        posed = _PosedCopies(model, gt, est)
-    vsd_errs = posed.vsd_errors(cam, scene_depth)[:len(LADDER_FRACTIONS)]
-    vsd_hits = np.mean([err < f for err, f in zip(vsd_errs, LADDER_FRACTIONS)])
-    mssd_hits = np.mean([posed.mssd() < f * model.diagonal for f in LADDER_FRACTIONS])
-    px_scale = cam.width / MSPD_REFERENCE_WIDTH
-    mspd_hits = np.mean([posed.mspd(cam) < t * px_scale for t in MSPD_BASE_THRESHOLDS])
-    return float((vsd_hits + mssd_hits + mspd_hits) / 3.0)
+    posed = _PosedCopies(model, gt, est)
+    return _ladder_recall(model, cam, posed.vsd_errors(cam, scene_depth), posed.mssd(),
+                          posed.mspd(cam))
 
 
 def evaluate_pose(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics,
                   scene_depth: np.ndarray) -> MetricScore:
     """Compute every score for one estimate against its ground truth.
 
-    Every score reads one ``_PosedCopies``. As in ``recall_contribution``, an
-    estimate that puts a model point of any symmetry copy at or behind the
-    camera plane gets an infinite MSPD.
+    Every score reads one ``_PosedCopies`` and is computed once; the ADD test
+    and the BOP recall contribution are derived from the scores, by the rules
+    of ``add_correct`` and ``recall_contribution``. As there, an estimate that
+    puts a model point of any symmetry copy at or behind the camera plane gets
+    an infinite MSPD.
     """
     posed = _PosedCopies(model, gt, est)
     add, add_i = posed.add(), posed.add_i()
-    return MetricScore(
-        add=add,
-        add_i=add_i,
-        vsd=posed.vsd_errors(cam, scene_depth)[-1],
-        mssd=posed.mssd(),
-        mspd=posed.mspd(cam),
-        correct_add=(add_i if model.is_symmetric else add) < ADD_CORRECT_FRACTION * model.diagonal,
-        bop_recall_contribution=recall_contribution(model, gt, est, cam, scene_depth, posed),
-    )
+    vsd_errs, mssd, mspd = posed.vsd_errors(cam, scene_depth), posed.mssd(), posed.mspd(cam)
+    return MetricScore(add=add, add_i=add_i, vsd=vsd_errs[-1], mssd=mssd, mspd=mspd,
+                       correct_add=_add_correct(model, lambda: add, lambda: add_i),
+                       bop_recall_contribution=_ladder_recall(model, cam, vsd_errs, mssd, mspd))
 
 
 def scores_to_csv(records: list[tuple[str, str, MetricScore]]) -> str:

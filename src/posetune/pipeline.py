@@ -15,8 +15,9 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .camera import CameraIntrinsics, box_max, box_min, erode_cross, pixel_window, render_depth
-from .geometry import ObjectModel, PointCloud, Pose, bbox_diagonal, rotation_about_axis, voxel_downsample
+from .camera import box_max, box_min, erode_cross, pixel_window, render_depth
+from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, bbox_diagonal,
+                       rotation_about_axis, voxel_downsample)
 from .scenes import Scene
 from .seeding import derive_rng
 
@@ -170,14 +171,6 @@ def prepare_scene(scene: Scene, cp: ContinuousParams, dp: DiscreteParams,
     density = tree.query_ball_point(cloud.points[seed_idx], cp.cut_radius / 2,
                                     return_length=True).astype(np.float64)
     return ScenePrep(cloud, tree, seed_idx, density, edges)
-
-
-def _kept_on_model(model: ObjectModel, key: str, compute):
-    """``compute(model)``, computed once and kept as an attribute of the model
-    object, so it is freed with the model."""
-    if key not in model.__dict__:
-        object.__setattr__(model, key, compute(model))
-    return model.__dict__[key]
 
 
 def _mean_color(model: ObjectModel) -> np.ndarray | None:
@@ -450,8 +443,7 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
 
 def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
                 background_dist: float, accept_dist: float,
-                cam: CameraIntrinsics | None = None,
-                depth_edges: np.ndarray | None = None) -> PoseHypothesis:
+                depth_edges: np.ndarray) -> PoseHypothesis:
     """Score the hypothesis by rendered-depth agreement plus contour support.
 
     Rendered model pixels where the scene is closer by more than
@@ -463,9 +455,7 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     The contour term is the fraction of model silhouette pixels within
     2 px of a scene depth discontinuity. The final score is
     0.5*agreement*(1-violation) + 0.5*contour. ``depth_edges`` is the scene's
-    ``_depth_edges`` mask when the caller already has it (``ScenePrep``);
-    without it the mask is computed here, and only if the silhouette is
-    not empty.
+    ``_depth_edges`` mask, computed once per scene (``ScenePrep``).
 
     The render is full-frame; every comparison and filter after it runs on
     the rendered pixels' bounding box grown by ``SILHOUETTE_MARGIN``. Outside
@@ -474,8 +464,7 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     reads only pixels inside the window, and the erosion, which treats every
     pixel past the window as unset, give what they would on the full frame.
     """
-    cam = cam or scene.cam
-    model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), cam)
+    model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), scene.cam)
     window = pixel_window(model_depth > 0, SILHOUETTE_MARGIN)
     if window is None:
         return replace(hypothesis, depth_score=0.0)
@@ -496,8 +485,6 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     silhouette = solid & ~erode_cross(solid)
     contour = 0.0
     if silhouette.any():
-        if depth_edges is None:
-            depth_edges = _depth_edges(scene.depth)
         contour = float(np.mean(depth_edges[window][silhouette]))
     score = float(np.clip(0.5 * agreement * (1.0 - violation) + 0.5 * contour, 0.0, 1.0))
     return replace(hypothesis, depth_score=score)
@@ -516,22 +503,11 @@ def _depth_edges(scene_depth: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Outcome of one (scene, object) estimation with per-stage wall times."""
+    """Outcome of one (scene, object) estimation."""
 
     found: bool
     hypothesis: PoseHypothesis | None
-    timings: dict[str, float]
     reason: str = ""
-
-    def to_dict(self) -> dict:
-        data: dict = {"found": self.found, "timing": dict(self.timings)}
-        if self.hypothesis is not None:
-            data["pose"] = self.hypothesis.pose.to_dict()
-            data["depth_score"] = self.hypothesis.depth_score
-            data["inlier_count"] = self.hypothesis.inlier_count
-        if self.reason:
-            data["reason"] = self.reason
-        return data
 
 
 STAGE_KEYS = ("t_pre", "t_net", "t_ran", "t_icp", "t_depth")
@@ -585,19 +561,20 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
         t0 = time.perf_counter()
         for hyp in refined:
             checked = depth_check(hyp, scene, model, cp.background_dist,
-                                  cp.accept_dist, scene.cam, prep.depth_edges)
+                                  cp.accept_dist, prep.depth_edges)
             if best is None or checked.depth_score > best.depth_score:
                 best = checked
         timings["t_depth"] += time.perf_counter() - t0
 
     if best is None:
-        return EstimateResult(False, None, timings, reason="no detection")
-    return EstimateResult(True, best, timings)
+        return EstimateResult(False, None, reason="no detection")
+    return EstimateResult(True, best)
 
 
 @dataclass(frozen=True)
 class SceneEstimate:
-    """Per-object results plus image-level stage times (preprocessing shared)."""
+    """Per-object results plus the stage times, kept per image only: the shared
+    preprocessing, then each later stage summed over the objects."""
 
     results: dict[str, EstimateResult]
     timings: dict[str, float]
@@ -609,16 +586,12 @@ class SceneEstimate:
 
 def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
                  dp: DiscreteParams, seed=0) -> SceneEstimate:
-    """Estimate every object in one scene, preprocessing the scene once."""
+    """Estimate every object in one scene, preprocessing the scene once; the
+    stage times are the image's (see ``SceneEstimate``)."""
     image = dict.fromkeys(STAGE_KEYS, 0.0)
     t0 = time.perf_counter()
     prep = prepare_scene(scene, cp, dp, seed)
     image["t_pre"] = time.perf_counter() - t0
-    results = {}
-    for model in models:
-        timings = dict.fromkeys(STAGE_KEYS, 0.0)
-        results[model.object_id] = _estimate_prepared(prep, scene, model, cp, dp,
-                                                      seed, timings)
-        for key in STAGE_KEYS[1:]:
-            image[key] += timings[key]
+    results = {model.object_id: _estimate_prepared(prep, scene, model, cp, dp, seed, image)
+               for model in models}
     return SceneEstimate(results, image)

@@ -26,34 +26,28 @@ LOSS_DROP_THRESHOLD = -0.025
 LOSS_RISE_THRESHOLD = 0.05
 
 NUM_CHANNELS = 6
+# How far one controller step moves each channel.
+JUMP_SIZES = default_jump_sizes()
 
 
 @dataclass(frozen=True)
 class SchedulerState:
     levels: NoiseConfig
-    jump_sizes: NoiseConfig
     active_index: int
     frozen: tuple[bool, ...]
     recorded_loss: float
-    epoch: int
     phase: str
 
 
-def initial_state(jump_sizes: NoiseConfig | None = None) -> SchedulerState:
-    return SchedulerState(
-        levels=default_noise_config(),
-        jump_sizes=jump_sizes or default_jump_sizes(),
-        active_index=0,
-        frozen=(False,) * NUM_CHANNELS,
-        recorded_loss=float("nan"),
-        epoch=0,
-        phase=WARMUP,
-    )
+def initial_state() -> SchedulerState:
+    return SchedulerState(levels=default_noise_config(), active_index=0,
+                          frozen=(False,) * NUM_CHANNELS, recorded_loss=float("nan"),
+                          phase=WARMUP)
 
 
-def _bumped(levels: NoiseConfig, index: int, jumps: NoiseConfig, sign: int) -> NoiseConfig:
+def _bumped(levels: NoiseConfig, index: int, sign: int) -> NoiseConfig:
     values = list(levels.as_tuple())
-    values[index] += sign * jumps.as_tuple()[index]
+    values[index] += sign * JUMP_SIZES.as_tuple()[index]
     return NoiseConfig.from_tuple(values)
 
 
@@ -69,12 +63,8 @@ def begin_optimization(state: SchedulerState, recorded_loss: float) -> Scheduler
     """Enter the optimizing phase: record the loss, raise the first channel."""
     if recorded_loss <= 0:
         raise ValueError("loss must be positive")
-    return replace(
-        state,
-        levels=_bumped(state.levels, state.active_index, state.jump_sizes, +1),
-        recorded_loss=recorded_loss,
-        phase=OPTIMIZING,
-    )
+    return replace(state, levels=_bumped(state.levels, state.active_index, +1),
+                   recorded_loss=recorded_loss, phase=OPTIMIZING)
 
 
 def scheduler_step(state: SchedulerState, epoch_loss: float) -> SchedulerState:
@@ -96,15 +86,15 @@ def scheduler_step(state: SchedulerState, epoch_loss: float) -> SchedulerState:
     delta = (epoch_loss - state.recorded_loss) / state.recorded_loss
 
     if delta < LOSS_DROP_THRESHOLD:
-        levels = _bumped(levels, active, state.jump_sizes, +1)
+        levels = _bumped(levels, active, +1)
     else:
         if delta > LOSS_RISE_THRESHOLD:
-            levels = _bumped(levels, active, state.jump_sizes, -1)
+            levels = _bumped(levels, active, -1)
             frozen[active] = True
         nxt = _next_unfrozen(tuple(frozen), active)
         if nxt is not None:
             active = nxt
-            levels = _bumped(levels, active, state.jump_sizes, +1)
+            levels = _bumped(levels, active, +1)
 
     phase = DONE if all(frozen) else OPTIMIZING
     return replace(state, levels=levels, frozen=tuple(frozen),
@@ -119,9 +109,6 @@ def noise_for_epoch(state: SchedulerState, epoch: int) -> NoiseConfig:
         return NoiseConfig.zero()
     if epoch < OPTIMIZATION_START:
         return default_noise_config()
-    if state.phase in (WARMUP, FIXED_NOISE):
-        # Optimization entry has not been applied yet; report its opening levels.
-        return _bumped(state.levels, state.active_index, state.jump_sizes, +1)
     return state.levels
 
 
@@ -141,7 +128,6 @@ class EpochRecord:
 def run_scheduled_training(
     trainer: Callable[[int, NoiseConfig], float],
     epochs: int,
-    state: SchedulerState | None = None,
 ) -> tuple[SchedulerState, list[EpochRecord]]:
     """Drive ``trainer`` for ``epochs`` epochs under the noise controller.
 
@@ -149,25 +135,16 @@ def run_scheduled_training(
     happen before each optimizing epoch using the previous epoch's loss;
     the first optimizing epoch performs the entry transition instead.
     """
-    state = state or initial_state()
+    state = initial_state()
     history: list[EpochRecord] = []
-    last_loss: float | None = None
     for epoch in range(epochs):
-        if epoch < WARMUP_EPOCHS:
-            state = replace(state, epoch=epoch, phase=WARMUP)
-        elif epoch < OPTIMIZATION_START:
-            state = replace(state, epoch=epoch, phase=FIXED_NOISE)
-        else:
-            if state.phase == FIXED_NOISE:
-                assert last_loss is not None
-                state = begin_optimization(state, last_loss)
-            elif state.phase == OPTIMIZING:
-                assert last_loss is not None
-                state = scheduler_step(state, last_loss)
-            state = replace(state, epoch=epoch)
+        if WARMUP_EPOCHS <= epoch < OPTIMIZATION_START:
+            state = replace(state, phase=FIXED_NOISE)
+        elif state.phase == FIXED_NOISE:
+            state = begin_optimization(state, history[-1].loss)
+        elif state.phase == OPTIMIZING:
+            state = scheduler_step(state, history[-1].loss)
         noise = noise_for_epoch(state, epoch)
-        loss = trainer(epoch, noise)
-        last_loss = loss
-        history.append(EpochRecord(epoch, loss, noise, state.active_index,
+        history.append(EpochRecord(epoch, trainer(epoch, noise), noise, state.active_index,
                                    state.frozen, state.phase))
     return state, history

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import ObjectModel
-from .pipeline import VOTE_CONF_FRACTION
+from .pipeline import COLOR_SIM_SCALE, VOTE_CONF_FRACTION, _model_color
 from .scenes import NoiseConfig, Scene, apply_domain_randomization
 
 EPOCH_DECAY = 0.94
@@ -46,10 +46,10 @@ class SurrogateTrainer:
         dist, _ = cKDTree(keypoints).query(points)
         confidence = float(np.mean(np.exp(-dist / (VOTE_CONF_FRACTION * self.model.diagonal))))
         color_sim = 1.0
-        if scene.cloud.colors is not None and self.model.cloud.colors is not None:
+        expected = _model_color(self.model)
+        if scene.cloud.colors is not None and expected is not None:
             observed = scene.cloud.colors[region].mean(axis=0)
-            expected = self.model.cloud.colors.mean(axis=0)
-            color_sim = float(np.exp(-np.linalg.norm(observed - expected) / 0.3))
+            color_sim = float(np.exp(-np.linalg.norm(observed - expected) / COLOR_SIM_SCALE))
         return (1.0 - COLOR_WEIGHT) * confidence + COLOR_WEIGHT * color_sim
 
     def __call__(self, epoch: int, noise: NoiseConfig) -> float:

@@ -90,6 +90,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if not self.objects:
             raise ValueError("no objects configured")
+        for name, build in (("schedule", self.bo_schedule), ("grid", self.grid_spec)):
+            try:
+                build()
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"bad {name} {getattr(self, name)!r}: {exc}") from exc
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -97,10 +102,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return ExperimentConfig(**data)
-
-    @staticmethod
-    def from_file(path: str | Path) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -126,7 +127,7 @@ def _marker(config: ExperimentConfig, stage: str) -> Path:
     return config.out() / f"{stage}.done.json"
 
 
-def _stage_complete(config: ExperimentConfig, stage: str, extra: str = "") -> dict | None:
+def _stage_complete(config: ExperimentConfig, stage: str) -> dict | None:
     """The stage's summary if its marker matches this config, else None.
 
     A marker that does not parse, or lacks ``config_hash`` or ``summary``,
@@ -137,22 +138,21 @@ def _stage_complete(config: ExperimentConfig, stage: str, extra: str = "") -> di
         return None
     try:
         data = json.loads(marker.read_text())
-        if data["config_hash"] != config.fingerprint() + extra:
+        if data["config_hash"] != config.fingerprint():
             return None
         return dict(data["summary"], skipped=True)
     except (ValueError, KeyError, TypeError):
         return None
 
 
-def _finish_stage(config: ExperimentConfig, stage: str, summary: dict,
-                  extra: str = "") -> dict:
+def _finish_stage(config: ExperimentConfig, stage: str, summary: dict) -> dict:
     """Write the stage marker atomically: a temporary file in the same
     directory, then ``os.replace`` over the marker."""
     config.out().mkdir(parents=True, exist_ok=True)
     marker = _marker(config, stage)
     partial = marker.with_name(marker.name + ".tmp")
     partial.write_text(json.dumps(
-        {"stage": stage, "config_hash": config.fingerprint() + extra,
+        {"stage": stage, "config_hash": config.fingerprint(),
          "summary": summary}, sort_keys=True, indent=1))
     os.replace(partial, marker)
     return dict(summary, skipped=False)
@@ -308,7 +308,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
         # one metric call: the full evaluate_pose would about double the cost
         gt = scene.gt_poses[model.object_id]
         if config.metric == "add":
-            return float(add_correct(model, gt, pose, model.is_symmetric))
+            return float(add_correct(model, gt, pose))
         return recall_contribution(model, gt, pose, scene.cam, scene.depth)
 
     def measure(cp: ContinuousParams, dp: DiscreteParams) -> tuple[float, float]:

@@ -59,8 +59,7 @@ def setting():
 def test_depth_check(benchmark, setting):
     hyp = PoseHypothesis(setting["est"], 50)
     out = benchmark(pipeline.depth_check, hyp, setting["scene"], setting["cyl"],
-                    CP.background_dist, CP.accept_dist, setting["scene"].cam,
-                    setting["prep"].depth_edges)
+                    CP.background_dist, CP.accept_dist, setting["prep"].depth_edges)
     assert 0.0 <= out.depth_score <= 1.0
 
 

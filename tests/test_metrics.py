@@ -98,14 +98,14 @@ class TestAddI:
 class TestAddCorrect:
     def test_exact_pose_is_correct(self, box_model):
         pose = random_pose(rng(6))
-        assert add_correct(box_model, pose, pose, symmetric=False)
+        assert add_correct(box_model, pose, pose)
 
     @pytest.mark.parametrize("fraction,expected", [(0.2, False), (0.09, True)])
     def test_threshold_behavior(self, box_model, fraction, expected):
         gt = random_pose(rng(7))
         offset = np.array([1.0, 0, 0]) * fraction * box_model.diagonal
         est = Pose(gt.rotation, gt.translation + offset)
-        assert add_correct(box_model, gt, est, symmetric=False) is expected
+        assert add_correct(box_model, gt, est) is expected
 
 
 class TestMssd:
@@ -472,7 +472,7 @@ class TestEvaluatePose:
                                             metrics.VSD_TAU_FRACTION * model.diagonal)
                 assert got.mssd == mssd_score(model, gt, est)
                 assert got.mspd == mspd_score(model, gt, est, scene.cam)
-                assert got.correct_add == add_correct(model, gt, est, model.is_symmetric)
+                assert got.correct_add == add_correct(model, gt, est)
                 assert got.bop_recall_contribution == recall_contribution(
                     model, gt, est, scene.cam, scene.depth)
 

@@ -224,8 +224,7 @@ class TestRansac:
                          m1.confidences)
             h1 = ransac_pose(m1, 10.0, 500, box.diagonal, seed=trial)[0]
             h2 = ransac_pose(m2, 10.0, 500, doubled.diagonal, seed=trial)[0]
-            assert add_correct(box, pose1, h1.pose, False) == \
-                add_correct(doubled, pose2, h2.pose, False)
+            assert add_correct(box, pose1, h1.pose) == add_correct(doubled, pose2, h2.pose)
 
     @staticmethod
     def direct_residual_reference(matches, ransac_dist, iterations, diagonal, seed):
@@ -487,23 +486,26 @@ class TestDepthCheck:
     def test_exact_pose_scores_high(self, box, clean_scene):
         gt = clean_scene.gt_poses["crate"]
         out = depth_check(PoseHypothesis(gt, 500), clean_scene, box,
-                          background_dist=86.0, accept_dist=12.0)
+                          background_dist=86.0, accept_dist=12.0,
+                          depth_edges=pipeline._depth_edges(clean_scene.depth))
         assert out.depth_score >= 0.95
 
     def test_displaced_pose_scores_low(self, box, clean_scene):
         gt = clean_scene.gt_poses["crate"]
         moved = Pose(gt.rotation, gt.translation + [160.0, 0, 0])
         out = depth_check(PoseHypothesis(moved, 500), clean_scene, box,
-                          background_dist=86.0, accept_dist=12.0)
+                          background_dist=86.0, accept_dist=12.0,
+                          depth_edges=pipeline._depth_edges(clean_scene.depth))
         assert out.depth_score < 0.2
 
     def test_huge_background_dist_disables_violation(self, box, cluttered_scene):
         # floating above the ground plane: penalized only when bd is finite
         pose = Pose(np.eye(3), [0, 0, 600.0])
+        edges = pipeline._depth_edges(cluttered_scene.depth)
         tight = depth_check(PoseHypothesis(pose, 10), cluttered_scene, box,
-                            background_dist=5.0, accept_dist=5.0)
+                            background_dist=5.0, accept_dist=5.0, depth_edges=edges)
         loose = depth_check(PoseHypothesis(pose, 10), cluttered_scene, box,
-                            background_dist=1e9, accept_dist=5.0)
+                            background_dist=1e9, accept_dist=5.0, depth_edges=edges)
         assert loose.depth_score >= tight.depth_score
 
     def test_precomputed_edges_give_same_score(self, box, cluttered_scene):
@@ -511,10 +513,9 @@ class TestDepthCheck:
         gt = cluttered_scene.gt_poses["crate"]
         for offset in ([0, 0, 0], [6.0, -3.0, 0], [40.0, 0, 10.0], [160.0, 0, 0]):
             hyp = PoseHypothesis(Pose(gt.rotation, gt.translation + offset), 10)
-            own = depth_check(hyp, cluttered_scene, box, 86.0, 12.0)
-            shared = depth_check(hyp, cluttered_scene, box, 86.0, 12.0,
-                                 depth_edges=edges)
-            assert shared.depth_score == own.depth_score
+            shared = depth_check(hyp, cluttered_scene, box, 86.0, 12.0, depth_edges=edges)
+            assert shared.depth_score == \
+                self.full_frame_reference(hyp, cluttered_scene, box, 86.0, 12.0)
 
 
     @staticmethod
@@ -566,7 +567,6 @@ class TestDepthCheck:
         for pose in poses:
             hyp = PoseHypothesis(pose, 10)
             expected = self.full_frame_reference(hyp, cluttered_scene, box, 86.0, 12.0)
-            assert depth_check(hyp, cluttered_scene, box, 86.0, 12.0).depth_score == expected
             assert depth_check(hyp, cluttered_scene, box, 86.0, 12.0,
                                depth_edges=edges).depth_score == expected
 
@@ -576,7 +576,7 @@ class TestEstimate:
         result = estimate_all(clean_scene, [box], OPTIMIZED, SMALL_DP, seed=0).results["crate"]
         assert result.found
         gt = clean_scene.gt_poses["crate"]
-        assert add_correct(box, gt, result.hypothesis.pose, False)
+        assert add_correct(box, gt, result.hypothesis.pose)
 
     def test_missing_object_reports_no_detection(self, clean_scene):
         stranger = make_box("stranger", [40, 40, 40], [0.1, 0.8, 0.2])
@@ -590,7 +590,6 @@ class TestEstimate:
         bundle = estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=0)
         wall = time.perf_counter() - t0
         assert all(v >= 0 for v in bundle.timings.values())
-        assert all(v >= 0 for v in bundle.results["crate"].timings.values())
         assert sum(bundle.timings.values()) <= wall
 
     def test_deterministic(self, box, cluttered_scene):
@@ -601,13 +600,6 @@ class TestEstimate:
                                       b.hypothesis.pose.rotation)
         np.testing.assert_array_equal(a.hypothesis.pose.translation,
                                       b.hypothesis.pose.translation)
-
-    def test_result_serialization(self, box, clean_scene):
-        result = estimate_all(clean_scene, [box], OPTIMIZED, SMALL_DP, seed=0).results["crate"]
-        data = result.to_dict()
-        assert set(data["timing"]) == {"t_pre", "t_net", "t_ran", "t_icp", "t_depth"}
-        assert len(data["pose"]["rotation"]) == 9
-        assert len(data["pose"]["translation"]) == 3
 
     def test_estimate_all_shares_preprocessing(self, box, cluttered_scene):
         other = make_box("slab", [30, 50, 60], [0.2, 0.45, 0.8])
@@ -652,7 +644,7 @@ class TestRecallMonotonicity:
                 dp = DiscreteParams(4, 2, ri, 2, 10)
                 result = estimate_all(scene, [box], OPTIMIZED, dp, seed=s).results["crate"]
                 if result.found and add_correct(box, scene.gt_poses["crate"],
-                                                result.hypothesis.pose, False):
+                                                result.hypothesis.pose):
                     hits += 1
             recalls[ri] = hits / 50
         assert recalls[2500] >= recalls[500] - 0.02

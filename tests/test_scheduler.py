@@ -118,11 +118,6 @@ class TestNoiseForEpoch:
     def test_fixed_phase_uses_default_levels(self):
         assert noise_for_epoch(initial_state(), 5) == default_noise_config()
 
-    def test_epoch_eight_untouched_state_has_first_jump(self):
-        levels = noise_for_epoch(initial_state(), 8)
-        assert levels.xyz_sigma == pytest.approx(DEFAULTS[0] + JUMPS[0])
-        assert levels.normal_sigma == pytest.approx(DEFAULTS[1])
-
 
 class TestRunScheduledTraining:
     def test_steady_improvement_raises_first_channel_twelve_times(self):

@@ -47,17 +47,38 @@ def evaluated_config(tmp_path_factory):
     return config
 
 
+def _eval_scores(config, cp, dp, score) -> list[float]:
+    """``score(model, scene, pose)`` for every eval instance, 0 for one not
+    found, estimated again at ``cp``, ``dp``."""
+    models = workflow.build_models(config)
+    scenes = workflow._noised_split(config, "eval", workflow.learned_levels(config),
+                                    "evalnoise")
+    scores = []
+    for i, scene in enumerate(scenes):
+        bundle = estimate_all(scene, models, cp, dp,
+                              seed=stream_seed(config.seed, "eval-est", i))
+        for model in models:
+            result = bundle.results[model.object_id]
+            scores.append(score(model, scene, result.hypothesis.pose)
+                          if result.found else 0.0)
+    return scores
+
+
+def _recall(model, scene, pose) -> float:
+    return metrics.recall_contribution(model, scene.gt_poses[model.object_id], pose,
+                                       scene.cam, scene.depth)
+
+
 class TestEvaluate:
     def test_scores_each_found_instance_once(self, evaluated_config, monkeypatch):
         calls = []
-        original = metrics.recall_contribution
+        original = workflow.evaluate_pose
 
         def counted(*args, **kwargs):
             calls.append(args[0].object_id)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "recall_contribution", counted)
-        monkeypatch.setattr(workflow, "recall_contribution", counted)
+        monkeypatch.setattr(workflow, "evaluate_pose", counted)
         report = workflow.cmd_evaluate(evaluated_config, force=True)
         stamp = f"dr_{report['budget_seconds']:g}_{report['object_count']}"
         rows = (evaluated_config.out() / "eval" / f"scores_{stamp}.csv").read_text()
@@ -66,28 +87,8 @@ class TestEvaluate:
         assert len(calls) == found
 
     def test_recall_matches_per_instance_scores(self, evaluated_config):
-        # reference: estimate again and score every instance with _instance_score
-        def _instance_score(config, model, scene, result) -> float:
-            if not result.found:
-                return 0.0
-            gt = scene.gt_poses[model.object_id]
-            if config.metric == "add":
-                return float(metrics.add_correct(model, gt, result.hypothesis.pose,
-                                                 model.is_symmetric))
-            return metrics.recall_contribution(model, gt, result.hypothesis.pose,
-                                               scene.cam, scene.depth)
-
         report = workflow.cmd_evaluate(evaluated_config, force=True)
-        models = workflow.build_models(evaluated_config)
-        levels = workflow.learned_levels(evaluated_config)
-        scenes = workflow._noised_split(evaluated_config, "eval", levels, "evalnoise")
-        scores = []
-        for i, scene in enumerate(scenes):
-            bundle = estimate_all(scene, models, OPTIMIZED, SMALL_DP,
-                                  seed=stream_seed(evaluated_config.seed, "eval-est", i))
-            scores += [_instance_score(evaluated_config, model, scene,
-                                       bundle.results[model.object_id])
-                       for model in models]
+        scores = _eval_scores(evaluated_config, OPTIMIZED, SMALL_DP, _recall)
         assert report["recall"] == float(np.mean(scores))
 
     def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
@@ -98,8 +99,7 @@ class TestEvaluate:
             for model in models:
                 gt = scene.gt_poses[model.object_id]
                 pose = Pose(gt.rotation, [gt.translation[0], gt.translation[1], 20.0])
-                results[model.object_id] = EstimateResult(
-                    True, PoseHypothesis(pose, 100, 0.5), dict.fromkeys(STAGE_KEYS, 0.0))
+                results[model.object_id] = EstimateResult(True, PoseHypothesis(pose, 100, 0.5))
             return SceneEstimate(results, dict.fromkeys(STAGE_KEYS, 0.001))
 
         monkeypatch.setattr(workflow, "estimate_all", behind)
@@ -163,6 +163,11 @@ class TestConfigValidation:
         ("train_scenes", -2), ("validation_scenes", 0), ("eval_scenes", 0),
         ("epochs", -5), ("epochs", 0), ("budget_seconds", -1.0), ("budget_seconds", 0.0),
         ("clutter", 3.0), ("occlusion", -0.1),
+        ("grid", {"classified": [4, 2], "estimated": [1, 2], "ransac_iters": [50, 100],
+                  "depth_checked": [1], "icp_iters": [1, 2]}),
+        ("grid", {"classified": [2, 4]}),
+        ("schedule", [[0, None]]),
+        ("schedule", [[2]]),
     ])
     def test_rejects_bad_values(self, name, value):
         data = dict(tiny_config("experiment").to_dict(), **{name: value})
@@ -249,6 +254,85 @@ class TestEndToEnd:
     def test_fingerprint_is_stable(self):
         # stage markers written by earlier versions stay valid
         assert tiny_config("experiment").fingerprint() == FINGERPRINT
+
+
+class TestAddMetric:
+    """``metric="add"``: the searches and the evaluation score with ``add_correct``."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        config = workflow.ExperimentConfig.from_dict(
+            dict(tiny_config(tmp_path_factory.mktemp("add")).to_dict(), metric="add",
+                 eval_scenes=3))
+        calls = {"add_correct": 0, "recall_contribution": 0}
+        with pytest.MonkeyPatch.context() as patch:
+            for name in calls:
+                patch.setattr(workflow, name, _counted(getattr(workflow, name), calls, name))
+            for stage in TestEndToEnd.STAGES[:3]:
+                stage(config)
+        return dict(config=config, calls=calls, report=workflow.cmd_evaluate(config))
+
+    def test_searches_score_with_add_correct(self, run):
+        assert run["calls"]["add_correct"] >= 1
+        assert run["calls"]["recall_contribution"] == 0
+        # one instance per search call, so every recall is 0 or 1
+        grid = _grid_without_runtime(run["config"].out())
+        assert {float(row[-1]) for row in grid[1:]} <= {0.0, 1.0}
+
+    def test_report_recall_is_mean_add_correct(self, run):
+        report = run["report"]
+        assert report["metric"] == "add"
+
+        def correct(model, scene, pose) -> float:
+            return float(metrics.add_correct(model, scene.gt_poses[model.object_id], pose))
+
+        scores = _eval_scores(run["config"], ContinuousParams(**report["continuous"]),
+                              DiscreteParams.from_dict(report["selection"]["entry"]["params"]),
+                              correct)
+        assert report["recall"] == float(np.mean(scores))
+
+
+class TestNoDr:
+    """``no_dr=True``: the searches run on the validation scenes as generated."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        config = tiny_config(tmp_path_factory.mktemp("nodr"))
+        workflow.cmd_generate(config)
+        workflow.cmd_train_dr(config)
+        seen = []
+        original = workflow.estimate_all
+
+        def recording(scene, *args, **kwargs):
+            seen.append(scene.cloud.points)
+            return original(scene, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(workflow, "estimate_all", recording)
+            optimized = workflow.cmd_optimize(config, no_dr=True)
+        return dict(config=config, seen=seen, optimized=optimized,
+                    report=workflow.cmd_evaluate(config, no_dr=True))
+
+    def test_writes_nodr_artifacts(self, run):
+        out = run["config"].out()
+        assert run["optimized"]["mode"] == run["report"]["mode"] == "nodr"
+        assert sorted(p.name for p in (out / "opt").iterdir()) == \
+            ["continuous_nodr.json", "front_nodr.json", "grid_nodr.csv", "trace_nodr.csv"]
+        stamp = f"nodr_{run['report']['budget_seconds']:g}_1"
+        assert sorted(p.name for p in (out / "eval").iterdir()) == \
+            [f"report_{stamp}.json", f"scores_{stamp}.csv"]
+        assert (out / "optimize-nodr.done.json").exists()
+        assert not (out / "optimize-dr.done.json").exists()
+
+    def test_searches_on_unnoised_validation_scenes(self, run):
+        config = run["config"]
+        [clean] = workflow.load_split(config, "validation")
+        # 3 GP-UCB iterations and 16 grid tuples on the one validation scene
+        assert len(run["seen"]) == 3 + 16
+        assert all(np.array_equal(points, clean.cloud.points) for points in run["seen"])
+        [noised] = workflow._noised_split(config, "validation",
+                                          workflow.learned_levels(config), "valnoise-dr")
+        assert not np.array_equal(noised.cloud.points, clean.cloud.points)
 
 
 class TestStageMarkers:

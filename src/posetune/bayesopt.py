@@ -110,7 +110,6 @@ class GPSurrogate:
     y: np.ndarray
     length_scales: np.ndarray
     signal_var: float
-    jitter: float
     _chol: tuple
     _alpha: np.ndarray
 
@@ -124,8 +123,8 @@ class GPSurrogate:
         return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-def _log_marginal(x, y, ls, sv, jitter):
-    k = _matern52(x, x, ls, sv) + jitter * np.eye(len(x))
+def _log_marginal(x, y, ls, sv):
+    k = _matern52(x, x, ls, sv) + DEFAULT_JITTER * np.eye(len(x))
     try:
         chol = cho_factor(k, lower=True)
     except np.linalg.LinAlgError:
@@ -149,18 +148,17 @@ def _dedup_latest(inputs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _fit_with(inputs: np.ndarray, values: np.ndarray, length_scales: np.ndarray,
-              signal_var: float, jitter: float) -> GPSurrogate:
+              signal_var: float) -> GPSurrogate:
     """Refit the posterior with known kernel hyper-parameters."""
     x, y = _dedup_latest(inputs, values)
-    _, chol, alpha = _log_marginal(x, y, length_scales, signal_var, jitter)
+    _, chol, alpha = _log_marginal(x, y, length_scales, signal_var)
     if chol is None:
         raise np.linalg.LinAlgError("kernel matrix not positive definite")
     return GPSurrogate(x, y, np.asarray(length_scales, dtype=np.float64),
-                       signal_var, jitter, chol, alpha)
+                       signal_var, chol, alpha)
 
 
-def gp_fit(inputs: np.ndarray, values: np.ndarray,
-           jitter: float = DEFAULT_JITTER) -> GPSurrogate:
+def gp_fit(inputs: np.ndarray, values: np.ndarray) -> GPSurrogate:
     """Fit the surrogate to unit-cube inputs and raw objective values.
 
     Hyper-parameters maximize the log marginal likelihood over a fixed grid
@@ -177,7 +175,7 @@ def gp_fit(inputs: np.ndarray, values: np.ndarray,
     for ls0 in LENGTH_SCALE_GRID:
         ls = np.full(dim, ls0)
         for sv in signal_grid:
-            lml, chol, alpha = _log_marginal(x, y, ls, sv, jitter)
+            lml, chol, alpha = _log_marginal(x, y, ls, sv)
             if lml > best[0]:
                 best = (lml, (ls, sv, chol, alpha))
     assert best[1] is not None, "no admissible hyper-parameters"
@@ -189,11 +187,11 @@ def gp_fit(inputs: np.ndarray, values: np.ndarray,
             for factor in (0.5, 2.0):
                 trial = ls.copy()
                 trial[d] *= factor
-                lml, c, a = _log_marginal(x, y, trial, sv, jitter)
+                lml, c, a = _log_marginal(x, y, trial, sv)
                 if lml > best_lml:
                     best_lml = lml
                     ls, chol, alpha = trial, c, a
-    return GPSurrogate(x, y, ls, sv, jitter, chol, alpha)
+    return GPSurrogate(x, y, ls, sv, chol, alpha)
 
 
 def ucb_acquire(gp: GPSurrogate, kappa: float, rng: np.random.Generator,
@@ -258,8 +256,7 @@ def optimize_continuous(
                     gp = gp_fit(np.array(xs), np.array(ys))
                     hypers = (gp.length_scales, gp.signal_var)
                 else:
-                    gp = _fit_with(np.array(xs), np.array(ys), *hypers,
-                                   DEFAULT_JITTER)
+                    gp = _fit_with(np.array(xs), np.array(ys), *hypers)
                 unit = space.normalize(ucb_acquire(gp, kappa, rng, space))
             params = ContinuousParams.from_vector(space.denormalize(unit))
             try:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
 ROTATION_TOL = 1e-9
 NORMAL_TOL = 1e-6
+MAX_KEYPOINTS = 100
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -128,62 +129,60 @@ class PointCloud:
             None if self.colors is None else self.colors[indices],
         )
 
-    def to_json(self) -> str:
-        data = {"points": self.points.tolist()}
-        if self.normals is not None:
-            data["normals"] = self.normals.tolist()
-        if self.colors is not None:
-            data["colors"] = self.colors.tolist()
-        return json.dumps(data, sort_keys=True)
+    def save(self, directory: str | Path) -> None:
+        """Write each channel as ``<channel>.npy``; an absent channel's file is removed."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        for f in fields(self):
+            path = directory / f"{f.name}.npy"
+            value = getattr(self, f.name)
+            if value is None:
+                path.unlink(missing_ok=True)
+            else:
+                np.save(path, value)
 
     @staticmethod
-    def from_json(text: str) -> "PointCloud":
-        data = json.loads(text)
+    def load(directory: str | Path) -> "PointCloud":
+        """Read the channels ``save`` wrote; pickled arrays, NaN and Inf are refused."""
+        directory = Path(directory)
         arrays = {}
-        for key in ("points", "normals", "colors"):
-            if key in data and data[key] is not None:
-                arr = np.asarray(data[key], dtype=np.float64)
+        for f in fields(PointCloud):
+            path = directory / f"{f.name}.npy"
+            if f.name == "points" or path.exists():
+                arr = np.asarray(np.load(path, allow_pickle=False), dtype=np.float64)
                 if arr.size and not np.isfinite(arr).all():
-                    raise ValueError(f"{key} contains NaN or Inf")
-                arrays[key] = arr
-        if "points" not in arrays:
-            raise ValueError("missing 'points'")
-        return PointCloud(arrays["points"], arrays.get("normals"), arrays.get("colors"))
+                    raise ValueError(f"{path.name} contains NaN or Inf")
+                arrays[f.name] = arr
+        return PointCloud(**arrays)
 
 
 @dataclass(frozen=True)
 class ObjectModel:
-    """Object reference cloud with matching keypoints and symmetry set.
+    """Object reference cloud with its symmetry set.
 
     ``symmetry`` holds the object's discrete symmetry transforms (identity
-    excluded); empty means no symmetry.
+    excluded); empty means no symmetry. The bounding-box ``diagonal`` and the
+    farthest-point ``keypoints`` (at most ``MAX_KEYPOINTS``) follow from the cloud.
     """
 
     object_id: str
     cloud: PointCloud
-    diagonal: float
-    keypoints: np.ndarray
-    symmetry: tuple[Pose, ...] = field(default_factory=tuple)
+    symmetry: tuple[Pose, ...] = ()
+    diagonal: float = field(init=False)
+    keypoints: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.diagonal <= 0:
+        diagonal = bbox_diagonal(self.cloud)
+        if diagonal <= 0:
             raise ValueError("diagonal must be positive")
-        kp = np.asarray(self.keypoints, dtype=np.float64).reshape(-1, 3)
-        if len(kp) > 100:
-            raise ValueError(f"{len(kp)} keypoints exceeds the 100-point cap")
-        object.__setattr__(self, "keypoints", _freeze(kp))
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "keypoints",
+                           _freeze(farthest_point_sample(self.cloud.points, MAX_KEYPOINTS)))
         object.__setattr__(self, "symmetry", tuple(self.symmetry))
 
     @property
     def is_symmetric(self) -> bool:
         return len(self.symmetry) > 0
-
-    @staticmethod
-    def from_cloud(object_id: str, cloud: PointCloud,
-                   symmetry: tuple[Pose, ...] = (), max_keypoints: int = 100) -> "ObjectModel":
-        """Build a model from a cloud; keypoints by farthest-point sampling."""
-        return ObjectModel(object_id, cloud, bbox_diagonal(cloud),
-                           farthest_point_sample(cloud.points, max_keypoints), symmetry)
 
 
 def _kept_on_model(model: ObjectModel, key: str, compute):

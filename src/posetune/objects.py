@@ -43,7 +43,7 @@ def make_box(object_id: str, size, color) -> ObjectModel:
     pts, nrm = _box_surface(np.asarray(size, dtype=np.float64))
     colors = np.tile(np.asarray(color, dtype=np.float64), (len(pts), 1))
     cloud = PointCloud(pts, nrm, colors)
-    return ObjectModel.from_cloud(object_id, cloud)
+    return ObjectModel(object_id, cloud)
 
 
 def make_cylinder(object_id: str, radius: float, height: float, color,
@@ -73,7 +73,7 @@ def make_cylinder(object_id: str, radius: float, height: float, color,
     symmetry = tuple(
         Pose(rotation_about_axis([0, 0, 1], 2 * np.pi * k / symmetry_steps), np.zeros(3))
         for k in range(1, symmetry_steps))
-    return ObjectModel.from_cloud(object_id, cloud, symmetry)
+    return ObjectModel(object_id, cloud, symmetry)
 
 
 def make_lshape(object_id: str, size, color) -> ObjectModel:
@@ -87,11 +87,11 @@ def make_lshape(object_id: str, size, color) -> ObjectModel:
     nrm = np.vstack([a_nrm, b_nrm])
     colors = np.tile(np.asarray(color, dtype=np.float64), (len(pts), 1))
     cloud = PointCloud(pts, nrm, colors)
-    return ObjectModel.from_cloud(object_id, cloud)
+    return ObjectModel(object_id, cloud)
 
 
 def make_object(spec: dict) -> ObjectModel:
-    """Build a model from a config entry: builtin shape or JSON file path."""
+    """Build a model from a config entry: builtin shape or saved object directory."""
     if "path" in spec:
         return load_object(spec["path"])
     shape = spec["shape"]
@@ -107,23 +107,17 @@ def make_object(spec: dict) -> ObjectModel:
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def save_object(model: ObjectModel, path: str | Path) -> None:
-    data = {
-        "object_id": model.object_id,
-        "cloud": json.loads(model.cloud.to_json()),
-        "diagonal": model.diagonal,
-        "keypoints": model.keypoints.tolist(),
-        "symmetry": [p.to_dict() for p in model.symmetry],
-    }
-    Path(path).write_text(json.dumps(data, sort_keys=True))
+def save_object(model: ObjectModel, directory: str | Path) -> None:
+    """Write the cloud's ``.npy`` channels and model.json (id, symmetry) into ``directory``."""
+    directory = Path(directory)
+    model.cloud.save(directory)
+    data = {"object_id": model.object_id,
+            "symmetry": [p.to_dict() for p in model.symmetry]}
+    (directory / "model.json").write_text(json.dumps(data, sort_keys=True))
 
 
-def load_object(path: str | Path) -> ObjectModel:
-    data = json.loads(Path(path).read_text())
-    return ObjectModel(
-        data["object_id"],
-        PointCloud.from_json(json.dumps(data["cloud"])),
-        float(data["diagonal"]),
-        np.asarray(data["keypoints"], dtype=np.float64),
-        tuple(Pose.from_dict(p) for p in data["symmetry"]),
-    )
+def load_object(directory: str | Path) -> ObjectModel:
+    directory = Path(directory)
+    data = json.loads((directory / "model.json").read_text())
+    return ObjectModel(data["object_id"], PointCloud.load(directory),
+                       tuple(Pose.from_dict(p) for p in data["symmetry"]))

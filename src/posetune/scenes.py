@@ -8,7 +8,7 @@ that makes every scene reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,20 +78,17 @@ def default_jump_sizes() -> NoiseConfig:
 
 @dataclass(frozen=True)
 class Scene:
-    """One synthetic view: visible cloud, ground-truth poses, depth, camera."""
+    """One synthetic view: visible cloud, ground-truth poses, camera, and the
+    cloud's read-only splat depth image."""
 
     cloud: PointCloud
     gt_poses: dict[str, Pose]
-    depth: np.ndarray
     cam: CameraIntrinsics
     seed: int
+    depth: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        depth = np.asarray(self.depth, dtype=np.float64)
-        if depth.shape != (self.cam.height, self.cam.width):
-            raise ValueError("depth image does not match camera")
-        if depth.size and depth.min() < 0:
-            raise ValueError("negative depth")
+        depth = render_depth(self.cloud.points, self.cam)
         depth.setflags(write=False)
         object.__setattr__(self, "depth", depth)
 
@@ -199,7 +196,7 @@ def generate_scene(objects: list[ObjectModel], clutter_level: float,
     keep = visible_mask(points, render_depth(points, coarse), coarse,
                         OCCLUSION_TOLERANCE)
     cloud = PointCloud(points[keep], normals[keep], colors[keep])
-    return Scene(cloud, gt_poses, render_depth(cloud.points, cam), cam, seed)
+    return Scene(cloud, gt_poses, cam, seed)
 
 
 def apply_domain_randomization(scene: Scene, cfg: NoiseConfig, seed: int) -> Scene:
@@ -249,16 +246,13 @@ def apply_domain_randomization(scene: Scene, cfg: NoiseConfig, seed: int) -> Sce
         patch = order[:k]
         points[patch, 2] = np.median(points[patch, 2])
 
-    cloud = PointCloud(points, normals, colors)
-    return Scene(cloud, gt_poses, render_depth(points, scene.cam), scene.cam, scene.seed)
+    return Scene(PointCloud(points, normals, colors), gt_poses, scene.cam, scene.seed)
 
 
 def save_scene(scene: Scene, directory: str | Path) -> None:
-    """Write cloud.json, depth.pgm (16-bit mm) and meta.json into ``directory``."""
+    """Write the cloud's ``.npy`` channels and meta.json; the depth follows from the cloud."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "cloud.json").write_text(scene.cloud.to_json())
-    _write_pgm16(directory / "depth.pgm", scene.depth)
+    scene.cloud.save(directory)
     meta = {
         "seed": scene.seed,
         "camera": scene.cam.to_dict(),
@@ -269,33 +263,10 @@ def save_scene(scene: Scene, directory: str | Path) -> None:
 
 def load_scene(directory: str | Path) -> Scene:
     directory = Path(directory)
-    cloud = PointCloud.from_json((directory / "cloud.json").read_text())
-    depth = _read_pgm16(directory / "depth.pgm")
     meta = json.loads((directory / "meta.json").read_text())
     return Scene(
-        cloud,
+        PointCloud.load(directory),
         {k: Pose.from_dict(v) for k, v in meta["gt_poses"].items()},
-        depth,
         CameraIntrinsics.from_dict(meta["camera"]),
         int(meta["seed"]),
     )
-
-
-def _write_pgm16(path: Path, depth: np.ndarray) -> None:
-    values = np.clip(np.rint(depth), 0, 65535).astype(">u2")
-    header = f"P5\n{depth.shape[1]} {depth.shape[0]}\n65535\n".encode()
-    path.write_bytes(header + values.tobytes())
-
-
-def _read_pgm16(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    fields, pos = [], 0
-    while len(fields) < 4:
-        end = raw.index(b"\n", pos)
-        fields.extend(raw[pos:end].split())
-        pos = end + 1
-    magic, width, height, maxval = fields[:4]
-    if magic != b"P5" or maxval != b"65535":
-        raise ValueError("expected 16-bit binary PGM")
-    shape = (int(height), int(width))
-    return np.frombuffer(raw[pos:], dtype=">u2").reshape(shape).astype(np.float64)

@@ -193,9 +193,8 @@ def cmd_generate(config: ExperimentConfig, force: bool = False) -> dict:
         return done
     models = build_models(config)
     out = config.out()
-    (out / "objects").mkdir(parents=True, exist_ok=True)
     for model in models:
-        save_object(model, out / "objects" / f"{model.object_id}.json")
+        save_object(model, out / "objects" / model.object_id)
     manifest: dict = {"object_ids": sorted(m.object_id for m in models),
                       "splits": {}}
     try:

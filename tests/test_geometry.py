@@ -1,9 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from posetune.geometry import (
+    MAX_KEYPOINTS,
     ObjectModel,
     PointCloud,
     Pose,
@@ -14,7 +13,7 @@ from posetune.geometry import (
     transform_cloud,
     voxel_downsample,
 )
-from posetune.objects import make_object
+from posetune.objects import load_object, make_object, save_object
 
 
 def rng(seed=0):
@@ -222,37 +221,63 @@ class TestPointCloudValidation:
         with pytest.raises(ValueError):
             PointCloud([[0, 0, 0]], colors=[[0, 0, 1.5]])
 
-    def test_json_roundtrip(self):
-        g = rng(10)
+    @staticmethod
+    def full_cloud(seed=10):
+        g = rng(seed)
         normals = g.normal(size=(4, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        cloud = PointCloud(g.uniform(-5, 5, (4, 3)), normals, g.uniform(0, 1, (4, 3)))
-        back = PointCloud.from_json(cloud.to_json())
-        np.testing.assert_allclose(back.points, cloud.points)
-        np.testing.assert_allclose(back.normals, cloud.normals)
-        np.testing.assert_allclose(back.colors, cloud.colors)
+        return PointCloud(g.uniform(-5, 5, (4, 3)), normals, g.uniform(0, 1, (4, 3)))
 
-    def test_json_rejects_nan(self):
-        text = json.dumps({"points": [[0.0, 0.0, float("nan")]]})
-        with pytest.raises(ValueError):
-            PointCloud.from_json(text)
+    def test_save_load_roundtrip(self, tmp_path):
+        cloud = self.full_cloud()
+        cloud.save(tmp_path)
+        back = PointCloud.load(tmp_path)
+        for channel in ("points", "normals", "colors"):
+            assert np.array_equal(getattr(back, channel), getattr(cloud, channel))
+
+    def test_absent_channel_overwrites_present_one(self, tmp_path):
+        self.full_cloud().save(tmp_path)
+        bare = PointCloud(rng(11).uniform(-5, 5, (3, 3)))
+        bare.save(tmp_path)
+        back = PointCloud.load(tmp_path)
+        assert back.normals is None and back.colors is None
+        assert np.array_equal(back.points, bare.points)
+
+    def test_load_rejects_nan(self, tmp_path):
+        np.save(tmp_path / "points.npy", np.array([[0.0, 0.0, np.nan]]))
+        with pytest.raises(ValueError, match="NaN"):
+            PointCloud.load(tmp_path)
+
+    def test_load_refuses_pickled_arrays(self, tmp_path):
+        rows = np.empty(2, dtype=object)
+        rows[:] = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
+        np.save(tmp_path / "points.npy", rows, allow_pickle=True)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            PointCloud.load(tmp_path)
 
 
 class TestObjectModel:
     def test_keypoint_cap(self):
         pts = rng(12).uniform(-10, 10, (500, 3))
-        model = ObjectModel.from_cloud("thing", PointCloud(pts))
-        assert len(model.keypoints) <= 100
-        assert model.diagonal > 0
-
-    def test_rejects_too_many_keypoints(self):
-        pts = rng(1).uniform(-1, 1, (200, 3))
-        with pytest.raises(ValueError):
-            ObjectModel("bad", PointCloud(pts), 1.0, pts[:150])
+        model = ObjectModel("thing", PointCloud(pts))
+        assert len(model.keypoints) == MAX_KEYPOINTS
+        np.testing.assert_array_equal(model.keypoints, farthest_point_sample(pts, MAX_KEYPOINTS))
+        assert model.diagonal == bbox_diagonal(model.cloud)
 
     def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(ValueError):
-            ObjectModel("bad", PointCloud([[0, 0, 0]]), 0.0, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="diagonal must be positive"):
+            ObjectModel("bad", PointCloud([[0, 0, 0]]))
+
+    def test_saved_object_reloads_exactly(self, tmp_path):
+        model = make_object({"shape": "cylinder", "id": "cyl"})
+        save_object(model, tmp_path / "cyl")
+        back = load_object(tmp_path / "cyl")
+        assert back.object_id == "cyl" and back.diagonal == model.diagonal
+        assert np.array_equal(back.keypoints, model.keypoints)
+        assert np.array_equal(back.cloud.normals, model.cloud.normals)
+        assert len(back.symmetry) == len(model.symmetry) == 11
+        for a, b in zip(back.symmetry, model.symmetry):
+            assert np.array_equal(a.rotation, b.rotation)
 
     def test_farthest_point_sample_spreads(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0], [0.1, 0, 0]])

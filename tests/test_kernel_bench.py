@@ -1,4 +1,5 @@
-"""Microbenchmarks of the per-pose kernels on one fixed DR-noised scene.
+"""Microbenchmarks of the per-pose kernels on one fixed DR-noised scene, of
+scene I/O, and of the GP-UCB fit and acquisition.
 
 Marked ``kernel`` and left out of the default run; run them with
 
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from posetune import metrics, pipeline
+from posetune import bayesopt, metrics, pipeline
 from posetune.geometry import Pose, rotation_about_axis
 from posetune.objects import make_object
 from posetune.pipeline import ContinuousParams, DiscreteParams, PoseHypothesis
-from posetune.scenes import NoiseConfig, apply_domain_randomization, generate_scene
+from posetune.scenes import (NoiseConfig, apply_domain_randomization, generate_scene, load_scene,
+                             save_scene)
 
 pytestmark = pytest.mark.kernel
 
@@ -33,6 +35,8 @@ DP = DiscreteParams(classified=4, estimated=2, ransac_iters=100, depth_checked=1
                     icp_iters=6)
 LEVELS = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035, rgb_shift=0.07,
                      rotation_max=6.25, flatten_frac=0.02)
+# GP-UCB observations: enough for the per-dimension refinement pass in gp_fit.
+GP_OBSERVATIONS = 40
 
 
 def _offset(gt):
@@ -140,3 +144,37 @@ def test_ransac_pose(benchmark, setting):
 def test_generate_scene(benchmark, setting):
     scene = benchmark(generate_scene, list(setting["models"].values()), 0.75, 0.18, 1_000_001)
     assert len(scene.gt_poses) == len(OBJECTS)
+
+
+def test_save_scene(benchmark, setting, tmp_path):
+    benchmark(save_scene, setting["scene"], tmp_path / "scene")
+    assert (tmp_path / "scene" / "points.npy").exists()
+
+
+def test_load_scene(benchmark, setting, tmp_path):
+    scene = setting["scene"]
+    save_scene(scene, tmp_path / "scene")
+    loaded = benchmark(load_scene, tmp_path / "scene")
+    assert np.array_equal(loaded.depth, scene.depth)
+
+
+@pytest.fixture(scope="module")
+def observations():
+    space = bayesopt.SearchSpace.default()
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(GP_OBSERVATIONS, space.dim))
+    y = np.exp(-4.0 * ((x - 0.3) ** 2).sum(axis=1)) + rng.normal(0.0, 0.02, GP_OBSERVATIONS)
+    return space, x, y
+
+
+def test_gp_fit(benchmark, observations):
+    _, x, y = observations
+    gp = benchmark(bayesopt.gp_fit, x, y)
+    assert len(gp.y) == GP_OBSERVATIONS
+
+
+def test_ucb_acquire(benchmark, observations):
+    space, x, y = observations
+    gp = bayesopt.gp_fit(x, y)
+    point = benchmark(lambda: bayesopt.ucb_acquire(gp, 0.5, np.random.default_rng(1), space))
+    assert ((point >= space.lower) & (point <= space.upper)).all()

@@ -30,7 +30,7 @@ def rng(seed=0):
 
 
 def make_model(points, symmetry=(), object_id="obj") -> ObjectModel:
-    return ObjectModel.from_cloud(object_id, PointCloud(points), symmetry)
+    return ObjectModel(object_id, PointCloud(points), symmetry)
 
 
 def random_pose(g, z=500.0) -> Pose:

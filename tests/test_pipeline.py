@@ -58,7 +58,7 @@ def cluttered_scene(box):
 def empty_scene():
     cam = default_camera()
     return Scene(PointCloud(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3))),
-                 {}, np.zeros((cam.height, cam.width)), cam, 0)
+                 {}, cam, 0)
 
 
 class TestParameterTypes:
@@ -211,7 +211,7 @@ class TestRansac:
 
     def test_scale_equivariant_decisions(self, box):
         # doubling all geometry leaves diagonal-relative correctness unchanged
-        doubled = ObjectModel.from_cloud(
+        doubled = ObjectModel(
             "big", PointCloud(box.cloud.points * 2.0, box.cloud.normals,
                               box.cloud.colors))
         g = np.random.default_rng(17)
@@ -439,7 +439,7 @@ class TestFacingPoints:
             np.testing.assert_array_equal(model_pts, cloud.points[mask])
 
     def test_model_without_normals_is_refused(self, box):
-        bare = ObjectModel.from_cloud("bare", PointCloud(box.cloud.points, colors=box.cloud.colors))
+        bare = ObjectModel("bare", PointCloud(box.cloud.points, colors=box.cloud.colors))
         with pytest.raises(ValueError, match="'bare'.*normals"):
             icp_model_points(bare)
 
@@ -449,7 +449,7 @@ class TestFacingPoints:
         assert pipeline._model_color(model) is first
         assert not first.flags.writeable
         np.testing.assert_array_equal(first, model.cloud.colors.mean(axis=0))
-        bare = ObjectModel.from_cloud("bare", PointCloud(model.cloud.points))
+        bare = ObjectModel("bare", PointCloud(model.cloud.points))
         assert pipeline._model_color(bare) is None
 
 

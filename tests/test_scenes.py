@@ -101,7 +101,7 @@ class TestDomainRandomization:
         colors = np.full((n, 3), 0.5)
         cloud = PointCloud(pts, normals, colors)
         cam = default_camera()
-        return Scene(cloud, {}, render_depth(pts, cam), cam, seed)
+        return Scene(cloud, {}, cam, seed)
 
     def test_zero_config_is_identity(self, box):
         scene = generate_scene([box], 0.3, 0.0, seed=13)
@@ -136,7 +136,7 @@ class TestDomainRandomization:
         pose = Pose(np.eye(3), [0, 0, 520.0])
         cloud = transform_cloud(box.cloud, pose)
         cam = default_camera()
-        scene = Scene(cloud, {"crate": pose}, render_depth(cloud.points, cam), cam, 8)
+        scene = Scene(cloud, {"crate": pose}, cam, 8)
         cfg = NoiseConfig(0, 0, 0, 0, 45.0, 0)
         out = apply_domain_randomization(scene, cfg, seed=4)
         assert not np.allclose(out.cloud.points, scene.cloud.points)
@@ -172,18 +172,19 @@ class TestSceneIO:
         scene = generate_scene([box], 0.4, 0.1, seed=19)
         save_scene(scene, tmp_path / "s0")
         loaded = load_scene(tmp_path / "s0")
-        np.testing.assert_allclose(loaded.cloud.points, scene.cloud.points)
+        for channel in ("points", "normals", "colors"):
+            assert np.array_equal(getattr(loaded.cloud, channel), getattr(scene.cloud, channel))
         assert loaded.seed == scene.seed
         assert loaded.cam == scene.cam
-        np.testing.assert_allclose(loaded.gt_poses["crate"].rotation,
-                                   scene.gt_poses["crate"].rotation)
-        # depth is quantized to integer mm on save
-        assert np.abs(loaded.depth - scene.depth).max() <= 0.5
+        for key in ("rotation", "translation"):
+            assert np.array_equal(getattr(loaded.gt_poses["crate"], key),
+                                  getattr(scene.gt_poses["crate"], key))
+        assert np.array_equal(loaded.depth, scene.depth)
 
     def test_rewrite_is_byte_identical(self, box, tmp_path):
         scene = generate_scene([box], 0.4, 0.1, seed=19)
         save_scene(scene, tmp_path / "a")
         save_scene(scene, tmp_path / "b")
-        for name in ("cloud.json", "depth.pgm", "meta.json"):
+        for name in ("points.npy", "normals.npy", "colors.npy", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()

@@ -133,7 +133,8 @@ def tiny_config(output_dir) -> workflow.ExperimentConfig:
 
 
 def _snapshot(out) -> dict:
-    paths = [*sorted((out / "scenes").rglob("*.*")), out / "manifest.json",
+    paths = [*sorted((out / "scenes").rglob("*.*")), *sorted((out / "objects").rglob("*.*")),
+             out / "manifest.json",
              *sorted((out / "dr").glob("*.json")), out / "opt" / "continuous_dr.json",
              out / "opt" / "trace_dr.csv"]
     return {str(p.relative_to(out)): p.read_bytes() for p in paths}
@@ -176,11 +177,11 @@ class TestConfigValidation:
 
     def test_model_without_normals_fails_generate(self, tmp_path):
         box = make_box("box", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3])
-        bare = ObjectModel.from_cloud("bare", PointCloud(box.cloud.points))
-        save_object(bare, tmp_path / "bare.json")
+        bare = ObjectModel("bare", PointCloud(box.cloud.points))
+        save_object(bare, tmp_path / "bare")
         config = workflow.ExperimentConfig.from_dict(
             dict(tiny_config(tmp_path / "out").to_dict(),
-                 objects=[{"path": str(tmp_path / "bare.json")}]))
+                 objects=[{"path": str(tmp_path / "bare")}]))
         with pytest.raises(workflow.StageError, match="'bare' has no normals"):
             workflow.cmd_generate(config)
 

@@ -4,8 +4,9 @@ The cost model is linear in the work terms implied by the pipeline structure:
 
     t_image = t_pre + obj * (t_net*PC + PE*(t_ran*RI + DC*(t_icp*II + t_depth)))
 
-and is fit by nonnegative least squares over grid-search measurements so a
-front entry can be re-budgeted for any object count without re-measuring.
+and each stage's coefficient is fit to that stage's measured times over the
+grid, so a front entry can be re-budgeted for any object count without
+re-measuring.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import io
 import csv
 import itertools
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .pipeline import DiscreteParams
+from .pipeline import STAGE_KEYS, DiscreteParams
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ParetoEntry:
+    """One measured tuple. ``stages`` holds the mean time of each stage in
+    ``STAGE_KEYS`` and ``runtime`` is their sum; a tuple whose objective
+    failed has no stages and the time spent until then as its runtime."""
+
     params: DiscreteParams
     runtime: float
     recall: float
+    stages: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -66,7 +71,7 @@ class ParetoEntry:
 
 @dataclass(frozen=True)
 class RuntimeCoefficients:
-    """Per-unit stage durations (seconds); fit constrained nonnegative."""
+    """Per-unit stage durations (seconds), each nonnegative."""
 
     t_pre: float
     t_net: float
@@ -99,20 +104,23 @@ def enumerate_grid(spec: GridSpec) -> list[DiscreteParams]:
 
 def evaluate_grid(
     grid: list[DiscreteParams],
-    objective: Callable[[DiscreteParams], tuple[float, float]],
+    objective: Callable[[DiscreteParams], tuple[dict[str, float], float]],
 ) -> list[ParetoEntry]:
-    """Measure (runtime, recall) for every tuple, one after another so that no
-    two wall times contend. An objective that raises ``ValueError`` or
-    ``np.linalg.LinAlgError`` scores recall 0 at the time spent until then;
-    any other exception is a bug and propagates."""
+    """Measure (stage times, recall) for every tuple, one after another so
+    that no two wall times contend; the entry's runtime is the stages' sum.
+    An objective that raises ``ValueError`` or ``np.linalg.LinAlgError``
+    scores recall 0 at the time spent until then, with no stage times; any
+    other exception is a bug and propagates."""
     entries = []
     for params in grid:
         start = time.perf_counter()
         try:
-            runtime, recall = objective(params)
+            stages, recall = objective(params)
         except (ValueError, np.linalg.LinAlgError):
-            runtime, recall = time.perf_counter() - start, 0.0
-        entries.append(ParetoEntry(params, float(runtime), float(recall)))
+            entries.append(ParetoEntry(params, time.perf_counter() - start, 0.0))
+            continue
+        stages = {key: float(stages[key]) for key in STAGE_KEYS}
+        entries.append(ParetoEntry(params, sum(stages.values()), float(recall), stages))
     return entries
 
 
@@ -150,16 +158,22 @@ def _design_row(params: DiscreteParams, objects: int) -> list[float]:
 
 
 def fit_runtime_model(
-    measurements: list[tuple[DiscreteParams, int, float]],
+    measurements: list[tuple[DiscreteParams, int, dict[str, float]]],
 ) -> RuntimeCoefficients:
-    """Nonnegative least squares over (params, object count, runtime) rows."""
+    """Fit each stage on its own over (params, object count, stage times) rows.
+
+    Stage k's coefficient is the least-squares slope through the origin of
+    its measured times t_k against its own regressor x_k (``_design_row``):
+    sum(x_k t_k) / sum(x_k^2). Regressors are at least 1 and times are
+    nonnegative, so every coefficient is too. ``residual`` is the norm of the
+    predicted minus the measured total times.
+    """
     if len(measurements) < 5:
         raise ValueError("need at least 5 measurements")
-    a = np.array([_design_row(p, o) for p, o, _ in measurements])
-    b = np.array([t for _, _, t in measurements], dtype=np.float64)
-    if np.linalg.matrix_rank(a) < 5:
-        raise ValueError("insufficient measurement diversity")
-    coeffs, residual = nnls(a, b)
+    x = np.array([_design_row(p, o) for p, o, _ in measurements])
+    t = np.array([[stages[key] for key in STAGE_KEYS] for _, _, stages in measurements])
+    coeffs = (x * t).sum(axis=0) / (x * x).sum(axis=0)
+    residual = np.linalg.norm(x @ coeffs - t.sum(axis=1))
     return RuntimeCoefficients(*coeffs, residual=float(residual))
 
 
@@ -201,7 +215,9 @@ def select_for_budget(front: list[ParetoEntry], coeffs: RuntimeCoefficients,
 def measurements_to_csv(entries: list[ParetoEntry]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([*(f.name for f in fields(DiscreteParams)), "runtime", "recall"])
+    writer.writerow([*(f.name for f in fields(DiscreteParams)), "runtime", *STAGE_KEYS,
+                     "recall"])
     for e in entries:
-        writer.writerow([*astuple(e.params), f"{e.runtime:.6f}", f"{e.recall:.6f}"])
+        stages = [f"{e.stages[key]:.6f}" if e.stages else "" for key in STAGE_KEYS]
+        writer.writerow([*astuple(e.params), f"{e.runtime:.6f}", *stages, f"{e.recall:.6f}"])
     return buf.getvalue()

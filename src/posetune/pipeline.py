@@ -144,33 +144,58 @@ class Matches:
         return len(self.confidences)
 
 
-@dataclass
-class ScenePrep:
-    """Model-independent scene preprocessing shared across objects."""
+@dataclass(frozen=True)
+class PreparedScene:
+    """The preprocessing of one scene that no parameter reads (``prepare``).
+
+    The voxelized cloud, its KD-tree (None when the cloud is empty), the
+    ``_depth_edges`` mask that every depth check reads, and ``seconds``, the
+    wall time all three took. A caller that estimates one scene under many
+    parameter sets prepares it once and passes it to every ``estimate_all``
+    call; each call charges ``seconds`` to its ``t_pre``, so the stage times
+    still state what a fresh image costs.
+    """
 
     cloud: PointCloud
     tree: cKDTree | None
-    seed_indices: np.ndarray
-    seed_density: np.ndarray
-    depth_edges: np.ndarray   # ``_depth_edges(scene.depth)``, shared by every depth check
+    depth_edges: np.ndarray
+    seconds: float
 
 
-def prepare_scene(scene: Scene, cp: ContinuousParams, dp: DiscreteParams,
-                  seed=0) -> ScenePrep:
-    """Voxel-downsample the scene, score uniform interest seeds by density, and
-    find the scene's depth edges once for all depth checks."""
+def prepare(scene: Scene) -> PreparedScene:
+    """Voxel-downsample the scene, build its KD-tree and find its depth edges."""
+    t0 = time.perf_counter()
     cloud = voxel_downsample(scene.cloud, FIXED.scene_voxel)
     edges = _depth_edges(scene.depth)
-    n = len(cloud)
-    if n == 0:
-        return ScenePrep(cloud, None, np.empty(0, dtype=np.int64), np.empty(0), edges)
-    tree = cKDTree(cloud.points)
+    tree = cKDTree(cloud.points) if len(cloud) else None
+    return PreparedScene(cloud, tree, edges, time.perf_counter() - t0)
+
+
+@dataclass(frozen=True)
+class ScenePrep:
+    """A prepared scene plus the seeds of one call (``choose_seeds``), shared
+    across objects. The seed choice reads ``dp.classified`` and the seed, the
+    seed density ``cp.cut_radius``; ``estimate_all`` adds their time to the
+    prepared scene's ``seconds`` in ``t_pre``."""
+
+    prepared: PreparedScene
+    seed_indices: np.ndarray
+    seed_density: np.ndarray
+
+
+def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscreteParams,
+                 seed=0) -> ScenePrep:
+    """Draw uniform interest seeds on the prepared cloud and score them by density."""
+    if prepared.tree is None:
+        return ScenePrep(prepared, np.empty(0, dtype=np.int64), np.empty(0))
+    n = len(prepared.cloud)
     n_seeds = min(max(4 * dp.classified, 8), n)
     rng = derive_rng(seed, "seeds")
     seed_idx = rng.choice(n, size=n_seeds, replace=False)
-    density = tree.query_ball_point(cloud.points[seed_idx], cp.cut_radius / 2,
-                                    return_length=True).astype(np.float64)
-    return ScenePrep(cloud, tree, seed_idx, density, edges)
+    density = prepared.tree.query_ball_point(prepared.cloud.points[seed_idx],
+                                             cp.cut_radius / 2,
+                                             return_length=True).astype(np.float64)
+    return ScenePrep(prepared, seed_idx, density)
 
 
 def _mean_color(model: ObjectModel) -> np.ndarray | None:
@@ -195,9 +220,9 @@ def _color_similarity(colors: np.ndarray | None, reference: np.ndarray | None) -
 def candidates_from_prep(prep: ScenePrep, model: ObjectModel, cp: ContinuousParams,
                          dp: DiscreteParams, seed=0) -> list[PointCloud]:
     """Up to ``dp.classified`` local clouds of 512..2048 points around interest seeds."""
-    if prep.tree is None or len(prep.seed_indices) == 0:
+    if len(prep.seed_indices) == 0:
         return []
-    cloud = prep.cloud
+    cloud, tree = prep.prepared.cloud, prep.prepared.tree
     sim = _color_similarity(
         None if cloud.colors is None else cloud.colors[prep.seed_indices],
         _model_color(model))
@@ -213,7 +238,7 @@ def candidates_from_prep(prep: ScenePrep, model: ObjectModel, cp: ContinuousPara
         if any(np.linalg.norm(center - c) < cp.cut_radius / 2 for c in centers):
             continue
         centers.append(center)
-        idx = np.array(prep.tree.query_ball_point(center, cp.cut_radius), dtype=np.int64)
+        idx = np.array(tree.query_ball_point(center, cp.cut_radius), dtype=np.int64)
         if len(idx) < FIXED.min_points:
             continue
         if len(idx) > FIXED.input_points:
@@ -266,15 +291,22 @@ def generate_votes(candidate: PointCloud, model: ObjectModel, vote_threshold: fl
                    confidence[keep])
 
 
-def kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
-    """Least-squares rigid transform mapping ``src`` onto ``dst``."""
+def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rotation and translation mapping ``src`` onto ``dst``
+    (Kabsch), as arrays: no ``Pose`` is built or validated."""
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
     cs, cd = src.mean(axis=0), dst.mean(axis=0)
     u, _, vt = np.linalg.svd((src - cs).T @ (dst - cd))
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return Pose(rot, cd - rot @ cs)
+    v = vt.T
+    d = np.sign(np.linalg.det(v @ u.T))
+    rot = (v * [1.0, 1.0, d]) @ u.T
+    return rot, cd - rot @ cs
+
+
+def kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
+    """Least-squares rigid transform mapping ``src`` onto ``dst``."""
+    return Pose(*_rigid_fit(src, dst))
 
 
 def _batched_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,8 +377,12 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
         src = src_all[picks]
         # duplicate indices and collinear triples give no stable pose; redraw
         for _ in range(4):
-            area = np.linalg.norm(np.cross(src[:, 1] - src[:, 0],
-                                           src[:, 2] - src[:, 0]), axis=1)
+            # |a x b| written out: np.cross spends most of its time moving axes
+            a, b = src[:, 1] - src[:, 0], src[:, 2] - src[:, 0]
+            c0 = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+            c1 = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+            c2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+            area = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
             bad = area < 1e-9 * diagonal * diagonal
             if not bad.any():
                 break
@@ -414,18 +450,19 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
 
     A stage stops at a fixed point: when an iteration finds the same
     ``mask`` and matched indices as those that produced the current pose,
-    ``kabsch`` would return that pose bit for bit, and so would every later
-    iteration of the stage. Every step taken still builds its pose through
-    ``kabsch``.
+    ``_rigid_fit`` would return that pose bit for bit, and so would every
+    later iteration of the stage. Every step taken still fits its pose
+    through ``_rigid_fit``. The steps keep the pose as arrays and transform
+    as ``Pose.apply`` does; the ``Pose`` is built once, on the way out.
     """
-    pose = hypothesis.pose
+    rot, trans = hypothesis.pose.rotation, hypothesis.pose.translation
     moved = False
-    produced_by = None   # the (mask, matched indices) that ``pose`` was fitted to
+    produced_by = None   # the (mask, matched indices) that (rot, trans) was fitted to
     for stage in range(FIXED.icp_resolutions):
         cutoff = icp_dist * icp_scale ** (FIXED.icp_resolutions - 1 - stage) \
             * diagonal / DIAGONAL_REF
         for _ in range(icp_iters):
-            dist, nearest = tree.query(pose.apply(model_pts), distance_upper_bound=cutoff)
+            dist, nearest = tree.query(model_pts @ rot.T + trans, distance_upper_bound=cutoff)
             mask = dist < cutoff
             if mask.sum() < 3:
                 break
@@ -433,12 +470,12 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
             if produced_by is not None and np.array_equal(mask, produced_by[0]) \
                     and np.array_equal(matched, produced_by[1]):
                 break
-            pose = kabsch(model_pts[mask], target[matched])
+            rot, trans = _rigid_fit(model_pts[mask], target[matched])
             produced_by = (mask, matched)
             moved = True
     if not moved:
         return replace(hypothesis, flags=hypothesis.flags + ("icp stalled",))
-    return replace(hypothesis, pose=pose)
+    return replace(hypothesis, pose=Pose(rot, trans))
 
 
 def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
@@ -455,7 +492,7 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     The contour term is the fraction of model silhouette pixels within
     2 px of a scene depth discontinuity. The final score is
     0.5*agreement*(1-violation) + 0.5*contour. ``depth_edges`` is the scene's
-    ``_depth_edges`` mask, computed once per scene (``ScenePrep``).
+    ``_depth_edges`` mask, computed once per scene (``PreparedScene``).
 
     The render is full-frame; every comparison and filter after it runs on
     the rendered pixels' bounding box grown by ``SILHOUETTE_MARGIN``. Outside
@@ -561,7 +598,7 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
         t0 = time.perf_counter()
         for hyp in refined:
             checked = depth_check(hyp, scene, model, cp.background_dist,
-                                  cp.accept_dist, prep.depth_edges)
+                                  cp.accept_dist, prep.prepared.depth_edges)
             if best is None or checked.depth_score > best.depth_score:
                 best = checked
         timings["t_depth"] += time.perf_counter() - t0
@@ -574,7 +611,13 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
 @dataclass(frozen=True)
 class SceneEstimate:
     """Per-object results plus the stage times, kept per image only: the shared
-    preprocessing, then each later stage summed over the objects."""
+    preprocessing, then each later stage summed over the objects.
+
+    ``t_pre`` is what preprocessing a fresh image costs: the prepared scene's
+    measured ``seconds`` plus this call's seed choice, also when the call
+    reused a preparation made earlier. Then ``total_time`` exceeds the call's
+    wall time by the work it did not redo.
+    """
 
     results: dict[str, EstimateResult]
     timings: dict[str, float]
@@ -585,13 +628,22 @@ class SceneEstimate:
 
 
 def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
-                 dp: DiscreteParams, seed=0) -> SceneEstimate:
+                 dp: DiscreteParams, seed=0,
+                 prepared: PreparedScene | None = None) -> SceneEstimate:
     """Estimate every object in one scene, preprocessing the scene once; the
-    stage times are the image's (see ``SceneEstimate``)."""
+    stage times are the image's (see ``SceneEstimate``).
+
+    ``prepared`` is ``prepare(scene)``, passed by a caller that estimates the
+    same scene under many parameter sets; without it the call prepares the
+    scene itself. Either way ``t_pre`` charges the preparation's measured
+    ``seconds`` plus this call's own seed choice.
+    """
+    if prepared is None:
+        prepared = prepare(scene)
     image = dict.fromkeys(STAGE_KEYS, 0.0)
     t0 = time.perf_counter()
-    prep = prepare_scene(scene, cp, dp, seed)
-    image["t_pre"] = time.perf_counter() - t0
+    prep = choose_seeds(prepared, cp, dp, seed)
+    image["t_pre"] = prepared.seconds + (time.perf_counter() - t0)
     results = {model.object_id: _estimate_prepared(prep, scene, model, cp, dp, seed, image)
                for model in models}
     return SceneEstimate(results, image)

@@ -6,6 +6,7 @@ from posetune.gridopt import (
     GridSpec,
     ParetoEntry,
     RuntimeCoefficients,
+    _design_row,
     enumerate_grid,
     evaluate_grid,
     fit_runtime_model,
@@ -14,7 +15,7 @@ from posetune.gridopt import (
     predict_runtime,
     select_for_budget,
 )
-from posetune.pipeline import DiscreteParams
+from posetune.pipeline import STAGE_KEYS, DiscreteParams
 
 # Published per-stage durations used as a planted ground truth.
 PLANTED = RuntimeCoefficients(t_pre=8.57e-1, t_net=7.99e-3, t_ran=2.70e-4,
@@ -76,9 +77,11 @@ class TestEnumerateGrid:
 class TestEvaluateGrid:
     def test_single_tuple(self):
         grid = [DiscreteParams(8, 2, 500, 1, 10)]
-        out = evaluate_grid(grid, lambda p: (1.5, 0.8))
+        stages = dict(zip(STAGE_KEYS, (0.25, 0.5, 0.5, 0.125, 0.125)))
+        out = evaluate_grid(grid, lambda p: (stages, 0.8))
         assert len(out) == 1
         assert out[0].runtime == 1.5 and out[0].recall == 0.8
+        assert out[0].stages == stages
 
     def test_failure_records_zero_recall(self):
         def broken(params):
@@ -87,6 +90,7 @@ class TestEvaluateGrid:
         out = evaluate_grid([DiscreteParams(8, 2, 500, 1, 10)], broken)
         assert out[0].recall == 0.0
         assert out[0].runtime >= 0.0
+        assert out[0].stages == {}
 
     @pytest.mark.parametrize("error", [TypeError, KeyError, RuntimeError])
     def test_objective_bug_propagates(self, error):
@@ -153,15 +157,21 @@ class TestParetoFront:
             pareto_front([])
 
 
+def stage_times(*times) -> dict[str, float]:
+    return dict(zip(STAGE_KEYS, times))
+
+
 class TestRuntimeModel:
-    def grid_measurements(self, coeffs, objects=15, jitter=None, seed=0):
+    def grid_measurements(self, coeffs, objects=15, noise=None, seed=0):
+        """Per-stage times on the reference grid: each coefficient times its
+        regressor, scaled by 1 + N(0, noise) per stage when ``noise`` is set."""
         g = np.random.default_rng(seed)
         rows = []
         for params in enumerate_grid(GridSpec.reference()):
-            t = predict_runtime(coeffs, params, objects)
-            if jitter:
-                t += g.normal(0, jitter)
-            rows.append((params, objects, t))
+            times = np.array(_design_row(params, objects)) * coeffs.as_tuple()
+            if noise:
+                times *= 1 + g.normal(0, noise, len(times))
+            rows.append((params, objects, stage_times(*times)))
         return rows
 
     def test_exact_recovery_of_planted_coefficients(self):
@@ -171,33 +181,50 @@ class TestRuntimeModel:
         assert fitted.residual < 1e-9
 
     def test_constant_runtime_gives_pure_offset(self):
-        rows = [(p, 15, 0.857) for p in enumerate_grid(GridSpec.reference())]
+        rows = [(p, 15, stage_times(0.857, 0.0, 0.0, 0.0, 0.0))
+                for p in enumerate_grid(GridSpec.reference())]
         fitted = fit_runtime_model(rows)
         assert fitted.t_pre == pytest.approx(0.857, rel=1e-12)
         assert fitted.as_tuple()[1:] == (0.0, 0.0, 0.0, 0.0)
 
     def test_noisy_recovery_within_ten_percent(self):
-        # additive timing jitter; proportional noise on multi-minute rows
-        # would swamp the sub-second offset term beyond any fit's reach
+        # 10% timing noise on every stage of every tuple
         for seed in range(5):
             fitted = fit_runtime_model(
-                self.grid_measurements(PLANTED, jitter=0.04, seed=seed))
+                self.grid_measurements(PLANTED, noise=0.1, seed=seed))
             for got, want in zip(fitted.as_tuple(), PLANTED.as_tuple()):
                 assert abs(got - want) <= 0.10 * want
 
-    def test_rank_deficient_measurements_rejected(self):
+    def test_matches_least_squares_per_stage(self):
+        # each stage's slope through the origin against its own regressor, and
+        # the residual of the total times
+        rows = self.grid_measurements(PLANTED, noise=0.3, seed=7)
+        fitted = fit_runtime_model(rows)
+        x = np.array([_design_row(p, o) for p, o, _ in rows])
+        t = np.array([[stages[k] for k in STAGE_KEYS] for _, _, stages in rows])
+        for k, got in enumerate(fitted.as_tuple()):
+            [want], *_ = np.linalg.lstsq(x[:, k:k + 1], t[:, k], rcond=None)
+            assert got == pytest.approx(want, rel=1e-12)
+        total = x @ np.array(fitted.as_tuple()) - t.sum(axis=1)
+        assert fitted.residual == pytest.approx(np.linalg.norm(total), rel=1e-12)
+
+    def test_one_repeated_tuple_fits_each_stage(self):
+        # a fit over total time needs tuples that vary every regressor; a fit
+        # per stage does not
         params = DiscreteParams(8, 2, 500, 1, 10)
-        rows = [(params, 15, 1.0)] * 6
-        with pytest.raises(ValueError, match="insufficient measurement diversity"):
-            fit_runtime_model(rows)
+        times = (0.5, 0.16, 2.7, 0.3, 0.4)
+        fitted = fit_runtime_model([(params, 15, stage_times(*times))] * 6)
+        for got, time, regressor in zip(fitted.as_tuple(), times, _design_row(params, 15)):
+            assert got == pytest.approx(time / regressor, rel=1e-12)
 
     def test_too_few_measurements_rejected(self):
         with pytest.raises(ValueError):
-            fit_runtime_model([(DiscreteParams(8, 2, 500, 1, 10), 15, 1.0)] * 4)
+            fit_runtime_model([(DiscreteParams(8, 2, 500, 1, 10), 15,
+                                stage_times(1.0, 1.0, 1.0, 1.0, 1.0))] * 4)
 
     def test_coefficients_never_negative(self):
         g = np.random.default_rng(4)
-        rows = [(p, 15, float(g.uniform(0.1, 5)))
+        rows = [(p, 15, stage_times(*g.uniform(0.0, 1.0, 5)))
                 for p in enumerate_grid(GridSpec((8, 16), (2, 4), (500, 1500),
                                                  (1, 2), (10, 30)))]
         fitted = fit_runtime_model(rows)
@@ -266,10 +293,16 @@ class TestSelectForBudget:
 
 class TestEmissions:
     def test_measurements_csv(self):
-        text = measurements_to_csv([entry(8, 2, 500, 1, 10, 1.0, 0.5)])
+        stages = stage_times(0.25, 0.5, 0.125, 0.0625, 0.0625)
+        failed = entry(8, 2, 500, 1, 2, 0.75, 0.0)
+        text = measurements_to_csv([ParetoEntry(DiscreteParams(8, 2, 500, 1, 10), 1.0, 0.5,
+                                                stages), failed])
         lines = text.strip().splitlines()
-        assert lines[0].startswith("classified,estimated,ransac_iters")
-        assert lines[1] == "8,2,500,1,10,1.000000,0.500000"
+        assert lines[0] == ("classified,estimated,ransac_iters,depth_checked,icp_iters,"
+                            "runtime,t_pre,t_net,t_ran,t_icp,t_depth,recall")
+        assert lines[1] == "8,2,500,1,10,1.000000,0.250000,0.500000,0.125000,0.062500," \
+                           "0.062500,0.500000"
+        assert lines[2] == "8,2,500,1,2,0.750000,,,,,,0.000000"
 
     def test_budget_selection_dict(self):
         sel = BudgetSelection(entry(8, 2, 500, 1, 10, 1.0, 0.5), 1.2, True)

@@ -57,13 +57,13 @@ def setting():
                 est=_offset(scene.gt_poses["cyl"]), target=scene.cloud.points[near["cyl"]],
                 candidate=scene.cloud.select(near["cyl"]), models=models,
                 box_est=_offset(scene.gt_poses["box"]), box_target=scene.cloud.points[near["box"]],
-                prep=pipeline.prepare_scene(scene, CP, DP, seed=0))
+                prepared=pipeline.prepare(scene))
 
 
 def test_depth_check(benchmark, setting):
     hyp = PoseHypothesis(setting["est"], 50)
     out = benchmark(pipeline.depth_check, hyp, setting["scene"], setting["cyl"],
-                    CP.background_dist, CP.accept_dist, setting["prep"].depth_edges)
+                    CP.background_dist, CP.accept_dist, setting["prepared"].depth_edges)
     assert 0.0 <= out.depth_score <= 1.0
 
 
@@ -85,9 +85,10 @@ def _icp_case(model, est, target):
 def _icp_steps(args, monkeypatch):
     """How many ICP steps ``_icp_refine`` takes on ``args``."""
     steps = []
-    original = pipeline.kabsch
+    original = pipeline._rigid_fit
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "kabsch", lambda src, dst: steps.append(1) or original(src, dst))
+        patch.setattr(pipeline, "_rigid_fit",
+                      lambda src, dst: steps.append(1) or original(src, dst))
         pipeline._icp_refine(*args)
     return len(steps)
 
@@ -114,8 +115,15 @@ def test_voxel_downsample(benchmark, setting):
     assert 0 < len(out) <= len(cloud)
 
 
-def test_prepare_scene(benchmark, setting):
-    prep = benchmark(pipeline.prepare_scene, setting["scene"], CP, DP, 0)
+def test_prepare(benchmark, setting):
+    # the per-scene half of preprocessing, done once per validation scene
+    prepared = benchmark(pipeline.prepare, setting["scene"])
+    assert prepared.tree is not None and prepared.seconds > 0
+
+
+def test_choose_seeds(benchmark, setting):
+    # the per-call half, done by every estimate_all call
+    prep = benchmark(pipeline.choose_seeds, setting["prepared"], CP, DP, 0)
     assert len(prep.seed_indices) > 0
 
 

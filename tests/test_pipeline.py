@@ -19,13 +19,14 @@ from posetune.pipeline import (
     Matches,
     PoseHypothesis,
     candidates_from_prep,
+    choose_seeds,
     depth_check,
     estimate_all,
     facing_points,
     generate_votes,
     icp_model_points,
     kabsch,
-    prepare_scene,
+    prepare,
     rank_candidates,
     ransac_pose,
 )
@@ -87,7 +88,7 @@ class TestParameterTypes:
 class TestExtractCandidates:
     def test_single_object_scene_yields_centered_candidate(self, box, clean_scene):
         dp = DiscreteParams(1, 1, 500, 1, 10)
-        prep = prepare_scene(clean_scene, OPTIMIZED, dp, seed=0)
+        prep = choose_seeds(prepare(clean_scene), OPTIMIZED, dp, seed=0)
         candidates = candidates_from_prep(prep, box, OPTIMIZED, dp, seed=0)
         assert len(candidates) == 1
         center = clean_scene.gt_poses["crate"].translation
@@ -95,12 +96,12 @@ class TestExtractCandidates:
         assert offset < OPTIMIZED.cut_radius
 
     def test_empty_scene_gives_no_candidates(self, box):
-        prep = prepare_scene(empty_scene(), OPTIMIZED, SMALL_DP)
+        prep = choose_seeds(prepare(empty_scene()), OPTIMIZED, SMALL_DP)
         assert candidates_from_prep(prep, box, OPTIMIZED, SMALL_DP) == []
 
     def test_size_constraints_on_cluttered_scene(self, box, cluttered_scene):
         dp = DiscreteParams(8, 8, 500, 1, 10)
-        prep = prepare_scene(cluttered_scene, OPTIMIZED, dp, seed=1)
+        prep = choose_seeds(prepare(cluttered_scene), OPTIMIZED, dp, seed=1)
         candidates = candidates_from_prep(prep, box, OPTIMIZED, dp, seed=1)
         assert 0 < len(candidates) <= 8
         for cand in candidates:
@@ -131,7 +132,7 @@ class TestRankCandidates:
 class TestGenerateVotes:
     def make_candidate(self, box, clean_scene):
         dp = DiscreteParams(1, 1, 500, 1, 10)
-        prep = prepare_scene(clean_scene, OPTIMIZED, dp, seed=0)
+        prep = choose_seeds(prepare(clean_scene), OPTIMIZED, dp, seed=0)
         return candidates_from_prep(prep, box, OPTIMIZED, dp, seed=0)[0]
 
     def test_threshold_off_keeps_every_point(self, box, clean_scene):
@@ -509,7 +510,7 @@ class TestDepthCheck:
         assert loose.depth_score >= tight.depth_score
 
     def test_precomputed_edges_give_same_score(self, box, cluttered_scene):
-        edges = prepare_scene(cluttered_scene, OPTIMIZED, SMALL_DP).depth_edges
+        edges = prepare(cluttered_scene).depth_edges
         gt = cluttered_scene.gt_poses["crate"]
         for offset in ([0, 0, 0], [6.0, -3.0, 0], [40.0, 0, 10.0], [160.0, 0, 0]):
             hyp = PoseHypothesis(Pose(gt.rotation, gt.translation + offset), 10)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import posetune
-from posetune import metrics, workflow
+from posetune import metrics, pipeline, workflow
 from posetune.gridopt import ParetoEntry, RuntimeCoefficients
 from posetune.geometry import ObjectModel, PointCloud, Pose
-from posetune.objects import make_box, save_object
+from posetune.objects import make_box, make_object, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
-                               PoseHypothesis, SceneEstimate, estimate_all)
+                               PoseHypothesis, SceneEstimate, estimate_all, prepare)
+from posetune.scenes import NoiseConfig, apply_domain_randomization, generate_scene
 from posetune.seeding import stream_seed
 
 OPTIMIZED = ContinuousParams(vote_threshold=0.174, ransac_dist=19.88, icp_dist=4.85,
@@ -94,7 +95,7 @@ class TestEvaluate:
     def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
         # every box found with the translation moved to z = 20 mm: part of the
         # model lies behind the camera, so MSPD is infinite
-        def behind(scene, models, cp, dp, seed=0):
+        def behind(scene, models, cp, dp, seed=0, prepared=None):
             results = {}
             for model in models:
                 gt = scene.gt_poses[model.object_id]
@@ -141,10 +142,11 @@ def _snapshot(out) -> dict:
 
 
 def _grid_without_runtime(out) -> list[list[str]]:
+    """The grid without its measured times: the runtime and stage columns."""
     rows = [line.split(",") for line in
             (out / "opt" / "grid_dr.csv").read_text().splitlines()]
-    column = rows[0].index("runtime")
-    return [row[:column] + row[column + 1:] for row in rows]
+    first, last = rows[0].index("runtime"), rows[0].index("recall")
+    return [row[:first] + row[last:] for row in rows]
 
 
 def _counted(function, calls: dict, name: str):
@@ -248,6 +250,16 @@ class TestEndToEnd:
         assert set(run["front"]["coefficients"]) == \
             {"t_pre", "t_net", "t_ran", "t_icp", "t_depth", "residual"}
 
+    def test_grid_rows_carry_stage_times(self, run):
+        rows = [line.split(",") for line in
+                (run["config"].out() / "opt" / "grid_dr.csv").read_text().splitlines()]
+        first = rows[0].index("runtime")
+        assert rows[0][first + 1:-1] == list(STAGE_KEYS)
+        for row in rows[1:]:
+            runtime, *stages = (float(v) for v in row[first:-1])
+            assert min(stages) >= 0.0 and stages[0] > 0.0
+            assert runtime == pytest.approx(sum(stages), abs=1e-5)
+
     def test_optimize_before_generate_raises(self, tmp_path):
         with pytest.raises(workflow.StageError):
             workflow.cmd_optimize(tiny_config(tmp_path))
@@ -336,6 +348,70 @@ class TestNoDr:
         assert not np.array_equal(noised.cloud.points, clean.cloud.points)
 
 
+# The benchmark's objects, and the DR levels that train-dr learns for them at
+# master seed 0 (bench/deploy_params.json).
+BENCH_OBJECTS = [
+    {"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0], "color": [0.7, 0.3, 0.3]},
+    {"shape": "cylinder", "id": "cyl", "radius": 25.0, "height": 80.0,
+     "color": [0.3, 0.5, 0.7]},
+]
+BENCH_LEVELS = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035, rgb_shift=0.07,
+                           rotation_max=6.25, flatten_frac=0.02)
+DEPLOY_CP = ContinuousParams(vote_threshold=0.18256880613712556, ransac_dist=34.34857084466563,
+                             icp_dist=9.996781928455857, icp_scale=1.0,
+                             background_dist=88.2001910987532, accept_dist=20.0,
+                             cut_radius=150.0)
+
+
+class TestPreparedScenes:
+    """Validation scenes prepared once per search give what a fresh call gives."""
+
+    @pytest.fixture(scope="class")
+    def validation(self):
+        # the benchmark experiment's two DR-noised validation scenes, as
+        # cmd_optimize builds them at master seed 0
+        models = [make_object(spec) for spec in BENCH_OBJECTS]
+        scenes = [apply_domain_randomization(
+            generate_scene(models, 0.75, 0.18, seed=stream_seed(0, "scene", "validation", i)),
+            BENCH_LEVELS, seed=stream_seed(0, "valnoise-dr", i)) for i in range(2)]
+        return models, scenes
+
+    @pytest.mark.parametrize("cp, dp", [
+        (DEPLOY_CP, workflow.BO_FIXED_DISCRETE),
+        (DEPLOY_CP, DiscreteParams(2, 1, 100, 1, 2)),
+        (ContinuousParams(0.3, 20.0, 4.0, 2.0, 60.0, 10.0, 70.0), DiscreteParams(8, 2, 300, 2, 6)),
+    ], ids=["heavy", "cheap", "other-cp"])
+    def test_prepared_call_matches_fresh_call(self, validation, cp, dp):
+        models, scenes = validation
+        for i, scene in enumerate(scenes):
+            prepared = prepare(scene)
+            reused = estimate_all(scene, models, cp, dp, seed=i, prepared=prepared)
+            fresh = estimate_all(scene, models, cp, dp, seed=i)
+            assert reused.timings["t_pre"] >= prepared.seconds
+            for model in models:
+                a, b = reused.results[model.object_id], fresh.results[model.object_id]
+                assert (a.found, a.reason) == (b.found, b.reason)
+                if a.found:
+                    ha, hb = a.hypothesis, b.hypothesis
+                    assert np.array_equal(ha.pose.rotation, hb.pose.rotation)
+                    assert np.array_equal(ha.pose.translation, hb.pose.translation)
+                    assert (ha.depth_score, ha.inlier_count, ha.flags) == \
+                        (hb.depth_score, hb.inlier_count, hb.flags)
+            assert any(r.found for r in reused.results.values())
+
+    def test_optimize_prepares_each_validation_scene_once(self, tmp_path, monkeypatch):
+        config = workflow.ExperimentConfig.from_dict(
+            dict(tiny_config(tmp_path).to_dict(), validation_scenes=2))
+        workflow.cmd_generate(config)
+        calls = {"workflow": 0, "pipeline": 0}
+        monkeypatch.setattr(workflow, "prepare",
+                            _counted(workflow.prepare, calls, "workflow"))
+        monkeypatch.setattr(pipeline, "prepare",
+                            _counted(pipeline.prepare, calls, "pipeline"))
+        workflow.cmd_optimize(config, no_dr=True)
+        assert calls == {"workflow": 2, "pipeline": 0}
+
+
 class TestStageMarkers:
     @pytest.mark.parametrize("damage", [
         lambda text: text[:len(text) // 2],                       # truncated write
@@ -372,12 +448,22 @@ class TestStageMarkers:
             workflow.cmd_optimize(config)
 
 
-def test_package_does_not_load_scipy_ndimage():
-    # a fresh interpreter, so that no other test's import counts
+def _loaded_by_workflow(module: str) -> bool:
+    """Whether importing ``posetune.workflow`` loads ``module``, asked of a
+    fresh interpreter so that no other test's import counts."""
     src = str(Path(posetune.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, posetune.workflow; print('scipy.ndimage' in sys.modules)"
+    code = f"import sys, posetune.workflow; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_package_does_not_load_scipy_ndimage():
+    assert not _loaded_by_workflow("scipy.ndimage")
+
+
+def test_package_does_not_load_scipy_optimize():
+    # the runtime fit needs no solver: each stage is one ratio of sums
+    assert not _loaded_by_workflow("scipy.optimize")

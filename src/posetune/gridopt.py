@@ -107,10 +107,12 @@ def evaluate_grid(
     objective: Callable[[DiscreteParams], tuple[dict[str, float], float]],
 ) -> list[ParetoEntry]:
     """Measure (stage times, recall) for every tuple, one after another so
-    that no two wall times contend; the entry's runtime is the stages' sum.
-    An objective that raises ``ValueError`` or ``np.linalg.LinAlgError``
-    scores recall 0 at the time spent until then, with no stage times; any
-    other exception is a bug and propagates."""
+    that no two measurements contend; the entry's runtime is the stages' sum.
+    A stage time may have been measured under an earlier tuple that shared
+    the stage, so the runtime is what a fresh image costs, not the wall time
+    of this tuple's call. An objective that raises ``ValueError`` or
+    ``np.linalg.LinAlgError`` scores recall 0 at the time spent until then,
+    with no stage times; any other exception is a bug and propagates."""
     entries = []
     for params in grid:
         start = time.perf_counter()

@@ -40,6 +40,10 @@ DEPTH_EDGE_JUMP = 20.0
 # erosion's zero border stands in for the unset pixel of the full frame.
 SILHOUETTE_MARGIN = 1
 
+# The only clock the pipeline reads: ``prepare`` and ``_staged`` time their
+# work with it. Tests put a counting clock in its place.
+clock = time.perf_counter
+
 
 @dataclass(frozen=True)
 class FixedParams:
@@ -164,11 +168,11 @@ class PreparedScene:
 
 def prepare(scene: Scene) -> PreparedScene:
     """Voxel-downsample the scene, build its KD-tree and find its depth edges."""
-    t0 = time.perf_counter()
+    t0 = clock()
     cloud = voxel_downsample(scene.cloud, FIXED.scene_voxel)
     edges = _depth_edges(scene.depth)
     tree = cKDTree(cloud.points) if len(cloud) else None
-    return PreparedScene(cloud, tree, edges, time.perf_counter() - t0)
+    return PreparedScene(cloud, tree, edges, clock() - t0)
 
 
 @dataclass(frozen=True)
@@ -550,11 +554,54 @@ class EstimateResult:
 STAGE_KEYS = ("t_pre", "t_net", "t_ran", "t_icp", "t_depth")
 
 
+def _staged(memo: dict | None, key: tuple, timings: dict[str, float], stage: str, compute):
+    """``compute()``, or the value ``memo`` keeps under ``key``; either way the
+    seconds it took are added to ``timings[stage]``.
+
+    A miss times ``compute()`` with ``clock`` and, when ``memo`` is a dict,
+    keeps ``(value, seconds)`` under ``key``. A hit charges the seconds
+    measured on the miss, so a reused stage still costs what computing it did.
+    """
+    entry = None if memo is None else memo.get(key)
+    if entry is None:
+        t0 = clock()
+        value = compute()
+        entry = (value, clock() - t0)
+        if memo is not None:
+            memo[key] = entry
+    timings[stage] += entry[1]
+    return entry[0]
+
+
+def _ranked_points(prep: ScenePrep, model: ObjectModel, cp: ContinuousParams,
+                   dp: DiscreteParams, seed: int) -> list[PointCloud]:
+    """The ``dp.estimated`` best-ranked candidates, each kept as its points
+    only: votes and ICP read nothing else."""
+    ranked = rank_candidates(candidates_from_prep(prep, model, cp, dp, seed), model)
+    return [PointCloud(candidate.points) for candidate in ranked[:dp.estimated]]
+
+
+def _votes_or_none(candidate: PointCloud, model: ObjectModel, cp: ContinuousParams,
+                   gt_pose: Pose, seed) -> Matches | None:
+    try:
+        return generate_votes(candidate, model, cp.vote_threshold, gt_pose, seed=seed)
+    except InsufficientMatches:
+        return None
+
+
 def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
                        cp: ContinuousParams, dp: DiscreteParams, seed: int,
-                       timings: dict[str, float]) -> EstimateResult:
+                       timings: dict[str, float], memo: dict | None) -> EstimateResult:
     """One object on a prepared scene: candidates, ranking, votes, RANSAC,
     coarse-to-fine ICP and the depth check; stage times are added to ``timings``.
+
+    Every stage runs through ``_staged``: the ranked candidates, then per
+    candidate its votes, its RANSAC hypotheses and its KD-tree, then per
+    hypothesis its ICP refinement and its depth check. A stage's key names the
+    stage, ``cp``, the seed, the object and the discrete fields read up to it
+    in pipeline order (``classified``, then ``estimated`` for the ranking
+    alone, ``ransac_iters``, ``icp_iters``), with the candidate and hypothesis
+    indices in between.
 
     Each hypothesis is refined against only the ICP model points that face the
     camera at its RANSAC pose, (R n) . (R p + t) < 0 (``facing_points``),
@@ -562,46 +609,36 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
     the model's analytic ones (``icp_model_points``), so the DR ``normal_sigma``
     channel still reaches no estimator stage.
     """
-    t0 = time.perf_counter()
-    candidates = candidates_from_prep(prep, model, cp, dp, seed)
-    ranked = rank_candidates(candidates, model)[:dp.estimated]
+    head = (cp, seed, model.object_id, dp.classified)
+    ranked = _staged(memo, ("ranked", *head, dp.estimated), timings, "t_net",
+                     lambda: _ranked_points(prep, model, cp, dp, seed))
     gt_pose = scene.gt_poses.get(model.object_id)
-    votes: list[Matches | None] = []
-    for ci, candidate in enumerate(ranked):
-        if gt_pose is None:
-            votes.append(None)
-            continue
-        try:
-            votes.append(generate_votes(candidate, model, cp.vote_threshold, gt_pose,
-                                        seed=(seed, model.object_id, ci)))
-        except InsufficientMatches:
-            votes.append(None)
-    timings["t_net"] += time.perf_counter() - t0
+    if gt_pose is None:
+        return EstimateResult(False, None, reason="no detection")
 
     best: PoseHypothesis | None = None
-    for ci, (candidate, matches) in enumerate(zip(ranked, votes)):
+    for ci, candidate in enumerate(ranked):
+        stage_seed = (seed, model.object_id, ci)
+        matches = _staged(memo, ("votes", *head, ci), timings, "t_net",
+                          lambda: _votes_or_none(candidate, model, cp, gt_pose, stage_seed))
         if matches is None:
             continue
-        t0 = time.perf_counter()
-        hypotheses = ransac_pose(matches, cp.ransac_dist, dp.ransac_iters,
-                                 model.diagonal, seed=(seed, model.object_id, ci))
-        timings["t_ran"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        model_icp = icp_model_points(model)
-        tree = cKDTree(candidate.points)
-        refined = [_icp_refine(h, tree, candidate.points, facing_points(model_icp, h.pose),
-                               model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters)
-                   for h in hypotheses[:dp.depth_checked]]
-        timings["t_icp"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for hyp in refined:
-            checked = depth_check(hyp, scene, model, cp.background_dist,
-                                  cp.accept_dist, prep.prepared.depth_edges)
+        hypotheses = _staged(memo, ("ransac", *head, ci, dp.ransac_iters), timings, "t_ran",
+                             lambda: ransac_pose(matches, cp.ransac_dist, dp.ransac_iters,
+                                                 model.diagonal, seed=stage_seed))
+        tree = _staged(memo, ("tree", *head, ci), timings, "t_icp",
+                       lambda: cKDTree(candidate.points))
+        for hi, hypothesis in enumerate(hypotheses[:dp.depth_checked]):
+            at = (*head, ci, dp.ransac_iters, hi, dp.icp_iters)
+            refined = _staged(memo, ("icp", *at), timings, "t_icp", lambda: _icp_refine(
+                hypothesis, tree, candidate.points,
+                facing_points(icp_model_points(model), hypothesis.pose),
+                model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters))
+            checked = _staged(memo, ("depth", *at), timings, "t_depth", lambda: depth_check(
+                refined, scene, model, cp.background_dist, cp.accept_dist,
+                prep.prepared.depth_edges))
             if best is None or checked.depth_score > best.depth_score:
                 best = checked
-        timings["t_depth"] += time.perf_counter() - t0
 
     if best is None:
         return EstimateResult(False, None, reason="no detection")
@@ -613,10 +650,11 @@ class SceneEstimate:
     """Per-object results plus the stage times, kept per image only: the shared
     preprocessing, then each later stage summed over the objects.
 
-    ``t_pre`` is what preprocessing a fresh image costs: the prepared scene's
-    measured ``seconds`` plus this call's seed choice, also when the call
-    reused a preparation made earlier. Then ``total_time`` exceeds the call's
-    wall time by the work it did not redo.
+    The stage times are what a fresh image costs. ``t_pre`` holds the prepared
+    scene's measured ``seconds`` plus the seed choice, also when the call
+    reused a preparation made earlier, and a stage taken from a memo charges
+    the seconds measured when it was computed. Then ``total_time`` exceeds the
+    call's wall time by the work it reused.
     """
 
     results: dict[str, EstimateResult]
@@ -628,8 +666,8 @@ class SceneEstimate:
 
 
 def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
-                 dp: DiscreteParams, seed=0,
-                 prepared: PreparedScene | None = None) -> SceneEstimate:
+                 dp: DiscreteParams, seed=0, prepared: PreparedScene | None = None,
+                 memo: dict | None = None) -> SceneEstimate:
     """Estimate every object in one scene, preprocessing the scene once; the
     stage times are the image's (see ``SceneEstimate``).
 
@@ -637,13 +675,22 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
     same scene under many parameter sets; without it the call prepares the
     scene itself. Either way ``t_pre`` charges the preparation's measured
     ``seconds`` plus this call's own seed choice.
+
+    ``memo`` is a dict that keeps stage results across calls on this one
+    scene and these models (see ``_staged``), for a caller that runs tuples
+    sharing their leading discrete values at fixed ``cp`` and seed. The seed
+    choice is kept under its stage name, ``cp``, the seed and ``classified``;
+    every other key also names the object (``_estimate_prepared``). So a memo
+    returns only what this ``cp`` and seed would compute, and each reused
+    stage charges the seconds it took when computed.
     """
     if prepared is None:
         prepared = prepare(scene)
     image = dict.fromkeys(STAGE_KEYS, 0.0)
-    t0 = time.perf_counter()
-    prep = choose_seeds(prepared, cp, dp, seed)
-    image["t_pre"] = prepared.seconds + (time.perf_counter() - t0)
-    results = {model.object_id: _estimate_prepared(prep, scene, model, cp, dp, seed, image)
+    image["t_pre"] = prepared.seconds
+    prep = _staged(memo, ("seeds", cp, seed, dp.classified), image, "t_pre",
+                   lambda: choose_seeds(prepared, cp, dp, seed))
+    results = {model.object_id: _estimate_prepared(prep, scene, model, cp, dp, seed, image,
+                                                   memo)
                for model in models}
     return SceneEstimate(results, image)

@@ -8,7 +8,15 @@ reproduce the scenes, the DR traces, the continuous search and the grid
 recalls byte for byte. What depends on measured wall time does not: the grid
 ``runtime`` and stage-time columns, and through them ``front_*.json`` (the
 Pareto front and the fitted runtime coefficients) and the budget selection
-made from them.
+made from them. Those times come from the pipeline's ``clock``; with a
+counting clock in its place they reproduce too.
+
+``cmd_optimize`` prepares each validation scene once for the whole search.
+During the grid phase ``cp`` and each scene's seed stay fixed, so tuples that
+share leading discrete values share stage results: each scene gets one stage
+memo for that phase, and a found pose is scored once per search. Every
+reused stage still charges its measured time, so the stage times, the grid
+runtimes and the runtime fit state what a fresh image costs.
 """
 
 from __future__ import annotations
@@ -269,22 +277,26 @@ def _noised_split(config: ExperimentConfig, split: str, levels: NoiseConfig | No
 
 def _score_scenes(config: ExperimentConfig, models: list[ObjectModel], scenes: list[Scene],
                   cp: ContinuousParams, dp: DiscreteParams, stream: str, score,
-                  prepared: list[PreparedScene] | None = None):
+                  prepared: list[PreparedScene] | None = None,
+                  memos: list[dict] | None = None):
     """Estimate each scene once and score every instance.
 
     ``score(model, scene, pose)`` is called once per found instance.
     ``prepared`` holds ``prepare(scene)`` per scene for a caller that
     estimates the same scenes again and again; without it each call prepares
-    its scene. Returns each stage's mean time over the scenes, as a fresh
-    image costs (see ``SceneEstimate``), and one ``(scene index, object id,
-    score)`` record per instance, in scene then model order, with 0 for an
-    instance not found.
+    its scene. ``memos`` holds one stage memo per scene, passed to
+    ``estimate_all`` by a caller whose calls share ``cp`` and the seeds.
+    Returns each stage's mean time over the scenes, as a fresh image costs
+    (see ``SceneEstimate``), and one ``(scene index, object id, score)``
+    record per instance, in scene then model order, with 0 for an instance
+    not found.
     """
     timings, records = [], []
     for i, scene in enumerate(scenes):
         bundle = estimate_all(scene, models, cp, dp,
                               seed=stream_seed(config.seed, stream, i),
-                              prepared=None if prepared is None else prepared[i])
+                              prepared=None if prepared is None else prepared[i],
+                              memo=None if memos is None else memos[i])
         timings.append(bundle.timings)
         for model in models:
             result = bundle.results[model.object_id]
@@ -315,17 +327,25 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     opt_dir = config.out() / "opt"
     opt_dir.mkdir(parents=True, exist_ok=True)
 
+    # grid tuples that share their stages find the same poses; each distinct
+    # (scene, object, pose) is scored once per search. The scenes live as
+    # long as the search, so id() names one.
+    recalls: dict[tuple, float] = {}
+
     def instance_recall(model: ObjectModel, scene: Scene, pose) -> float:
         # one metric call: the full evaluate_pose would about double the cost
-        gt = scene.gt_poses[model.object_id]
-        if config.metric == "add":
-            return float(add_correct(model, gt, pose))
-        return recall_contribution(model, gt, pose, scene.cam, scene.depth)
+        key = (id(scene), model.object_id, pose.rotation.tobytes(), pose.translation.tobytes())
+        if key not in recalls:
+            gt = scene.gt_poses[model.object_id]
+            recalls[key] = (float(add_correct(model, gt, pose)) if config.metric == "add"
+                            else recall_contribution(model, gt, pose, scene.cam, scene.depth))
+        return recalls[key]
 
-    def measure(cp: ContinuousParams, dp: DiscreteParams) -> tuple[dict[str, float], float]:
+    def measure(cp: ContinuousParams, dp: DiscreteParams,
+                memos: list[dict] | None = None) -> tuple[dict[str, float], float]:
         """(mean time per stage, mean recall) over the validation scenes."""
         stages, records = _score_scenes(config, models, scenes, cp, dp, "est",
-                                        instance_recall, prepared)
+                                        instance_recall, prepared, memos)
         return stages, float(np.mean([r[2] for r in records]))
 
     def continuous_objective(cp: ContinuousParams) -> float:
@@ -343,11 +363,15 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     (opt_dir / f"trace_{tag}.csv").write_text(trace_to_csv(trace))
 
     def discrete_objective(dp: DiscreteParams) -> tuple[dict[str, float], float]:
-        return measure(best_cp, dp)
+        return measure(best_cp, dp, memos)
 
     try:
         grid = enumerate_grid(config.grid_spec())
+        # cp and the seeds stay fixed over the grid, so its tuples share stage
+        # results: one memo per validation scene, dropped with the grid phase
+        memos = [{} for _ in scenes]
         entries = evaluate_grid(grid, discrete_objective)
+        del memos
         front = pareto_front(entries)
         coeffs = fit_runtime_model([(e.params, len(models), e.stages)
                                     for e in entries if e.stages])

@@ -15,10 +15,12 @@ from scipy.spatial import cKDTree
 
 from posetune import bayesopt, metrics, pipeline
 from posetune.geometry import Pose, rotation_about_axis
+from posetune.gridopt import GridSpec, enumerate_grid
 from posetune.objects import make_object
 from posetune.pipeline import ContinuousParams, DiscreteParams, PoseHypothesis
 from posetune.scenes import (NoiseConfig, apply_domain_randomization, generate_scene, load_scene,
                              save_scene)
+from posetune.seeding import stream_seed
 
 pytestmark = pytest.mark.kernel
 
@@ -35,6 +37,9 @@ DP = DiscreteParams(classified=4, estimated=2, ransac_iters=100, depth_checked=1
                     icp_iters=6)
 LEVELS = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035, rgb_shift=0.07,
                      rotation_max=6.25, flatten_frac=0.02)
+# The benchmark experiment's grid (bench/workloads.py): 48 feasible tuples.
+GRID = enumerate_grid(GridSpec(classified=(2, 4, 8), estimated=(1, 2), ransac_iters=(100, 300),
+                               depth_checked=(1, 2), icp_iters=(2, 6)))
 # GP-UCB observations: enough for the per-dimension refinement pass in gp_fit.
 GP_OBSERVATIONS = 40
 
@@ -125,6 +130,25 @@ def test_choose_seeds(benchmark, setting):
     # the per-call half, done by every estimate_all call
     prep = benchmark(pipeline.choose_seeds, setting["prepared"], CP, DP, 0)
     assert len(prep.seed_indices) > 0
+
+
+def test_grid_phase(benchmark, setting):
+    # the grid phase on the benchmark experiment's first validation scene:
+    # every tuple through one fresh stage memo, as cmd_optimize runs it
+    models = list(setting["models"].values())
+    scene = apply_domain_randomization(
+        generate_scene(models, 0.75, 0.18, seed=stream_seed(0, "scene", "validation", 0)),
+        LEVELS, seed=stream_seed(0, "valnoise-dr", 0))
+    prepared = pipeline.prepare(scene)
+    seed = stream_seed(0, "est", 0)
+
+    def grid_phase():
+        memo = {}
+        return [pipeline.estimate_all(scene, models, CP, dp, seed=seed, prepared=prepared,
+                                      memo=memo) for dp in GRID]
+
+    out = benchmark(grid_phase)
+    assert len(out) == 48 and any(r.found for e in out for r in e.results.values())
 
 
 def test_render_depth(benchmark, setting):

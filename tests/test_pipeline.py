@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -613,6 +614,41 @@ class TestEstimate:
         joint = bundle.results["crate"]
         np.testing.assert_allclose(solo.hypothesis.pose.translation,
                                    joint.hypothesis.pose.translation, atol=1e-9)
+
+
+class TestStaged:
+    def test_without_memo_every_call_computes_and_charges(self):
+        ticks = iter([0.0, 1.5, 10.0, 12.0])
+        timings = {"t_icp": 0.0}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "clock", lambda: next(ticks))
+            values = [pipeline._staged(None, ("icp",), timings, "t_icp", lambda: [])
+                      for _ in range(2)]
+        assert values == [[], []] and values[0] is not values[1]
+        assert timings == {"t_icp": 3.5}
+
+    def test_hit_returns_the_kept_value_and_charges_its_seconds(self):
+        ticks = iter([0.0, 1.5])
+        computed = []
+        memo, timings = {}, {"t_net": 0.0}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "clock", lambda: next(ticks))
+            # a stage whose value is None (no votes) is kept like any other
+            values = [pipeline._staged(memo, ("votes", 0), timings, "t_net",
+                                       lambda: computed.append(1)) for _ in range(3)]
+        assert values == [None] * 3 and computed == [1]
+        assert memo == {("votes", 0): (None, 1.5)}
+        assert timings == {"t_net": 4.5}
+
+    def test_stage_times_come_from_the_module_clock(self, box, cluttered_scene):
+        # every measurement spans one tick of a counting clock, so whole
+        # numbers show that no stage reads another clock
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "clock", itertools.count().__next__)
+            bundle = estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=0)
+        assert bundle.results["crate"].found
+        assert bundle.timings["t_pre"] == 2   # prepare, then the seed choice
+        assert all(v >= 1 and v == int(v) for v in bundle.timings.values())
 
 
 class TestKabsch:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import posetune
 from posetune import metrics, pipeline, workflow
-from posetune.gridopt import ParetoEntry, RuntimeCoefficients
+from posetune.gridopt import GridSpec, ParetoEntry, RuntimeCoefficients, enumerate_grid
 from posetune.geometry import ObjectModel, PointCloud, Pose
 from posetune.objects import make_box, make_object, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
@@ -95,7 +97,7 @@ class TestEvaluate:
     def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
         # every box found with the translation moved to z = 20 mm: part of the
         # model lies behind the camera, so MSPD is infinite
-        def behind(scene, models, cp, dp, seed=0, prepared=None):
+        def behind(scene, models, cp, dp, seed=0, prepared=None, memo=None):
             results = {}
             for model in models:
                 gt = scene.gt_poses[model.object_id]
@@ -260,6 +262,23 @@ class TestEndToEnd:
             assert min(stages) >= 0.0 and stages[0] > 0.0
             assert runtime == pytest.approx(sum(stages), abs=1e-5)
 
+    def test_forced_optimize_is_identical_under_a_counting_clock(self, run, tmp_path,
+                                                                  monkeypatch):
+        # with the pipeline's clock counting calls, the stage times, the grid
+        # runtimes, the fit and the budget selection reproduce too
+        shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
+        config = workflow.ExperimentConfig.from_dict(
+            dict(run["config"].to_dict(), output_dir=str(tmp_path)))
+        written = []
+        for _ in range(2):
+            _counting_clock(monkeypatch)
+            workflow.cmd_optimize(config, force=True)
+            report = workflow.cmd_evaluate(config, force=True)
+            written.append([(tmp_path / "opt" / name).read_bytes()
+                            for name in ("grid_dr.csv", "front_dr.json")] + [report])
+        assert written[0] == written[1]
+        assert written[0][0] != (run["config"].out() / "opt" / "grid_dr.csv").read_bytes()
+
     def test_optimize_before_generate_raises(self, tmp_path):
         with pytest.raises(workflow.StageError):
             workflow.cmd_optimize(tiny_config(tmp_path))
@@ -363,8 +382,33 @@ DEPLOY_CP = ContinuousParams(vote_threshold=0.18256880613712556, ransac_dist=34.
                              cut_radius=150.0)
 
 
+# The benchmark experiment's grid (bench/workloads.py): 48 feasible tuples.
+BENCH_GRID = GridSpec(classified=(2, 4, 8), estimated=(1, 2), ransac_iters=(100, 300),
+                      depth_checked=(1, 2), icp_iters=(2, 6))
+
+
+def _assert_same_results(a: SceneEstimate, b: SceneEstimate):
+    assert a.results.keys() == b.results.keys()
+    for object_id, ra in a.results.items():
+        rb = b.results[object_id]
+        assert (ra.found, ra.reason) == (rb.found, rb.reason)
+        if ra.found:
+            ha, hb = ra.hypothesis, rb.hypothesis
+            assert np.array_equal(ha.pose.rotation, hb.pose.rotation)
+            assert np.array_equal(ha.pose.translation, hb.pose.translation)
+            assert (ha.depth_score, ha.inlier_count, ha.flags) == \
+                (hb.depth_score, hb.inlier_count, hb.flags)
+
+
+def _counting_clock(patch):
+    """Every measurement spans as many ticks as clock reads, so a stage
+    computed once costs 1 and equal stage times mean equal stage charges."""
+    patch.setattr(pipeline, "clock", itertools.count().__next__)
+
+
 class TestPreparedScenes:
-    """Validation scenes prepared once per search give what a fresh call gives."""
+    """Validation scenes prepared once per search, and the grid phase's stage
+    memos, give what a fresh call gives."""
 
     @pytest.fixture(scope="class")
     def validation(self):
@@ -388,16 +432,86 @@ class TestPreparedScenes:
             reused = estimate_all(scene, models, cp, dp, seed=i, prepared=prepared)
             fresh = estimate_all(scene, models, cp, dp, seed=i)
             assert reused.timings["t_pre"] >= prepared.seconds
-            for model in models:
-                a, b = reused.results[model.object_id], fresh.results[model.object_id]
-                assert (a.found, a.reason) == (b.found, b.reason)
-                if a.found:
-                    ha, hb = a.hypothesis, b.hypothesis
-                    assert np.array_equal(ha.pose.rotation, hb.pose.rotation)
-                    assert np.array_equal(ha.pose.translation, hb.pose.translation)
-                    assert (ha.depth_score, ha.inlier_count, ha.flags) == \
-                        (hb.depth_score, hb.inlier_count, hb.flags)
+            _assert_same_results(reused, fresh)
             assert any(r.found for r in reused.results.values())
+
+    @pytest.fixture(scope="class")
+    def fresh_grid(self, validation):
+        """Per validation scene: its preparation and a fresh call per bench
+        tuple, timed by a counting clock."""
+        models, scenes = validation
+        grid = enumerate_grid(BENCH_GRID)
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            _counting_clock(patch)
+            for i, scene in enumerate(scenes):
+                prepared = prepare(scene)
+                runs.append((prepared, [estimate_all(scene, models, DEPLOY_CP, dp, seed=i,
+                                                     prepared=prepared) for dp in grid]))
+        return grid, runs
+
+    @pytest.mark.parametrize("order", ["grid", "reversed"])
+    def test_memo_over_the_grid_matches_fresh_calls(self, validation, fresh_grid, order,
+                                                    monkeypatch):
+        models, scenes = validation
+        grid, runs = fresh_grid
+        assert len(grid) == 48
+        _counting_clock(monkeypatch)
+        positions = list(range(len(grid)))
+        if order == "reversed":
+            positions.reverse()
+        for i, (scene, (prepared, fresh)) in enumerate(zip(scenes, runs)):
+            memo = {}
+            for k in positions:
+                reused = estimate_all(scene, models, DEPLOY_CP, grid[k], seed=i,
+                                      prepared=prepared, memo=memo)
+                _assert_same_results(reused, fresh[k])
+                # every reused stage charges what computing it cost
+                assert reused.timings == fresh[k].timings
+            # one entry per stage computed; a fresh call charged one tick per
+            # stage it ran, so the tuples shared most of their stages
+            stage_runs = sum(f.total_time - prepared.seconds for f in fresh)
+            assert len(memo) < stage_runs / 3
+            assert any(r.found for f in fresh for r in f.results.values())
+
+    def test_memo_filled_at_another_cp_or_seed_gives_the_fresh_result(self, validation,
+                                                                      monkeypatch):
+        models, scenes = validation
+        other_cp = ContinuousParams(0.3, 20.0, 4.0, 2.0, 60.0, 10.0, 70.0)
+        dp = DiscreteParams(4, 2, 100, 2, 6)
+        _counting_clock(monkeypatch)
+        for scene in scenes:
+            prepared = prepare(scene)
+            memo = {}
+            estimate_all(scene, models, DEPLOY_CP, dp, seed=0, prepared=prepared, memo=memo)
+            for cp, seed in ((other_cp, 0), (DEPLOY_CP, 1)):
+                reused = estimate_all(scene, models, cp, dp, seed=seed, prepared=prepared,
+                                      memo=memo)
+                fresh = estimate_all(scene, models, cp, dp, seed=seed, prepared=prepared)
+                _assert_same_results(reused, fresh)
+                assert reused.timings == fresh.timings
+
+    def test_optimize_passes_a_memo_to_grid_calls_only(self, tmp_path, monkeypatch):
+        config = workflow.ExperimentConfig.from_dict(
+            dict(tiny_config(tmp_path).to_dict(), validation_scenes=2))
+        workflow.cmd_generate(config)
+        memos = []
+        original = workflow.estimate_all
+
+        def recording(*args, **kwargs):
+            memos.append(kwargs.get("memo"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(workflow, "estimate_all", recording)
+        workflow.cmd_optimize(config, no_dr=True)
+        # 3 GP-UCB iterations, then 16 grid tuples, each on the 2 scenes
+        searched, grid = memos[:3 * 2], memos[3 * 2:]
+        assert searched == [None] * 6 and len(grid) == 16 * 2
+        # one dict per scene, shared by all its grid calls
+        first, second = grid[0], grid[1]
+        assert isinstance(first, dict) and isinstance(second, dict) and first is not second
+        assert all(m is first for m in grid[0::2]) and all(m is second for m in grid[1::2])
+        assert first and second
 
     def test_optimize_prepares_each_validation_scene_once(self, tmp_path, monkeypatch):
         config = workflow.ExperimentConfig.from_dict(

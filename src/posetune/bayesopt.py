@@ -84,10 +84,6 @@ class Schedule:
             if kappa is not None and kappa < 0:
                 raise ValueError("kappa must be >= 0")
 
-    @property
-    def total(self) -> int:
-        return sum(count for count, _ in self.phases)
-
 
 def default_schedule() -> Schedule:
     """50 random iterations, then 100 @ kappa 0.5, 50 @ 0.1, 50 @ 0.01."""

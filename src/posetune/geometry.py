@@ -121,14 +121,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def select(self, indices) -> "PointCloud":
-        """Sub-cloud at the given row indices (channels follow)."""
-        return PointCloud(
-            self.points[indices],
-            None if self.normals is None else self.normals[indices],
-            None if self.colors is None else self.colors[indices],
-        )
-
     def save(self, directory: str | Path) -> None:
         """Write each channel as ``<channel>.npy``; an absent channel's file is removed."""
         directory = Path(directory)

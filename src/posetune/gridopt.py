@@ -5,8 +5,9 @@ The cost model is linear in the work terms implied by the pipeline structure:
     t_image = t_pre + obj * (t_net*PC + PE*(t_ran*RI + DC*(t_icp*II + t_depth)))
 
 and each stage's coefficient is fit to that stage's measured times over the
-grid, so a front entry can be re-budgeted for any object count without
-re-measuring.
+grid. The model is linear in the object count, but the grid measures only
+the configured count, so the fit is made there alone; nothing checks its
+predictions at another count.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ from .geometry import ObjectModel, PointCloud, Pose, rotation_about_axis
 
 # Dense enough that splat renders stay solid at desk-scale depths.
 SURFACE_SPACING = 1.4  # mm between sampled surface points
+# The cylinder's discrete symmetry order: its symmetry set holds the rotations
+# about its axis by k/12 of a turn, k = 1..11.
+CYLINDER_SYMMETRY_STEPS = 12
 
 
 def _grid(a: float, b: float, spacing: float) -> np.ndarray:
@@ -46,8 +49,7 @@ def make_box(object_id: str, size, color) -> ObjectModel:
     return ObjectModel(object_id, cloud)
 
 
-def make_cylinder(object_id: str, radius: float, height: float, color,
-                  symmetry_steps: int = 12) -> ObjectModel:
+def make_cylinder(object_id: str, radius: float, height: float, color) -> ObjectModel:
     """Upright cylinder with discrete rotational symmetry about its axis."""
     n_around = max(8, int(round(2 * np.pi * radius / SURFACE_SPACING)))
     n_along = max(2, int(round(height / SURFACE_SPACING)) + 1)
@@ -71,8 +73,9 @@ def make_cylinder(object_id: str, radius: float, height: float, color,
     colors = np.tile(np.asarray(color, dtype=np.float64), (len(pts), 1))
     cloud = PointCloud(pts, nrm, colors)
     symmetry = tuple(
-        Pose(rotation_about_axis([0, 0, 1], 2 * np.pi * k / symmetry_steps), np.zeros(3))
-        for k in range(1, symmetry_steps))
+        Pose(rotation_about_axis([0, 0, 1], 2 * np.pi * k / CYLINDER_SYMMETRY_STEPS),
+             np.zeros(3))
+        for k in range(1, CYLINDER_SYMMETRY_STEPS))
     return ObjectModel(object_id, cloud, symmetry)
 
 

@@ -5,6 +5,10 @@ deterministic geometric surrogates (density/color seed scoring; nearest
 keypoint voting against a jittered ground truth) that keep the parameter
 semantics intact: the vote threshold trades match count against purity, and
 every distance threshold scales with the object diagonal.
+
+A candidate is a sorted index array into the prepared scene cloud
+(``PreparedScene.cloud``). The ranking reads its points and colours; votes,
+RANSAC and ICP take only the ``(n, 3)`` points of the ranked candidates.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import box_max, box_min, erode_cross, pixel_window, render_depth
-from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, bbox_diagonal,
-                       rotation_about_axis, voxel_downsample)
+from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, rotation_about_axis,
+                       voxel_downsample)
 from .scenes import Scene
 from .seeding import derive_rng
 
@@ -39,26 +43,18 @@ DEPTH_EDGE_JUMP = 20.0
 # mask reads 1 px further; that pixel lies outside the window, where the
 # erosion's zero border stands in for the unset pixel of the full frame.
 SILHOUETTE_MARGIN = 1
+# Structural constants; not subject to optimization.
+ICP_RESOLUTIONS = 3      # coarse-to-fine ICP stages
+INPUT_POINTS = 2048      # largest candidate; a larger ball is subsampled
+MIN_POINTS = 512         # smallest candidate
+MIN_MATCHES = 100        # fewest votes that go on to RANSAC
+SCENE_VOXEL = 1.0        # scene voxel size (mm)
+ICP_MODEL_VOXEL = 5.0    # voxel size of the model points ICP matches (mm)
+RANSAC_CHUNK = 50        # RANSAC samples per refined hypothesis
 
 # The only clock the pipeline reads: ``prepare`` and ``_staged`` time their
 # work with it. Tests put a counting clock in its place.
 clock = time.perf_counter
-
-
-@dataclass(frozen=True)
-class FixedParams:
-    """Structural constants of the pipeline; not subject to optimization."""
-
-    icp_resolutions: int = 3
-    input_points: int = 2048
-    min_points: int = 512
-    min_matches: int = 100
-    scene_voxel: float = 1.0
-    icp_model_voxel: float = 5.0
-    ransac_chunk: int = 50
-
-
-FIXED = FixedParams()
 
 
 @dataclass(frozen=True)
@@ -138,14 +134,13 @@ class InsufficientMatches(Exception):
 
 @dataclass(frozen=True)
 class Matches:
-    """Scene-point to model-keypoint correspondences with vote confidences."""
+    """Scene-point to model-keypoint correspondences."""
 
     scene_points: np.ndarray
     model_points: np.ndarray
-    confidences: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.confidences)
+        return len(self.scene_points)
 
 
 @dataclass(frozen=True)
@@ -169,29 +164,21 @@ class PreparedScene:
 def prepare(scene: Scene) -> PreparedScene:
     """Voxel-downsample the scene, build its KD-tree and find its depth edges."""
     t0 = clock()
-    cloud = voxel_downsample(scene.cloud, FIXED.scene_voxel)
+    cloud = voxel_downsample(scene.cloud, SCENE_VOXEL)
     edges = _depth_edges(scene.depth)
     tree = cKDTree(cloud.points) if len(cloud) else None
     return PreparedScene(cloud, tree, edges, clock() - t0)
 
 
-@dataclass(frozen=True)
-class ScenePrep:
-    """A prepared scene plus the seeds of one call (``choose_seeds``), shared
-    across objects. The seed choice reads ``dp.classified`` and the seed, the
-    seed density ``cp.cut_radius``; ``estimate_all`` adds their time to the
-    prepared scene's ``seconds`` in ``t_pre``."""
-
-    prepared: PreparedScene
-    seed_indices: np.ndarray
-    seed_density: np.ndarray
-
-
 def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscreteParams,
-                 seed=0) -> ScenePrep:
-    """Draw uniform interest seeds on the prepared cloud and score them by density."""
+                 seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform interest seeds on the prepared cloud, as ``(indices, density)``.
+
+    The seed count reads ``dp.classified`` and the draw the seed; a seed's
+    density is its neighbour count within ``cp.cut_radius / 2``.
+    """
     if prepared.tree is None:
-        return ScenePrep(prepared, np.empty(0, dtype=np.int64), np.empty(0))
+        return np.empty(0, dtype=np.int64), np.empty(0)
     n = len(prepared.cloud)
     n_seeds = min(max(4 * dp.classified, 8), n)
     rng = derive_rng(seed, "seeds")
@@ -199,7 +186,7 @@ def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscretePara
     density = prepared.tree.query_ball_point(prepared.cloud.points[seed_idx],
                                              cp.cut_radius / 2,
                                              return_length=True).astype(np.float64)
-    return ScenePrep(prepared, seed_idx, density)
+    return seed_idx, density
 
 
 def _mean_color(model: ObjectModel) -> np.ndarray | None:
@@ -221,57 +208,67 @@ def _color_similarity(colors: np.ndarray | None, reference: np.ndarray | None) -
     return np.exp(-np.linalg.norm(np.atleast_2d(colors) - reference, axis=1) / COLOR_SIM_SCALE)
 
 
-def candidates_from_prep(prep: ScenePrep, model: ObjectModel, cp: ContinuousParams,
-                         dp: DiscreteParams, seed=0) -> list[PointCloud]:
-    """Up to ``dp.classified`` local clouds of 512..2048 points around interest seeds."""
-    if len(prep.seed_indices) == 0:
+def objectness(points: np.ndarray, colors: np.ndarray | None, model: ObjectModel) -> float:
+    """How much a candidate looks like ``model``: its size against
+    ``INPUT_POINTS``, its bounding-box diagonal against the model's, and its
+    mean colour against the model's."""
+    size_factor = len(points) / INPUT_POINTS
+    extent = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+    geom = np.exp(-abs(extent - model.diagonal) / model.diagonal)
+    color = _color_similarity(None if colors is None else colors.mean(axis=0, keepdims=True),
+                              _model_color(model))
+    return float(size_factor * geom * np.atleast_1d(color)[0])
+
+
+def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarray],
+                      model: ObjectModel, cp: ContinuousParams, dp: DiscreteParams,
+                      seed=0) -> list[np.ndarray]:
+    """The points of the ``dp.estimated`` best candidates around ``seeds``.
+
+    Seeds are visited by density times colour similarity to the model; each
+    one farther than ``cp.cut_radius / 2`` from every earlier centre, up to
+    ``dp.classified`` centres, extracts its ``cp.cut_radius`` ball of the
+    prepared cloud as a sorted index array. A ball of fewer than
+    ``MIN_POINTS`` is skipped; one above ``INPUT_POINTS`` is subsampled to
+    that many. The candidates are ranked by descending ``objectness`` (ties
+    keep extraction order) and the best ``dp.estimated`` come back as
+    ``(n, 3)`` point arrays.
+    """
+    seed_idx, density = seeds
+    if len(seed_idx) == 0:
         return []
-    cloud, tree = prep.prepared.cloud, prep.prepared.tree
-    sim = _color_similarity(
-        None if cloud.colors is None else cloud.colors[prep.seed_indices],
-        _model_color(model))
-    scores = (prep.seed_density / prep.seed_density.max()) * sim
+    cloud, tree = prepared.cloud, prepared.tree
+    sim = _color_similarity(None if cloud.colors is None else cloud.colors[seed_idx],
+                            _model_color(model))
+    scores = (density / density.max()) * sim
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
     centers: list[np.ndarray] = []
-    candidates: list[PointCloud] = []
+    candidates: list[np.ndarray] = []
     for rank in order:
         if len(centers) >= dp.classified:
             break
-        center = cloud.points[prep.seed_indices[rank]]
+        center = cloud.points[seed_idx[rank]]
         if any(np.linalg.norm(center - c) < cp.cut_radius / 2 for c in centers):
             continue
         centers.append(center)
         idx = np.array(tree.query_ball_point(center, cp.cut_radius), dtype=np.int64)
-        if len(idx) < FIXED.min_points:
+        if len(idx) < MIN_POINTS:
             continue
-        if len(idx) > FIXED.input_points:
+        if len(idx) > INPUT_POINTS:
             rng = derive_rng(seed, "cand-sub", model.object_id, len(candidates))
-            idx = idx[np.sort(rng.choice(len(idx), FIXED.input_points, replace=False))]
-        candidates.append(cloud.select(np.sort(idx)))
-    return candidates
+            idx = idx[np.sort(rng.choice(len(idx), INPUT_POINTS, replace=False))]
+        candidates.append(np.sort(idx))
+
+    # sorted() is stable, so ties keep extraction order
+    ranked = sorted(candidates, key=lambda idx: -objectness(
+        cloud.points[idx], None if cloud.colors is None else cloud.colors[idx], model))
+    return [cloud.points[idx] for idx in ranked[:dp.estimated]]
 
 
-def _objectness(candidate: PointCloud, model: ObjectModel) -> float:
-    size_factor = len(candidate) / FIXED.input_points
-    extent = bbox_diagonal(candidate)
-    geom = np.exp(-abs(extent - model.diagonal) / model.diagonal)
-    color = _color_similarity(
-        None if candidate.colors is None else candidate.colors.mean(axis=0, keepdims=True),
-        _model_color(model))
-    return float(size_factor * geom * np.atleast_1d(color)[0])
-
-
-def rank_candidates(candidates: list[PointCloud], model: ObjectModel) -> list[PointCloud]:
-    """Candidates sorted by descending objectness; ties keep extraction order."""
-    scores = [_objectness(c, model) for c in candidates]
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
-    return [candidates[i] for i in order]
-
-
-def generate_votes(candidate: PointCloud, model: ObjectModel, vote_threshold: float,
+def generate_votes(points: np.ndarray, model: ObjectModel, vote_threshold: float,
                    gt_pose: Pose, seed=0) -> Matches:
-    """Match candidate points to nearest model keypoints under a jittered truth.
+    """Match a candidate's points to nearest model keypoints under a jittered truth.
 
     Confidence decays with the match residual; votes below
     ``vote_threshold * max_confidence`` are dropped. Fewer than the pipeline
@@ -285,14 +282,13 @@ def generate_votes(candidate: PointCloud, model: ObjectModel, vote_threshold: fl
     jitter = Pose(jitter_rot @ gt_pose.rotation,
                   jitter_rot @ gt_pose.translation + rng.normal(0.0, VOTE_TRANS_SIGMA, 3))
     keypoints_world = jitter.apply(model.keypoints)
-    dist, nearest = cKDTree(keypoints_world).query(candidate.points)
+    dist, nearest = cKDTree(keypoints_world).query(points)
     confidence = np.exp(-dist / (VOTE_CONF_FRACTION * model.diagonal))
     keep = confidence >= vote_threshold * confidence.max()
-    if keep.sum() < FIXED.min_matches:
+    if keep.sum() < MIN_MATCHES:
         raise InsufficientMatches(
-            f"{int(keep.sum())} matches below the minimum of {FIXED.min_matches}")
-    return Matches(candidate.points[keep], model.keypoints[nearest[keep]],
-                   confidence[keep])
+            f"{int(keep.sum())} matches below the minimum of {MIN_MATCHES}")
+    return Matches(points[keep], model.keypoints[nearest[keep]])
 
 
 def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,11 +302,6 @@ def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray
     d = np.sign(np.linalg.det(v @ u.T))
     rot = (v * [1.0, 1.0, d]) @ u.T
     return rot, cd - rot @ cs
-
-
-def kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
-    """Least-squares rigid transform mapping ``src`` onto ``dst``."""
-    return Pose(*_rigid_fit(src, dst))
 
 
 def _batched_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,9 +364,9 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
     src_mean, dst_mean = src_all.mean(axis=0), dst_all.mean(axis=0)
     features, constant = _residual_features(src_all - src_mean, dst_all - dst_mean)
     hypotheses: list[PoseHypothesis] = []
-    chunk_starts = range(0, iterations, FIXED.ransac_chunk)
+    chunk_starts = range(0, iterations, RANSAC_CHUNK)
     for chunk_id, start in enumerate(chunk_starts):
-        k = min(FIXED.ransac_chunk, iterations - start)
+        k = min(RANSAC_CHUNK, iterations - start)
         rng = derive_rng(seed, "ransac", chunk_id)
         picks = rng.integers(0, n, size=(k, 3))
         src = src_all[picks]
@@ -400,7 +391,7 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
         if counts[best] < 3:
             continue
         mask = inliers[best]
-        pose = kabsch(src_all[mask], dst_all[mask])
+        pose = Pose(*_rigid_fit(src_all[mask], dst_all[mask]))
         residual = pose.apply(src_all) - dst_all
         refined = np.einsum("ni,ni->n", residual, residual) < threshold_sq
         hypotheses.append(PoseHypothesis(pose, int(refined.sum())))
@@ -421,7 +412,7 @@ def icp_model_points(model: ObjectModel) -> PointCloud:
         raise ValueError(f"model {model.object_id!r} has no normals; ICP keeps only "
                          f"the model points that face the camera and needs them")
     return _kept_on_model(model, "_icp_cloud",
-                          lambda m: voxel_downsample(m.cloud, FIXED.icp_model_voxel))
+                          lambda m: voxel_downsample(m.cloud, ICP_MODEL_VOXEL))
 
 
 def facing_points(cloud: PointCloud, pose: Pose) -> np.ndarray:
@@ -443,8 +434,8 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
                 icp_scale: float, icp_iters: int) -> PoseHypothesis:
     """Point-to-point ICP stages with a shrinking correspondence cut-off.
 
-    Stage k of ``FIXED.icp_resolutions`` uses the cut-off
-    ``icp_dist * icp_scale**(icp_resolutions - 1 - k)`` rescaled by
+    Stage k of ``ICP_RESOLUTIONS`` uses the cut-off
+    ``icp_dist * icp_scale**(ICP_RESOLUTIONS - 1 - k)`` rescaled by
     diagonal/100. If no stage finds 3 correspondences, the hypothesis comes
     back unchanged and flagged "icp stalled".
 
@@ -462,8 +453,8 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
     rot, trans = hypothesis.pose.rotation, hypothesis.pose.translation
     moved = False
     produced_by = None   # the (mask, matched indices) that (rot, trans) was fitted to
-    for stage in range(FIXED.icp_resolutions):
-        cutoff = icp_dist * icp_scale ** (FIXED.icp_resolutions - 1 - stage) \
+    for stage in range(ICP_RESOLUTIONS):
+        cutoff = icp_dist * icp_scale ** (ICP_RESOLUTIONS - 1 - stage) \
             * diagonal / DIAGONAL_REF
         for _ in range(icp_iters):
             dist, nearest = tree.query(model_pts @ rot.T + trans, distance_upper_bound=cutoff)
@@ -573,15 +564,7 @@ def _staged(memo: dict | None, key: tuple, timings: dict[str, float], stage: str
     return entry[0]
 
 
-def _ranked_points(prep: ScenePrep, model: ObjectModel, cp: ContinuousParams,
-                   dp: DiscreteParams, seed: int) -> list[PointCloud]:
-    """The ``dp.estimated`` best-ranked candidates, each kept as its points
-    only: votes and ICP read nothing else."""
-    ranked = rank_candidates(candidates_from_prep(prep, model, cp, dp, seed), model)
-    return [PointCloud(candidate.points) for candidate in ranked[:dp.estimated]]
-
-
-def _votes_or_none(candidate: PointCloud, model: ObjectModel, cp: ContinuousParams,
+def _votes_or_none(candidate: np.ndarray, model: ObjectModel, cp: ContinuousParams,
                    gt_pose: Pose, seed) -> Matches | None:
     try:
         return generate_votes(candidate, model, cp.vote_threshold, gt_pose, seed=seed)
@@ -589,15 +572,18 @@ def _votes_or_none(candidate: PointCloud, model: ObjectModel, cp: ContinuousPara
         return None
 
 
-def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
-                       cp: ContinuousParams, dp: DiscreteParams, seed: int,
-                       timings: dict[str, float], memo: dict | None) -> EstimateResult:
-    """One object on a prepared scene: candidates, ranking, votes, RANSAC,
-    coarse-to-fine ICP and the depth check; stage times are added to ``timings``.
+def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarray],
+                       scene: Scene, model: ObjectModel, cp: ContinuousParams,
+                       dp: DiscreteParams, seed: int, timings: dict[str, float],
+                       memo: dict | None) -> EstimateResult:
+    """One object on a prepared scene and its seeds: candidates, ranking,
+    votes, RANSAC, coarse-to-fine ICP and the depth check; stage times are
+    added to ``timings``.
 
-    Every stage runs through ``_staged``: the ranked candidates, then per
-    candidate its votes, its RANSAC hypotheses and its KD-tree, then per
-    hypothesis its ICP refinement and its depth check. A stage's key names the
+    Every stage runs through ``_staged``: the ranked candidates' point arrays
+    (``ranked_candidates``), then per candidate its votes, its RANSAC
+    hypotheses and the KD-tree of its points, then per hypothesis its ICP
+    refinement and its depth check. A stage's key names the
     stage, ``cp``, the seed, the object and the discrete fields read up to it
     in pipeline order (``classified``, then ``estimated`` for the ranking
     alone, ``ransac_iters``, ``icp_iters``), with the candidate and hypothesis
@@ -611,7 +597,7 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
     """
     head = (cp, seed, model.object_id, dp.classified)
     ranked = _staged(memo, ("ranked", *head, dp.estimated), timings, "t_net",
-                     lambda: _ranked_points(prep, model, cp, dp, seed))
+                     lambda: ranked_candidates(prepared, seeds, model, cp, dp, seed))
     gt_pose = scene.gt_poses.get(model.object_id)
     if gt_pose is None:
         return EstimateResult(False, None, reason="no detection")
@@ -627,16 +613,16 @@ def _estimate_prepared(prep: ScenePrep, scene: Scene, model: ObjectModel,
                              lambda: ransac_pose(matches, cp.ransac_dist, dp.ransac_iters,
                                                  model.diagonal, seed=stage_seed))
         tree = _staged(memo, ("tree", *head, ci), timings, "t_icp",
-                       lambda: cKDTree(candidate.points))
+                       lambda: cKDTree(candidate))
         for hi, hypothesis in enumerate(hypotheses[:dp.depth_checked]):
             at = (*head, ci, dp.ransac_iters, hi, dp.icp_iters)
             refined = _staged(memo, ("icp", *at), timings, "t_icp", lambda: _icp_refine(
-                hypothesis, tree, candidate.points,
+                hypothesis, tree, candidate,
                 facing_points(icp_model_points(model), hypothesis.pose),
                 model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters))
             checked = _staged(memo, ("depth", *at), timings, "t_depth", lambda: depth_check(
                 refined, scene, model, cp.background_dist, cp.accept_dist,
-                prep.prepared.depth_edges))
+                prepared.depth_edges))
             if best is None or checked.depth_score > best.depth_score:
                 best = checked
 
@@ -653,16 +639,11 @@ class SceneEstimate:
     The stage times are what a fresh image costs. ``t_pre`` holds the prepared
     scene's measured ``seconds`` plus the seed choice, also when the call
     reused a preparation made earlier, and a stage taken from a memo charges
-    the seconds measured when it was computed. Then ``total_time`` exceeds the
-    call's wall time by the work it reused.
+    the seconds measured when it was computed.
     """
 
     results: dict[str, EstimateResult]
     timings: dict[str, float]
-
-    @property
-    def total_time(self) -> float:
-        return float(sum(self.timings.values()))
 
 
 def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
@@ -670,6 +651,10 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
                  memo: dict | None = None) -> SceneEstimate:
     """Estimate every object in one scene, preprocessing the scene once; the
     stage times are the image's (see ``SceneEstimate``).
+
+    The seeds are chosen once per call and shared by the objects. Each
+    object's candidates are index sets into the prepared cloud, and its later
+    stages read only the points of the ranked ones (``ranked_candidates``).
 
     ``prepared`` is ``prepare(scene)``, passed by a caller that estimates the
     same scene under many parameter sets; without it the call prepares the
@@ -688,9 +673,9 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
         prepared = prepare(scene)
     image = dict.fromkeys(STAGE_KEYS, 0.0)
     image["t_pre"] = prepared.seconds
-    prep = _staged(memo, ("seeds", cp, seed, dp.classified), image, "t_pre",
-                   lambda: choose_seeds(prepared, cp, dp, seed))
-    results = {model.object_id: _estimate_prepared(prep, scene, model, cp, dp, seed, image,
-                                                   memo)
+    seeds = _staged(memo, ("seeds", cp, seed, dp.classified), image, "t_pre",
+                    lambda: choose_seeds(prepared, cp, dp, seed))
+    results = {model.object_id: _estimate_prepared(prepared, seeds, scene, model, cp, dp, seed,
+                                                   image, memo)
                for model in models}
     return SceneEstimate(results, image)

@@ -136,8 +136,7 @@ def _clutter_box(rng, cam, object_colors) -> PointCloud:
 
 
 def generate_scene(objects: list[ObjectModel], clutter_level: float,
-                   occlusion_level: float, seed: int,
-                   cam: CameraIntrinsics | None = None) -> Scene:
+                   occlusion_level: float, seed: int) -> Scene:
     """Place each object at a random in-frustum pose among optional clutter.
 
     ``clutter_level`` scales ground-plane and distractor density,
@@ -149,7 +148,7 @@ def generate_scene(objects: list[ObjectModel], clutter_level: float,
         raise ValueError("no objects")
     if not (0 <= clutter_level <= 1 and 0 <= occlusion_level <= 1):
         raise ValueError("levels must lie in [0, 1]")
-    cam = cam or default_camera()
+    cam = default_camera()
     rng = derive_rng(seed, "scene")
 
     gt_poses: dict[str, Pose] = {}

@@ -47,7 +47,7 @@ class TestSearchSpace:
 class TestSchedule:
     def test_default_schedule_shape(self):
         sched = default_schedule()
-        assert sched.total == 250
+        assert sum(count for count, _ in sched.phases) == 250
         assert len(sched.phases) == 4
         assert sched.phases[0] == (50, None)
         assert [k for _, k in sched.phases[1:]] == [0.5, 0.1, 0.01]

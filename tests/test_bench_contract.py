@@ -1,21 +1,39 @@
-"""The names in ``posetune`` that the benchmark's traced run patches.
+"""The names in ``posetune`` that the benchmark patches or reads.
 
 ``bench/tracing.Patches.replace`` raises ``AttributeError`` on a missing
-name, so renaming or deleting one of these breaks ``bench/run.py --trace 1``.
+name, so renaming or deleting one of the patched names breaks
+``bench/run.py --trace 1``; a missing name that ``bench/*.py`` reads breaks
+every run.
 """
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 
 import layers  # noqa: E402
 from posetune import workflow  # noqa: E402
 
 # What ``workloads.configure`` replaces to count operations and time images.
 CONFIGURE_PATCHES = ("optimize_continuous", "evaluate_grid", "estimate_all")
+
+# Every other ``posetune`` name that ``bench/*.py`` reads, as
+# ``<module>.<name>[.<attribute>]``; methods are read on instances.
+READ_NAMES = (
+    "workflow.ExperimentConfig", "workflow.cmd_generate", "workflow.cmd_train_dr",
+    "workflow.cmd_optimize", "workflow.SearchSpace.default", "workflow.learned_levels",
+    "pipeline.STAGE_KEYS", "pipeline.estimate_all", "pipeline.ContinuousParams.as_vector",
+    "pipeline.DiscreteParams.from_dict",
+    "scenes.NoiseConfig.as_tuple", "scenes.NoiseConfig.as_dict", "scenes.default_noise_config",
+    "scenes.default_jump_sizes", "scenes.generate_scene", "scenes.apply_domain_randomization",
+    "objects.make_object", "training.SurrogateTrainer",
+    "metrics.mssd_score", "metrics.recall_contribution",
+)
 
 
 @pytest.mark.parametrize("owner, attr", [(owner, attr) for owner, attr, *_ in layers.HOOKS],
@@ -27,3 +45,25 @@ def test_hooked_name_exists(owner, attr):
 @pytest.mark.parametrize("attr", CONFIGURE_PATCHES)
 def test_configure_patch_point_exists(attr):
     assert callable(getattr(workflow, attr, None))
+
+
+@pytest.mark.parametrize("name", READ_NAMES)
+def test_read_name_exists(name):
+    module, *path = name.split(".")
+    value = importlib.import_module(f"posetune.{module}")
+    for attr in path:
+        value = getattr(value, attr)
+
+
+def test_read_names_cover_the_bench_sources():
+    # every ``<module>.<name>`` read off a module imported from posetune
+    listed = {".".join(name.split(".")[:2]) for name in READ_NAMES}
+    for source in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "posetune"
+                   for alias in node.names}
+        read = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules}
+        assert read <= listed, f"{source.name} reads {sorted(read - listed)}"

@@ -60,7 +60,7 @@ def setting():
             for oid, model in models.items()}
     return dict(scene=scene, cyl=models["cyl"], gt=scene.gt_poses["cyl"],
                 est=_offset(scene.gt_poses["cyl"]), target=scene.cloud.points[near["cyl"]],
-                candidate=scene.cloud.select(near["cyl"]), models=models,
+                models=models,
                 box_est=_offset(scene.gt_poses["box"]), box_target=scene.cloud.points[near["box"]],
                 prepared=pipeline.prepare(scene))
 
@@ -101,7 +101,7 @@ def _icp_steps(args, monkeypatch):
 def test_icp_refine(benchmark, setting, monkeypatch):
     # the cylinder creeps: every one of the 3 x icp_iters steps is taken
     args = _icp_case(setting["cyl"], setting["est"], setting["target"])
-    assert _icp_steps(args, monkeypatch) == pipeline.FIXED.icp_resolutions * DP.icp_iters
+    assert _icp_steps(args, monkeypatch) == pipeline.ICP_RESOLUTIONS * DP.icp_iters
     out = benchmark(pipeline._icp_refine, *args)
     assert "icp stalled" not in out.flags
 
@@ -109,14 +109,14 @@ def test_icp_refine(benchmark, setting, monkeypatch):
 def test_icp_refine_fixed_point(benchmark, setting, monkeypatch):
     # the box reaches its fixed point before the last step, so the exit is timed
     args = _icp_case(setting["models"]["box"], setting["box_est"], setting["box_target"])
-    assert _icp_steps(args, monkeypatch) < pipeline.FIXED.icp_resolutions * DP.icp_iters
+    assert _icp_steps(args, monkeypatch) < pipeline.ICP_RESOLUTIONS * DP.icp_iters
     out = benchmark(pipeline._icp_refine, *args)
     assert "icp stalled" not in out.flags
 
 
 def test_voxel_downsample(benchmark, setting):
     cloud = setting["scene"].cloud
-    out = benchmark(pipeline.voxel_downsample, cloud, pipeline.FIXED.scene_voxel)
+    out = benchmark(pipeline.voxel_downsample, cloud, pipeline.SCENE_VOXEL)
     assert 0 < len(out) <= len(cloud)
 
 
@@ -128,8 +128,8 @@ def test_prepare(benchmark, setting):
 
 def test_choose_seeds(benchmark, setting):
     # the per-call half, done by every estimate_all call
-    prep = benchmark(pipeline.choose_seeds, setting["prepared"], CP, DP, 0)
-    assert len(prep.seed_indices) > 0
+    indices, density = benchmark(pipeline.choose_seeds, setting["prepared"], CP, DP, 0)
+    assert len(indices) > 0 and len(density) == len(indices)
 
 
 def test_grid_phase(benchmark, setting):
@@ -166,7 +166,7 @@ def test_depth_edges(benchmark, setting):
 
 def test_ransac_pose(benchmark, setting):
     cyl = setting["cyl"]
-    matches = pipeline.generate_votes(setting["candidate"], cyl, CP.vote_threshold,
+    matches = pipeline.generate_votes(setting["target"], cyl, CP.vote_threshold,
                                       setting["gt"], seed=0)
     hyps = benchmark(pipeline.ransac_pose, matches, CP.ransac_dist, DP.ransac_iters,
                      cyl.diagonal, 0)

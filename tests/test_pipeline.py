@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,22 +14,20 @@ from posetune.metrics import add_correct, add_score
 from posetune.objects import make_box
 from posetune.pipeline import (
     DIAGONAL_REF,
-    FIXED,
     ContinuousParams,
     DiscreteParams,
     InsufficientMatches,
     Matches,
     PoseHypothesis,
-    candidates_from_prep,
     choose_seeds,
     depth_check,
     estimate_all,
     facing_points,
     generate_votes,
     icp_model_points,
-    kabsch,
+    objectness,
     prepare,
-    rank_candidates,
+    ranked_candidates,
     ransac_pose,
 )
 from posetune.scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene
@@ -86,55 +85,101 @@ class TestParameterTypes:
             PoseHypothesis(Pose.identity(), 3, depth_score=1.5)
 
 
+def ranked(scene, model, dp, seed=0):
+    """``ranked_candidates`` on the scene's preparation and seeds."""
+    prepared = prepare(scene)
+    return ranked_candidates(prepared, choose_seeds(prepared, OPTIMIZED, dp, seed), model,
+                             OPTIMIZED, dp, seed)
+
+
+def extracted_in_order(scene, model, dp, seed, monkeypatch, score=lambda points: 0.5):
+    """``ranked`` with ``objectness`` replaced by ``score``, plus the points of
+    every extracted candidate in the order ``objectness`` saw them."""
+    seen = []
+    monkeypatch.setattr(pipeline, "objectness",
+                        lambda points, colors, model: seen.append(points) or score(points))
+    return ranked(scene, model, dp, seed), seen
+
+
+class RecordingTree:
+    """A KD-tree that records the ball of every single-centre query, in order."""
+
+    def __init__(self, tree):
+        self.tree, self.balls = tree, []
+
+    def query_ball_point(self, x, r, **kwargs):
+        found = self.tree.query_ball_point(x, r, **kwargs)
+        if np.ndim(x) == 1:
+            self.balls.append(found)
+        return found
+
+
 class TestExtractCandidates:
     def test_single_object_scene_yields_centered_candidate(self, box, clean_scene):
-        dp = DiscreteParams(1, 1, 500, 1, 10)
-        prep = choose_seeds(prepare(clean_scene), OPTIMIZED, dp, seed=0)
-        candidates = candidates_from_prep(prep, box, OPTIMIZED, dp, seed=0)
+        candidates = ranked(clean_scene, box, DiscreteParams(1, 1, 500, 1, 10))
         assert len(candidates) == 1
         center = clean_scene.gt_poses["crate"].translation
-        offset = np.linalg.norm(candidates[0].points.mean(axis=0) - center)
+        offset = np.linalg.norm(candidates[0].mean(axis=0) - center)
         assert offset < OPTIMIZED.cut_radius
 
     def test_empty_scene_gives_no_candidates(self, box):
-        prep = choose_seeds(prepare(empty_scene()), OPTIMIZED, SMALL_DP)
-        assert candidates_from_prep(prep, box, OPTIMIZED, SMALL_DP) == []
+        assert ranked(empty_scene(), box, SMALL_DP) == []
 
     def test_size_constraints_on_cluttered_scene(self, box, cluttered_scene):
-        dp = DiscreteParams(8, 8, 500, 1, 10)
-        prep = choose_seeds(prepare(cluttered_scene), OPTIMIZED, dp, seed=1)
-        candidates = candidates_from_prep(prep, box, OPTIMIZED, dp, seed=1)
+        candidates = ranked(cluttered_scene, box, DiscreteParams(8, 8, 500, 1, 10), seed=1)
         assert 0 < len(candidates) <= 8
         for cand in candidates:
-            assert FIXED.min_points <= len(cand) <= FIXED.input_points
+            assert cand.shape[1] == 3
+            assert pipeline.MIN_POINTS <= len(cand) <= pipeline.INPUT_POINTS
+            # distinct rows of the prepared cloud
+            assert len(np.unique(cand, axis=0)) == len(cand)
 
 
 class TestRankCandidates:
     def test_object_candidate_outranks_clutter(self, box, clean_scene):
         g = np.random.default_rng(3)
-        object_points = clean_scene.cloud.select(
-            g.choice(len(clean_scene.cloud), 600, replace=False))
+        pick = g.choice(len(clean_scene.cloud), 600, replace=False)
         plane = np.column_stack([g.uniform(-150, 150, (600, 2)),
                                  np.full(600, 800.0)])
-        clutter = PointCloud(plane, colors=np.full((600, 3), 0.5))
-        ranked = rank_candidates([clutter, object_points], box)
-        assert ranked[0] is object_points
+        assert objectness(clean_scene.cloud.points[pick], clean_scene.cloud.colors[pick], box) \
+            > objectness(plane, np.full((600, 3), 0.5), box)
 
-    def test_single_candidate_identity(self, box, clean_scene):
-        only = clean_scene.cloud
-        assert rank_candidates([only], box) == [only]
+    def test_single_candidate_identity(self, box, clean_scene, monkeypatch):
+        out, seen = extracted_in_order(clean_scene, box, DiscreteParams(1, 1, 500, 1, 10), 0,
+                                       monkeypatch)
+        assert len(seen) == 1 and len(out) == 1
+        np.testing.assert_array_equal(out[0], seen[0])
 
-    def test_ties_keep_input_order(self, box, clean_scene):
-        a = clean_scene.cloud
-        ranked = rank_candidates([a, a], box)
-        assert ranked[0] is a and ranked[1] is a
+    def test_ties_keep_input_order(self, box, cluttered_scene, monkeypatch):
+        monkeypatch.setattr(pipeline, "objectness", lambda points, colors, model: 0.5)
+        prepared = prepare(cluttered_scene)
+        tree = RecordingTree(prepared.tree)
+        prepared = replace(prepared, tree=tree)
+        dp = DiscreteParams(8, 8, 500, 1, 10)
+        out = ranked_candidates(prepared, choose_seeds(prepared, OPTIMIZED, dp, 1), box,
+                                OPTIMIZED, dp, 1)
+        # the balls kept as candidates, in extraction order
+        balls = [set(ball) for ball in tree.balls if len(ball) >= pipeline.MIN_POINTS]
+        assert len(out) == len(balls) > 2
+        row = {tuple(p): i for i, p in enumerate(prepared.cloud.points)}
+        for points, ball in zip(out, balls):
+            assert {row[tuple(p)] for p in points} <= ball
+
+    def test_ranked_by_descending_objectness_then_cut(self, box, cluttered_scene, monkeypatch):
+        # score each candidate by its first coordinate: the ranking must sort by it
+        dp = DiscreteParams(8, 3, 500, 1, 10)
+        out, seen = extracted_in_order(cluttered_scene, box, dp, 1, monkeypatch,
+                                       score=lambda points: float(points[0, 0]))
+        assert len(seen) > 3
+        best = sorted(seen, key=lambda points: -points[0, 0])[:3]
+        assert len(out) == 3
+        for got, want in zip(out, best):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGenerateVotes:
     def make_candidate(self, box, clean_scene):
-        dp = DiscreteParams(1, 1, 500, 1, 10)
-        prep = choose_seeds(prepare(clean_scene), OPTIMIZED, dp, seed=0)
-        return candidates_from_prep(prep, box, OPTIMIZED, dp, seed=0)[0]
+        return ranked(clean_scene, box, DiscreteParams(1, 1, 500, 1, 10))[0]
 
     def test_threshold_off_keeps_every_point(self, box, clean_scene):
         candidate = self.make_candidate(box, clean_scene)
@@ -152,7 +197,7 @@ class TestGenerateVotes:
         candidate = self.make_candidate(box, clean_scene)
         gt = clean_scene.gt_poses["crate"]
         matches = generate_votes(candidate, box, 0.174, gt, seed=0)
-        assert len(matches) >= FIXED.min_matches
+        assert len(matches) >= pipeline.MIN_MATCHES
 
     def test_match_pairs_are_scene_to_keypoint(self, box, clean_scene):
         candidate = self.make_candidate(box, clean_scene)
@@ -169,8 +214,7 @@ def synthetic_matches(model, pose, n_inliers, n_outliers, noise, seed):
     out_src = model.cloud.points[g.choice(len(model.cloud), n_outliers)] \
         if n_outliers else np.empty((0, 3))
     out_dst = pose.translation + g.uniform(-80, 80, (n_outliers, 3))
-    return Matches(np.vstack([dst, out_dst]), np.vstack([src, out_src]),
-                   np.ones(n_inliers + n_outliers))
+    return Matches(np.vstack([dst, out_dst]), np.vstack([src, out_src]))
 
 
 class TestRansac:
@@ -222,8 +266,7 @@ class TestRansac:
             pose1 = Pose(rot, [5.0, 8.0, 500.0])
             pose2 = Pose(rot, [10.0, 16.0, 1000.0])
             m1 = synthetic_matches(box, pose1, 120, 60, 0.4, seed=trial)
-            m2 = Matches(m1.scene_points * 2.0, m1.model_points * 2.0,
-                         m1.confidences)
+            m2 = Matches(m1.scene_points * 2.0, m1.model_points * 2.0)
             h1 = ransac_pose(m1, 10.0, 500, box.diagonal, seed=trial)[0]
             h2 = ransac_pose(m2, 10.0, 500, doubled.diagonal, seed=trial)[0]
             assert add_correct(box, pose1, h1.pose) == add_correct(doubled, pose2, h2.pose)
@@ -235,8 +278,8 @@ class TestRansac:
         threshold_sq = (ransac_dist * diagonal / DIAGONAL_REF) ** 2
         src_all, dst_all = matches.model_points, matches.scene_points
         hypotheses = []
-        for chunk_id, start in enumerate(range(0, iterations, FIXED.ransac_chunk)):
-            k = min(FIXED.ransac_chunk, iterations - start)
+        for chunk_id, start in enumerate(range(0, iterations, pipeline.RANSAC_CHUNK)):
+            k = min(pipeline.RANSAC_CHUNK, iterations - start)
             rng = derive_rng(seed, "ransac", chunk_id)
             picks = rng.integers(0, n, size=(k, 3))
             src = src_all[picks]
@@ -256,7 +299,7 @@ class TestRansac:
             best = int(np.argmax(counts))
             if counts[best] < 3:
                 continue
-            pose = kabsch(src_all[inliers[best]], dst_all[inliers[best]])
+            pose = Pose(*pipeline._rigid_fit(src_all[inliers[best]], dst_all[inliers[best]]))
             residual = pose.apply(src_all) - dst_all
             refined = np.einsum("ni,ni->n", residual, residual) < threshold_sq
             hypotheses.append(PoseHypothesis(pose, int(refined.sum())))
@@ -282,7 +325,7 @@ class TestRansac:
 class TestC2fIcp:
     def test_truth_is_fixed_point(self, box):
         pose = Pose(rotation_about_axis([0, 1, 0], 0.4), [5, -8, 520.0])
-        model_icp = voxel_downsample(box.cloud, FIXED.icp_model_voxel)
+        model_icp = voxel_downsample(box.cloud, pipeline.ICP_MODEL_VOXEL)
         candidate = PointCloud(pose.apply(model_icp.points))
         hyp = PoseHypothesis(pose, 100)
         out = pipeline._icp_refine(hyp, cKDTree(candidate.points), candidate.points,
@@ -324,15 +367,15 @@ class TestC2fIcp:
                                        model_pts, box.diagonal, 4.85, 1.24, 10)
             # reference: unbounded query, far matches dropped by the mask only
             pose = start
-            for stage in range(FIXED.icp_resolutions):
-                cutoff = 4.85 * 1.24 ** (FIXED.icp_resolutions - 1 - stage) \
+            for stage in range(pipeline.ICP_RESOLUTIONS):
+                cutoff = 4.85 * 1.24 ** (pipeline.ICP_RESOLUTIONS - 1 - stage) \
                     * box.diagonal / DIAGONAL_REF
                 for _ in range(10):
                     dist, nearest = tree.query(pose.apply(model_pts))
                     mask = dist < cutoff
                     if mask.sum() < 3:
                         break
-                    pose = kabsch(model_pts[mask], target[nearest[mask]])
+                    pose = Pose(*pipeline._rigid_fit(model_pts[mask], target[nearest[mask]]))
             np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
             np.testing.assert_array_equal(out.pose.translation, pose.translation)
 
@@ -342,9 +385,9 @@ class TestC2fIcp:
         target = cluttered_scene.cloud.points[near]
         tree = cKDTree(target)
         model_pts = icp_model_points(box).points
-        original = pipeline.kabsch
+        original = pipeline._rigid_fit
         fits = []
-        monkeypatch.setattr(pipeline, "kabsch",
+        monkeypatch.setattr(pipeline, "_rigid_fit",
                             lambda src, dst: fits.append(1) or original(src, dst))
         g = np.random.default_rng(7)
         steps = 0
@@ -357,8 +400,8 @@ class TestC2fIcp:
                                            model_pts, box.diagonal, icp_dist, 1.24, 10)
                 # reference: every iteration of every stage runs
                 pose = start
-                for stage in range(FIXED.icp_resolutions):
-                    cutoff = icp_dist * 1.24 ** (FIXED.icp_resolutions - 1 - stage) \
+                for stage in range(pipeline.ICP_RESOLUTIONS):
+                    cutoff = icp_dist * 1.24 ** (pipeline.ICP_RESOLUTIONS - 1 - stage) \
                         * box.diagonal / DIAGONAL_REF
                     for _ in range(10):
                         dist, nearest = tree.query(pose.apply(model_pts),
@@ -366,7 +409,7 @@ class TestC2fIcp:
                         mask = dist < cutoff
                         if mask.sum() < 3:
                             break
-                        pose = original(model_pts[mask], target[nearest[mask]])
+                        pose = Pose(*original(model_pts[mask], target[nearest[mask]]))
                         steps += 1
                 np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
                 np.testing.assert_array_equal(out.pose.translation, pose.translation)
@@ -384,9 +427,9 @@ class TestC2fIcp:
         monkeypatch.setattr(pipeline, "voxel_downsample", counted)
         for seed in range(2):
             estimate_all(cluttered_scene, [model], OPTIMIZED, SMALL_DP, seed=seed)
-        assert voxels.count(FIXED.icp_model_voxel) == 1
-        assert voxels.count(FIXED.scene_voxel) == 2
-        expected = original(model.cloud, FIXED.icp_model_voxel)
+        assert voxels.count(pipeline.ICP_MODEL_VOXEL) == 1
+        assert voxels.count(pipeline.SCENE_VOXEL) == 2
+        expected = original(model.cloud, pipeline.ICP_MODEL_VOXEL)
         np.testing.assert_array_equal(icp_model_points(model).points, expected.points)
         np.testing.assert_array_equal(icp_model_points(model).normals, expected.normals)
 
@@ -609,7 +652,7 @@ class TestEstimate:
         bundle = estimate_all(scene, [box, other], OPTIMIZED, SMALL_DP, seed=0)
         assert set(bundle.results) == {"crate", "slab"}
         assert bundle.timings["t_pre"] > 0
-        assert bundle.total_time > 0
+        assert sum(bundle.timings.values()) > 0
         solo = estimate_all(scene, [box], OPTIMIZED, SMALL_DP, seed=0).results["crate"]
         joint = bundle.results["crate"]
         np.testing.assert_allclose(solo.hypothesis.pose.translation,
@@ -652,21 +695,23 @@ class TestStaged:
 
 
 class TestKabsch:
+    """``_rigid_fit``, the Kabsch fit behind RANSAC and ICP."""
+
     def test_recovers_random_rigid_transform(self):
         g = np.random.default_rng(23)
         for _ in range(20):
             src = g.uniform(-30, 30, (10, 3))
             pose = Pose(random_rotation(g), g.uniform(-20, 20, 3))
-            est = kabsch(src, pose.apply(src))
-            np.testing.assert_allclose(est.rotation, pose.rotation, atol=1e-9)
-            np.testing.assert_allclose(est.translation, pose.translation, atol=1e-8)
+            rot, trans = pipeline._rigid_fit(src, pose.apply(src))
+            np.testing.assert_allclose(rot, pose.rotation, atol=1e-9)
+            np.testing.assert_allclose(trans, pose.translation, atol=1e-8)
 
     def test_never_returns_reflection(self):
         g = np.random.default_rng(29)
         for _ in range(50):
             src = g.uniform(-1, 1, (3, 3))
             dst = g.uniform(-1, 1, (3, 3))
-            pose = kabsch(src, dst)  # constructor asserts det=+1
+            pose = Pose(*pipeline._rigid_fit(src, dst))  # constructor asserts det=+1
             assert np.linalg.det(pose.rotation) == pytest.approx(1.0, abs=1e-9)
 
 

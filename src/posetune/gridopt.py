@@ -5,9 +5,11 @@ The cost model is linear in the work terms implied by the pipeline structure:
     t_image = t_pre + obj * (t_net*PC + PE*(t_ran*RI + DC*(t_icp*II + t_depth)))
 
 and each stage's coefficient is fit to that stage's measured times over the
-grid. The model is linear in the object count, but the grid measures only
-the configured count, so the fit is made there alone; nothing checks its
-predictions at another count.
+grid. DC counts hypotheses, but the pipeline refines and checks a repeated
+pose once, so where RANSAC chunks agree the measured ICP and depth times lie
+below DC times the per-hypothesis cost. The model is linear in the object
+count, but the grid measures only the configured count, so the fit is made
+there alone; nothing checks its predictions at another count.
 """
 
 from __future__ import annotations

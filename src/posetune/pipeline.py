@@ -94,7 +94,8 @@ class DiscreteParams:
     classified: int      # candidate clouds scored by the classifier
     estimated: int       # best-ranked clouds carried into pose estimation
     ransac_iters: int
-    depth_checked: int   # hypotheses refined and depth-checked per cloud
+    depth_checked: int   # best RANSAC hypotheses refined and depth-checked per
+                         # cloud; one that repeats an earlier pose is done once
     icp_iters: int       # ICP iterations per resolution stage
 
     def __post_init__(self):
@@ -312,9 +313,9 @@ def _batched_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nda
     u, _, vt = np.linalg.svd(h)
     v = np.swapaxes(vt, 1, 2)
     ut = np.swapaxes(u, 1, 2)
-    flip = np.repeat(np.eye(3)[None], len(src), axis=0)
-    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
-    rot = v @ flip @ ut
+    # v's last column, a view of vt's last row, times sign(det): no reflection
+    vt[:, 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
+    rot = v @ ut
     trans = cd[:, 0] - np.einsum("kij,kj->ki", rot, cs[:, 0])
     return rot, trans
 
@@ -351,8 +352,12 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
     squared residuals of a chunk's 3-sample solutions come from one
     (k x 16)(16 x n) product with per-match features computed once per call
     (see ``_residual_features``). Each chunk's best solution is refit on its
-    inliers. Hypotheses come back sorted by inlier count. Collinear samples
-    are redrawn.
+    inliers, the local optimisation of LO-RANSAC (Chum, Matas & Kittler, DAGM
+    2003). A distinct inlier mask is refit once per call: a chunk whose best
+    mask equals an earlier chunk's reuses that chunk's hypothesis, which the
+    refit would return bit for bit. Hypotheses come back sorted by inlier
+    count (stable, so equal counts keep chunk order). Collinear samples are
+    redrawn.
     """
     if ransac_dist <= 0 or iterations < 1:
         raise ValueError("ransac_dist and iterations must be positive")
@@ -364,6 +369,7 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
     src_mean, dst_mean = src_all.mean(axis=0), dst_all.mean(axis=0)
     features, constant = _residual_features(src_all - src_mean, dst_all - dst_mean)
     hypotheses: list[PoseHypothesis] = []
+    refits: dict[bytes, PoseHypothesis] = {}   # per distinct best inlier mask
     chunk_starts = range(0, iterations, RANSAC_CHUNK)
     for chunk_id, start in enumerate(chunk_starts):
         k = min(RANSAC_CHUNK, iterations - start)
@@ -391,10 +397,13 @@ def ransac_pose(matches: Matches, ransac_dist: float, iterations: int,
         if counts[best] < 3:
             continue
         mask = inliers[best]
-        pose = Pose(*_rigid_fit(src_all[mask], dst_all[mask]))
-        residual = pose.apply(src_all) - dst_all
-        refined = np.einsum("ni,ni->n", residual, residual) < threshold_sq
-        hypotheses.append(PoseHypothesis(pose, int(refined.sum())))
+        key = mask.tobytes()
+        if key not in refits:
+            pose = Pose(*_rigid_fit(src_all[mask], dst_all[mask]))
+            residual = pose.apply(src_all) - dst_all
+            refined = np.einsum("ni,ni->n", residual, residual) < threshold_sq
+            refits[key] = PoseHypothesis(pose, int(refined.sum()))
+        hypotheses.append(refits[key])
     hypotheses.sort(key=lambda h: -h.inlier_count)
     return hypotheses
 
@@ -589,6 +598,13 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
     alone, ``ransac_iters``, ``icp_iters``), with the candidate and hypothesis
     indices in between.
 
+    Of the first ``dp.depth_checked`` hypotheses, one whose pose bytes equal
+    an earlier one's is skipped before ICP: it would refine and check to the
+    same result, and ``best`` changes only on a strictly greater score. So
+    each distinct pose is refined and checked once, under the index ``hi`` of
+    its first occurrence, and a skipped repeat charges no time, as a fresh
+    image does not compute it.
+
     Each hypothesis is refined against only the ICP model points that face the
     camera at its RANSAC pose, (R n) . (R p + t) < 0 (``facing_points``),
     chosen once per hypothesis and kept for all its ICP stages. The normals are
@@ -614,7 +630,12 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
                                                  model.diagonal, seed=stage_seed))
         tree = _staged(memo, ("tree", *head, ci), timings, "t_icp",
                        lambda: cKDTree(candidate))
+        poses = set()   # (rotation, translation) bytes refined so far
         for hi, hypothesis in enumerate(hypotheses[:dp.depth_checked]):
+            pose_key = (hypothesis.pose.rotation.tobytes(), hypothesis.pose.translation.tobytes())
+            if pose_key in poses:
+                continue
+            poses.add(pose_key)
             at = (*head, ci, dp.ransac_iters, hi, dp.icp_iters)
             refined = _staged(memo, ("icp", *at), timings, "t_icp", lambda: _icp_refine(
                 hypothesis, tree, candidate,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from posetune import bayesopt, metrics, pipeline
+from posetune import bayesopt, metrics, pipeline, workflow
 from posetune.geometry import Pose, rotation_about_axis
 from posetune.gridopt import GridSpec, enumerate_grid
 from posetune.objects import make_object
@@ -132,23 +132,36 @@ def test_choose_seeds(benchmark, setting):
     assert len(indices) > 0 and len(density) == len(indices)
 
 
-def test_grid_phase(benchmark, setting):
-    # the grid phase on the benchmark experiment's first validation scene:
-    # every tuple through one fresh stage memo, as cmd_optimize runs it
+@pytest.fixture(scope="module")
+def validation(setting):
+    """The benchmark experiment's first validation scene, prepared, with its
+    estimate seed, as ``cmd_optimize`` searches on it."""
     models = list(setting["models"].values())
     scene = apply_domain_randomization(
         generate_scene(models, 0.75, 0.18, seed=stream_seed(0, "scene", "validation", 0)),
         LEVELS, seed=stream_seed(0, "valnoise-dr", 0))
-    prepared = pipeline.prepare(scene)
-    seed = stream_seed(0, "est", 0)
+    return dict(scene=scene, models=models, prepared=pipeline.prepare(scene),
+                seed=stream_seed(0, "est", 0))
 
+
+def test_grid_phase(benchmark, validation):
+    # every grid tuple through one fresh stage memo, as cmd_optimize runs it
     def grid_phase():
         memo = {}
-        return [pipeline.estimate_all(scene, models, CP, dp, seed=seed, prepared=prepared,
+        return [pipeline.estimate_all(validation["scene"], validation["models"], CP, dp,
+                                      seed=validation["seed"], prepared=validation["prepared"],
                                       memo=memo) for dp in GRID]
 
     out = benchmark(grid_phase)
     assert len(out) == 48 and any(r.found for e in out for r in e.results.values())
+
+
+def test_heavy_tuple(benchmark, validation):
+    # one GP-UCB-phase call: the heavy tuple, no memo
+    out = benchmark(pipeline.estimate_all, validation["scene"], validation["models"], CP,
+                    workflow.BO_FIXED_DISCRETE, seed=validation["seed"],
+                    prepared=validation["prepared"])
+    assert any(r.found for r in out.results.values())
 
 
 def test_render_depth(benchmark, setting):

@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +321,28 @@ class TestRansac:
         for a, b in zip(got, ref):
             np.testing.assert_allclose(a.pose.rotation, b.pose.rotation, atol=1e-9)
             np.testing.assert_allclose(a.pose.translation, b.pose.translation, atol=1e-9)
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_each_distinct_mask_is_refit_once(self, box, trial, monkeypatch):
+        # clean matches: every chunk's best solution saturates the inlier set,
+        # so all chunks land on one mask
+        g = np.random.default_rng(400 + trial)
+        pose = Pose(random_rotation(g), [g.uniform(-60, 60), g.uniform(-60, 60), 600.0])
+        matches = synthetic_matches(box, pose, 80 + 60 * trial, 0, 0.0, seed=500 + trial)
+        fitted = []
+        original = pipeline._rigid_fit
+        monkeypatch.setattr(pipeline, "_rigid_fit",
+                            lambda src, dst: fitted.append(src.tobytes()) or original(src, dst))
+        ref = self.direct_residual_reference(matches, 10.0, 500, box.diagonal, seed=trial)
+        assert len(fitted) == 10   # the reference refits every chunk
+        distinct = len(set(fitted))
+        fitted.clear()
+        got = ransac_pose(matches, 10.0, 500, box.diagonal, seed=trial)
+        assert len(fitted) == distinct == 1
+        assert [h.inlier_count for h in got] == [h.inlier_count for h in ref]
+        for a, b in zip(got, ref):
+            assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+            assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
 
 
 class TestC2fIcp:
@@ -657,6 +680,54 @@ class TestEstimate:
         joint = bundle.results["crate"]
         np.testing.assert_allclose(solo.hypothesis.pose.translation,
                                    joint.hypothesis.pose.translation, atol=1e-9)
+
+    def test_repeated_pose_is_refined_and_checked_once(self, box, cluttered_scene):
+        gt = cluttered_scene.gt_poses["crate"]
+        h = PoseHypothesis(Pose(rotation_about_axis([1, 0, 0], 0.05) @ gt.rotation,
+                                gt.translation + [2.0, -1.0, 3.0]), 60)
+        # equal to h but a separate object: the key is the pose, not identity
+        h_copy = PoseHypothesis(Pose(h.pose.rotation.copy(), h.pose.translation.copy()), 60)
+        h2 = PoseHypothesis(Pose(gt.rotation, gt.translation + [6.0, 4.0, -5.0]), 50)
+        dp = replace(SMALL_DP, depth_checked=3)
+
+        def run(hypotheses):
+            ransac_calls, refined, checked = [], [], []
+            original_icp, original_depth = pipeline._icp_refine, pipeline.depth_check
+
+            def icp(hypothesis, *args):
+                refined.append((hypothesis.pose.rotation.tobytes(),
+                                hypothesis.pose.translation.tobytes()))
+                return original_icp(hypothesis, *args)
+
+            def depth(*args):
+                checked.append(1)
+                return original_depth(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "clock", itertools.count().__next__)
+                patch.setattr(pipeline, "ransac_pose",
+                              lambda *a, **k: ransac_calls.append(1) or list(hypotheses))
+                patch.setattr(pipeline, "_icp_refine", icp)
+                patch.setattr(pipeline, "depth_check", depth)
+                bundle = estimate_all(cluttered_scene, [box], OPTIMIZED, dp, seed=0)
+            return bundle, len(ransac_calls), refined, len(checked)
+
+        bundle, candidates, refined, checked = run([h, h_copy, h2])
+        assert candidates > 0
+        distinct = {(x.pose.rotation.tobytes(), x.pose.translation.tobytes()) for x in (h, h2)}
+        assert len(refined) == checked == 2 * candidates
+        assert Counter(refined) == {key: candidates for key in distinct}
+
+        reference, _, _, _ = run([h, h2])
+        got, want = bundle.results["crate"], reference.results["crate"]
+        assert got.found and want.found
+        assert got.hypothesis.pose.rotation.tobytes() == want.hypothesis.pose.rotation.tobytes()
+        assert got.hypothesis.pose.translation.tobytes() == \
+            want.hypothesis.pose.translation.tobytes()
+        assert (got.hypothesis.inlier_count, got.hypothesis.depth_score, got.hypothesis.flags) \
+            == (want.hypothesis.inlier_count, want.hypothesis.depth_score, want.hypothesis.flags)
+        for key in ("t_icp", "t_depth"):
+            assert bundle.timings[key] == reference.timings[key]
 
 
 class TestStaged:

@@ -88,63 +88,50 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Positions plus optional per-point normal and RGB channels.
-
-    Channels that are present must have one row per point; normals are unit
-    length, colors lie in [0, 1].
-    """
+    """Positions with a unit normal and an RGB colour in [0, 1] per point."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
-    colors: np.ndarray | None = None
+    normals: np.ndarray
+    colors: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        object.__setattr__(self, "points", _freeze(pts))
+        nrm = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
+        col = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
         n = len(pts)
-        if self.normals is not None:
-            nrm = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
-            if len(nrm) != n:
-                raise ValueError(f"normals has {len(nrm)} rows, expected {n}")
-            lengths = np.linalg.norm(nrm, axis=1)
-            if n and np.abs(lengths - 1.0).max() > NORMAL_TOL:
-                raise ValueError("normals are not unit length")
-            object.__setattr__(self, "normals", _freeze(nrm))
-        if self.colors is not None:
-            col = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
-            if len(col) != n:
-                raise ValueError(f"colors has {len(col)} rows, expected {n}")
-            if n and (col.min() < 0.0 or col.max() > 1.0):
-                raise ValueError("colors outside [0, 1]")
-            object.__setattr__(self, "colors", _freeze(col))
+        for name, channel in (("normals", nrm), ("colors", col)):
+            if len(channel) != n:
+                raise ValueError(f"{name} has {len(channel)} rows, expected {n}")
+        if n and np.abs(np.linalg.norm(nrm, axis=1) - 1.0).max() > NORMAL_TOL:
+            raise ValueError("normals are not unit length")
+        if n and (col.min() < 0.0 or col.max() > 1.0):
+            raise ValueError("colors outside [0, 1]")
+        object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "normals", _freeze(nrm))
+        object.__setattr__(self, "colors", _freeze(col))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def save(self, directory: str | Path) -> None:
-        """Write each channel as ``<channel>.npy``; an absent channel's file is removed."""
+        """Write each channel as ``<channel>.npy``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for f in fields(self):
-            path = directory / f"{f.name}.npy"
-            value = getattr(self, f.name)
-            if value is None:
-                path.unlink(missing_ok=True)
-            else:
-                np.save(path, value)
+            np.save(directory / f"{f.name}.npy", getattr(self, f.name))
 
     @staticmethod
     def load(directory: str | Path) -> "PointCloud":
-        """Read the channels ``save`` wrote; pickled arrays, NaN and Inf are refused."""
+        """Read the channels ``save`` wrote; a missing file raises
+        ``FileNotFoundError``, pickled arrays, NaN and Inf are refused."""
         directory = Path(directory)
         arrays = {}
         for f in fields(PointCloud):
             path = directory / f"{f.name}.npy"
-            if f.name == "points" or path.exists():
-                arr = np.asarray(np.load(path, allow_pickle=False), dtype=np.float64)
-                if arr.size and not np.isfinite(arr).all():
-                    raise ValueError(f"{path.name} contains NaN or Inf")
-                arrays[f.name] = arr
+            arr = np.asarray(np.load(path, allow_pickle=False), dtype=np.float64)
+            if arr.size and not np.isfinite(arr).all():
+                raise ValueError(f"{path.name} contains NaN or Inf")
+            arrays[f.name] = arr
         return PointCloud(**arrays)
 
 
@@ -201,22 +188,18 @@ def farthest_point_sample(points: np.ndarray, count: int) -> np.ndarray:
 
 def transform_cloud(cloud: PointCloud, pose: Pose) -> PointCloud:
     """Apply a rigid transform: rotate+translate points, rotate normals."""
-    return PointCloud(
-        pose.apply(cloud.points),
-        None if cloud.normals is None else cloud.normals @ pose.rotation.T,
-        cloud.colors,
-    )
+    return PointCloud(pose.apply(cloud.points), cloud.normals @ pose.rotation.T, cloud.colors)
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
-    """One point per occupied voxel: the centroid of that voxel's points.
+    """One point per occupied voxel, each channel averaged over the voxel.
 
     Voxel keys are ``floor(coordinate / voxel)`` per axis, shifted to start at
     zero and packed into one mixed-radix int64 with x most significant, so a
     1-D ``np.unique`` gives the voxels in lexicographic (x, y, z) order.
-    Averaged normals are renormalized; a voxel whose normals cancel to zero
-    takes the normal of its first point. Averaged colors stay in range by
-    convexity.
+    The point is the centroid. The mean normal is renormalized; a voxel whose
+    normals cancel to zero takes the normal of its first point. The mean
+    colour stays in range by convexity.
     """
     if voxel <= 0:
         raise ValueError("voxel size must be positive")
@@ -240,20 +223,16 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
                                for column in values.T])
         return acc / counts[:, None]
 
-    points = bucket_mean(cloud.points)
-    normals = None
-    if cloud.normals is not None:
-        normals = bucket_mean(cloud.normals)
-        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-        cancelled = lengths[:, 0] == 0
-        if cancelled.any():
-            first = np.full(k, len(cloud))
-            np.minimum.at(first, inverse, np.arange(len(cloud)))
-            normals[cancelled] = cloud.normals[first[cancelled]]
-            lengths[cancelled] = 1.0
-        normals /= lengths
-    colors = None if cloud.colors is None else bucket_mean(cloud.colors)
-    return PointCloud(points, normals, colors)
+    normals = bucket_mean(cloud.normals)
+    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+    cancelled = lengths[:, 0] == 0
+    if cancelled.any():
+        first = np.full(k, len(cloud))
+        np.minimum.at(first, inverse, np.arange(len(cloud)))
+        normals[cancelled] = cloud.normals[first[cancelled]]
+        lengths[cancelled] = 1.0
+    normals /= lengths
+    return PointCloud(bucket_mean(cloud.points), normals, bucket_mean(cloud.colors))
 
 
 def bbox_diagonal(cloud: PointCloud) -> float:

@@ -93,21 +93,43 @@ def make_lshape(object_id: str, size, color) -> ObjectModel:
     return ObjectModel(object_id, cloud)
 
 
+# Each builtin shape's builder and the defaults of the keys it reads besides
+# "shape", "id" and "color". A spec with "path" names a saved object
+# directory and holds nothing else.
+SHAPES = {
+    "box": (make_box, {"size": [40, 55, 75]}),
+    "cylinder": (make_cylinder, {"radius": 25.0, "height": 80.0}),
+    "lshape": (make_lshape, {"size": [50, 40, 80]}),
+}
+DEFAULT_COLOR = [0.7, 0.3, 0.3]
+
+
+def check_spec_keys(spec: dict) -> None:
+    """Raise ``ValueError`` naming any key of ``spec`` that ``make_object``
+    would not read. A missing or unknown shape is left to ``make_object``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"object spec {spec!r} is not a mapping")
+    if "path" in spec:
+        allowed = {"path"}
+    elif spec.get("shape") in SHAPES:
+        allowed = {"shape", "id", "color", *SHAPES[spec["shape"]][1]}
+    else:
+        return
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ValueError(f"object spec {spec!r} has unknown keys {unknown}")
+
+
 def make_object(spec: dict) -> ObjectModel:
     """Build a model from a config entry: builtin shape or saved object directory."""
+    check_spec_keys(spec)
     if "path" in spec:
         return load_object(spec["path"])
-    shape = spec["shape"]
-    object_id = spec["id"]
-    color = spec.get("color", [0.7, 0.3, 0.3])
-    if shape == "box":
-        return make_box(object_id, spec.get("size", [40, 55, 75]), color)
-    if shape == "cylinder":
-        return make_cylinder(object_id, spec.get("radius", 25.0),
-                             spec.get("height", 80.0), color)
-    if shape == "lshape":
-        return make_lshape(object_id, spec.get("size", [50, 40, 80]), color)
-    raise ValueError(f"unknown shape {shape!r}")
+    if spec["shape"] not in SHAPES:
+        raise ValueError(f"unknown shape {spec['shape']!r}")
+    build, defaults = SHAPES[spec["shape"]]
+    options = {key: spec.get(key, default) for key, default in defaults.items()}
+    return build(spec["id"], color=spec.get("color", DEFAULT_COLOR), **options)
 
 
 def save_object(model: ObjectModel, directory: str | Path) -> None:

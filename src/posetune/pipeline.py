@@ -190,35 +190,31 @@ def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscretePara
     return seed_idx, density
 
 
-def _mean_color(model: ObjectModel) -> np.ndarray | None:
-    if model.cloud.colors is None:
-        return None
+def _mean_color(model: ObjectModel) -> np.ndarray:
     color = model.cloud.colors.mean(axis=0)
     color.setflags(write=False)   # shared by every caller
     return color
 
 
-def _model_color(model: ObjectModel) -> np.ndarray | None:
+def _model_color(model: ObjectModel) -> np.ndarray:
     """Mean colour of the model cloud, computed once per model."""
     return _kept_on_model(model, "_mean_color", _mean_color)
 
 
-def _color_similarity(colors: np.ndarray | None, reference: np.ndarray | None) -> np.ndarray | float:
-    if colors is None or reference is None:
-        return 1.0
-    return np.exp(-np.linalg.norm(np.atleast_2d(colors) - reference, axis=1) / COLOR_SIM_SCALE)
+def _color_similarity(colors: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per row of ``colors`` (n, 3): exp(-|colour - reference| / COLOR_SIM_SCALE)."""
+    return np.exp(-np.linalg.norm(colors - reference, axis=1) / COLOR_SIM_SCALE)
 
 
-def objectness(points: np.ndarray, colors: np.ndarray | None, model: ObjectModel) -> float:
+def objectness(points: np.ndarray, colors: np.ndarray, model: ObjectModel) -> float:
     """How much a candidate looks like ``model``: its size against
     ``INPUT_POINTS``, its bounding-box diagonal against the model's, and its
     mean colour against the model's."""
     size_factor = len(points) / INPUT_POINTS
     extent = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
     geom = np.exp(-abs(extent - model.diagonal) / model.diagonal)
-    color = _color_similarity(None if colors is None else colors.mean(axis=0, keepdims=True),
-                              _model_color(model))
-    return float(size_factor * geom * np.atleast_1d(color)[0])
+    color = _color_similarity(colors.mean(axis=0, keepdims=True), _model_color(model))[0]
+    return float(size_factor * geom * color)
 
 
 def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarray],
@@ -239,8 +235,7 @@ def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarr
     if len(seed_idx) == 0:
         return []
     cloud, tree = prepared.cloud, prepared.tree
-    sim = _color_similarity(None if cloud.colors is None else cloud.colors[seed_idx],
-                            _model_color(model))
+    sim = _color_similarity(cloud.colors[seed_idx], _model_color(model))
     scores = (density / density.max()) * sim
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
@@ -262,8 +257,8 @@ def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarr
         candidates.append(np.sort(idx))
 
     # sorted() is stable, so ties keep extraction order
-    ranked = sorted(candidates, key=lambda idx: -objectness(
-        cloud.points[idx], None if cloud.colors is None else cloud.colors[idx], model))
+    ranked = sorted(candidates, key=lambda idx: -objectness(cloud.points[idx],
+                                                            cloud.colors[idx], model))
     return [cloud.points[idx] for idx in ranked[:dp.estimated]]
 
 
@@ -415,11 +410,8 @@ def icp_model_points(model: ObjectModel) -> PointCloud:
     ICP matches only the points that face the camera at the hypothesis,
     (R n) . (R p + t) < 0 (``facing_points``). The normals it reads are the
     model's analytic normals, voxel-averaged here, never the DR-noised scene
-    normals. A model without normals raises ``ValueError``.
+    normals.
     """
-    if model.cloud.normals is None:
-        raise ValueError(f"model {model.object_id!r} has no normals; ICP keeps only "
-                         f"the model points that face the camera and needs them")
     return _kept_on_model(model, "_icp_cloud",
                           lambda m: voxel_downsample(m.cloud, ICP_MODEL_VOXEL))
 

@@ -174,8 +174,7 @@ def generate_scene(objects: list[ObjectModel], clutter_level: float,
         parts.append(_plane_patch(rng, np.zeros(2), half, 0.75 * half,
                                   GROUND_PLANE_Z, GROUND_SPACING,
                                   np.array([0.55, 0.53, 0.5])))
-        object_colors = [m.cloud.colors.mean(axis=0) for m in objects
-                         if m.cloud.colors is not None]
+        object_colors = [m.cloud.colors.mean(axis=0) for m in objects]
         for _ in range(int(round(6 * clutter_level))):
             parts.append(_clutter_box(rng, cam, object_colors))
 
@@ -209,8 +208,8 @@ def apply_domain_randomization(scene: Scene, cfg: NoiseConfig, seed: int) -> Sce
     """
     rng = derive_rng(scene.seed, seed, "dr")
     points = scene.cloud.points.copy()
-    normals = None if scene.cloud.normals is None else scene.cloud.normals.copy()
-    colors = None if scene.cloud.colors is None else scene.cloud.colors.copy()
+    normals = scene.cloud.normals.copy()
+    colors = scene.cloud.colors
     gt_poses = dict(scene.gt_poses)
     n = len(points)
 
@@ -219,14 +218,14 @@ def apply_domain_randomization(scene: Scene, cfg: NoiseConfig, seed: int) -> Sce
 
     if cfg.xyz_sigma > 0 and n:
         points += rng.normal(size=(n, 3)) * sample_level(cfg.xyz_sigma)
-    if cfg.normal_sigma > 0 and normals is not None and n:
+    if cfg.normal_sigma > 0 and n:
         normals += rng.normal(size=(n, 3)) * sample_level(cfg.normal_sigma)
         lengths = np.linalg.norm(normals, axis=1, keepdims=True)
         lengths[lengths == 0] = 1.0
         normals /= lengths
-    if cfg.rgb_sigma > 0 and colors is not None and n:
+    if cfg.rgb_sigma > 0 and n:
         colors = np.clip(colors + rng.normal(size=(n, 3)) * sample_level(cfg.rgb_sigma), 0, 1)
-    if cfg.rgb_shift > 0 and colors is not None and n:
+    if cfg.rgb_shift > 0 and n:
         colors = np.clip(colors + rng.normal(size=3) * sample_level(cfg.rgb_shift), 0, 1)
     if cfg.rotation_max > 0 and n:
         axis = rng.normal(size=3)
@@ -234,8 +233,7 @@ def apply_domain_randomization(scene: Scene, cfg: NoiseConfig, seed: int) -> Sce
         rot = rotation_about_axis(axis, angle)
         centroid = points.mean(axis=0)
         points = (points - centroid) @ rot.T + centroid
-        if normals is not None:
-            normals = normals @ rot.T
+        normals = normals @ rot.T
         view_change = Pose(rot, centroid - rot @ centroid)
         gt_poses = {k: view_change.compose(p) for k, p in gt_poses.items()}
     if cfg.flatten_frac > 0 and n:

@@ -45,11 +45,9 @@ class SurrogateTrainer:
         keypoints = gt.apply(self.model.keypoints)
         dist, _ = cKDTree(keypoints).query(points)
         confidence = float(np.mean(np.exp(-dist / (VOTE_CONF_FRACTION * self.model.diagonal))))
-        color_sim = 1.0
+        observed = scene.cloud.colors[region].mean(axis=0)
         expected = _model_color(self.model)
-        if scene.cloud.colors is not None and expected is not None:
-            observed = scene.cloud.colors[region].mean(axis=0)
-            color_sim = float(np.exp(-np.linalg.norm(observed - expected) / COLOR_SIM_SCALE))
+        color_sim = float(np.exp(-np.linalg.norm(observed - expected) / COLOR_SIM_SCALE))
         return (1.0 - COLOR_WEIGHT) * confidence + COLOR_WEIGHT * color_sim
 
     def __call__(self, epoch: int, noise: NoiseConfig) -> float:

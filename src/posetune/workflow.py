@@ -44,9 +44,9 @@ from .gridopt import (
     select_for_budget,
 )
 from .metrics import MetricScore, add_correct, evaluate_pose, recall_contribution, scores_to_csv
-from .objects import make_object, save_object
+from .objects import check_spec_keys, make_object, save_object
 from .pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, PreparedScene,
-                       estimate_all, icp_model_points, prepare)
+                       estimate_all, prepare)
 from .scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene, load_scene, save_scene
 from .scheduler import run_scheduled_training
 from .seeding import stream_seed
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if not self.objects:
             raise ValueError("no objects configured")
+        for spec in self.objects:
+            check_spec_keys(spec)
         for name, build in (("schedule", self.bo_schedule), ("grid", self.grid_spec)):
             try:
                 build()
@@ -169,13 +171,11 @@ def _finish_stage(config: ExperimentConfig, stage: str, summary: dict) -> dict:
 
 
 def build_models(config: ExperimentConfig) -> list[ObjectModel]:
-    """The configured models, each with its ICP cloud built; a model that ICP
-    cannot use fails here rather than scoring 0 in every search call."""
+    """The configured models. A spec that cannot build one, such as an object
+    directory without ``normals.npy`` or ``colors.npy``, fails here rather
+    than scoring 0 in every search call."""
     try:
-        models = [make_object(spec) for spec in config.objects]
-        for model in models:
-            icp_model_points(model)
-        return models
+        return [make_object(spec) for spec in config.objects]
     except (KeyError, ValueError, OSError) as exc:
         raise StageError("generate", f"bad object spec: {exc}") from exc
 

@@ -15,6 +15,8 @@ from posetune.geometry import (
 )
 from posetune.objects import load_object, make_object, save_object
 
+from clouds import cloud_of
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -56,12 +58,12 @@ class TestPose:
 
 class TestTransformCloud:
     def test_identity_pose_is_noop(self):
-        cloud = PointCloud(rng().uniform(-5, 5, (10, 3)))
+        cloud = cloud_of(rng().uniform(-5, 5, (10, 3)))
         out = transform_cloud(cloud, Pose.identity())
         np.testing.assert_allclose(out.points, cloud.points)
 
     def test_quarter_turn_about_z(self):
-        cloud = PointCloud([[1.0, 0.0, 0.0]])
+        cloud = cloud_of([[1.0, 0.0, 0.0]])
         pose = Pose(rotation_about_axis([0, 0, 1], np.pi / 2), np.zeros(3))
         np.testing.assert_allclose(transform_cloud(cloud, pose).points,
                                    [[0.0, 1.0, 0.0]], atol=1e-9)
@@ -71,7 +73,7 @@ class TestTransformCloud:
         g = rng(11)
         pts = g.uniform(-20, 20, (5, 3))
         pose = random_pose(g)
-        out = transform_cloud(PointCloud(pts), pose)
+        out = transform_cloud(cloud_of(pts), pose)
         for i in range(5):
             expected = pose.rotation @ pts[i] + pose.translation
             np.testing.assert_allclose(out.points[i], expected, atol=1e-12)
@@ -89,7 +91,7 @@ class TestTransformCloud:
 
     def test_roundtrip_through_inverse(self):
         g = rng(17)
-        cloud = PointCloud(g.uniform(-30, 30, (50, 3)))
+        cloud = cloud_of(g.uniform(-30, 30, (50, 3)))
         pose = random_pose(g)
         back = transform_cloud(transform_cloud(cloud, pose), pose.inverse())
         np.testing.assert_allclose(back.points, cloud.points, atol=1e-6)
@@ -97,18 +99,18 @@ class TestTransformCloud:
 
 class TestVoxelDownsample:
     def test_merges_close_points(self):
-        cloud = PointCloud([[0.1, 0.1, 0.1], [0.3, 0.1, 0.1]])
+        cloud = cloud_of([[0.1, 0.1, 0.1], [0.3, 0.1, 0.1]])
         out = voxel_downsample(cloud, 1.0)
         assert len(out) == 1
         np.testing.assert_allclose(out.points[0], [0.2, 0.1, 0.1])
 
     def test_keeps_far_points(self):
-        cloud = PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        cloud = cloud_of([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         assert len(voxel_downsample(cloud, 1.0)) == 2
 
     def test_respects_voxel_bucket_count(self):
         pts = rng(5).uniform(0, 10, (1000, 3))
-        out = voxel_downsample(PointCloud(pts), 5.0)
+        out = voxel_downsample(cloud_of(pts), 5.0)
         assert len(out) <= 8
         # independent bucketing oracle
         buckets = {tuple(np.floor(p / 5.0).astype(int)) for p in pts}
@@ -116,7 +118,7 @@ class TestVoxelDownsample:
 
     def test_centroids_match_bucket_means(self):
         pts = rng(6).uniform(-4, 4, (200, 3))
-        out = voxel_downsample(PointCloud(pts), 2.0)
+        out = voxel_downsample(cloud_of(pts), 2.0)
         oracle = {}
         for p in pts:
             oracle.setdefault(tuple(np.floor(p / 2.0).astype(int)), []).append(p)
@@ -126,18 +128,18 @@ class TestVoxelDownsample:
 
     def test_idempotent_when_sparse(self):
         pts = np.array([[0.0, 0, 0], [5.0, 0, 0], [0, 5.0, 0]])
-        once = voxel_downsample(PointCloud(pts), 1.0)
+        once = voxel_downsample(cloud_of(pts), 1.0)
         twice = voxel_downsample(once, 1.0)
         np.testing.assert_allclose(np.sort(once.points, axis=0),
                                    np.sort(twice.points, axis=0))
 
     def test_empty_input(self):
-        out = voxel_downsample(PointCloud(np.empty((0, 3))), 1.0)
+        out = voxel_downsample(cloud_of(np.empty((0, 3))), 1.0)
         assert len(out) == 0
 
     def test_normals_renormalized(self):
         normals = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        cloud = PointCloud([[0.1, 0, 0], [0.2, 0, 0]], normals)
+        cloud = cloud_of([[0.1, 0, 0], [0.2, 0, 0]], normals)
         out = voxel_downsample(cloud, 1.0)
         np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0)
 
@@ -179,7 +181,7 @@ class TestVoxelDownsample:
 
     def test_cancelled_normals_take_first_point_normal(self):
         normals = np.array([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]])
-        cloud = PointCloud([[0.1, 0, 0], [0.2, 0, 0], [5.0, 0, 0]], normals)
+        cloud = cloud_of([[0.1, 0, 0], [0.2, 0, 0], [5.0, 0, 0]], normals)
         out = voxel_downsample(cloud, 1.0)
         np.testing.assert_array_equal(out.normals, [[0, 0, 1.0], [1.0, 0, 0]])
 
@@ -187,39 +189,45 @@ class TestVoxelDownsample:
 class TestBboxDiagonal:
     def test_unit_cube(self):
         corners = np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).T.reshape(-1, 3)
-        assert bbox_diagonal(PointCloud(corners)) == pytest.approx(np.sqrt(3))
+        assert bbox_diagonal(cloud_of(corners)) == pytest.approx(np.sqrt(3))
 
     def test_single_point_is_zero(self):
-        assert bbox_diagonal(PointCloud([[3.0, 4.0, 5.0]])) == 0.0
+        assert bbox_diagonal(cloud_of([[3.0, 4.0, 5.0]])) == 0.0
 
     def test_flat_box(self):
         pts = np.array([[0, 0, 0], [3.0, 0, 0], [0, 4.0, 0], [3.0, 4.0, 0]])
-        assert bbox_diagonal(PointCloud(pts)) == pytest.approx(5.0)
+        assert bbox_diagonal(cloud_of(pts)) == pytest.approx(5.0)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            bbox_diagonal(PointCloud(np.empty((0, 3))))
+            bbox_diagonal(cloud_of(np.empty((0, 3))))
 
     def test_translation_invariant(self):
         g = rng(9)
         pts = g.uniform(-10, 10, (40, 3))
-        a = bbox_diagonal(PointCloud(pts))
-        b = bbox_diagonal(PointCloud(pts + [100.0, -50.0, 7.0]))
+        a = bbox_diagonal(cloud_of(pts))
+        b = bbox_diagonal(cloud_of(pts + [100.0, -50.0, 7.0]))
         assert a == pytest.approx(b)
 
 
 class TestPointCloudValidation:
+    def test_every_channel_is_required(self):
+        with pytest.raises(TypeError, match="colors"):
+            PointCloud([[0, 0, 0]], [[0, 0, 1.0]])
+        with pytest.raises(TypeError, match="normals"):
+            PointCloud([[0, 0, 0]], colors=[[0.5, 0.5, 0.5]])
+
     def test_channel_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PointCloud([[0, 0, 0], [1, 1, 1]], normals=[[0, 0, 1.0]])
+        with pytest.raises(ValueError, match="normals has 1 rows"):
+            PointCloud([[0, 0, 0], [1, 1, 1]], [[0, 0, 1.0]], [[0.5, 0.5, 0.5]] * 2)
 
     def test_non_unit_normals_rejected(self):
-        with pytest.raises(ValueError):
-            PointCloud([[0, 0, 0]], normals=[[0, 0, 2.0]])
+        with pytest.raises(ValueError, match="unit length"):
+            PointCloud([[0, 0, 0]], [[0, 0, 2.0]], [[0.5, 0.5, 0.5]])
 
     def test_colors_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            PointCloud([[0, 0, 0]], colors=[[0, 0, 1.5]])
+        with pytest.raises(ValueError, match="colors outside"):
+            PointCloud([[0, 0, 0]], [[0, 0, 1.0]], [[0, 0, 1.5]])
 
     @staticmethod
     def full_cloud(seed=10):
@@ -235,13 +243,11 @@ class TestPointCloudValidation:
         for channel in ("points", "normals", "colors"):
             assert np.array_equal(getattr(back, channel), getattr(cloud, channel))
 
-    def test_absent_channel_overwrites_present_one(self, tmp_path):
+    def test_load_names_a_missing_channel(self, tmp_path):
         self.full_cloud().save(tmp_path)
-        bare = PointCloud(rng(11).uniform(-5, 5, (3, 3)))
-        bare.save(tmp_path)
-        back = PointCloud.load(tmp_path)
-        assert back.normals is None and back.colors is None
-        assert np.array_equal(back.points, bare.points)
+        (tmp_path / "colors.npy").unlink()
+        with pytest.raises(FileNotFoundError, match="colors.npy"):
+            PointCloud.load(tmp_path)
 
     def test_load_rejects_nan(self, tmp_path):
         np.save(tmp_path / "points.npy", np.array([[0.0, 0.0, np.nan]]))
@@ -259,14 +265,14 @@ class TestPointCloudValidation:
 class TestObjectModel:
     def test_keypoint_cap(self):
         pts = rng(12).uniform(-10, 10, (500, 3))
-        model = ObjectModel("thing", PointCloud(pts))
+        model = ObjectModel("thing", cloud_of(pts))
         assert len(model.keypoints) == MAX_KEYPOINTS
         np.testing.assert_array_equal(model.keypoints, farthest_point_sample(pts, MAX_KEYPOINTS))
         assert model.diagonal == bbox_diagonal(model.cloud)
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError, match="diagonal must be positive"):
-            ObjectModel("bad", PointCloud([[0, 0, 0]]))
+            ObjectModel("bad", cloud_of([[0, 0, 0]]))
 
     def test_saved_object_reloads_exactly(self, tmp_path):
         model = make_object({"shape": "cylinder", "id": "cyl"})
@@ -284,3 +290,31 @@ class TestObjectModel:
         sample = farthest_point_sample(pts, 2)
         assert [0.0, 0, 0] in sample.tolist()
         assert [10.0, 0, 0] in sample.tolist()
+
+
+class TestMakeObject:
+    @pytest.mark.parametrize("spec, diagonal", [
+        ({"shape": "box", "id": "b", "size": [10, 20, 20], "color": [0, 1, 0]}, 30.0),
+        ({"shape": "cylinder", "id": "c", "radius": 10.0, "height": 40.0,
+          "color": [0, 1, 0]}, np.sqrt(2400.0)),
+        ({"shape": "lshape", "id": "l", "size": [20, 40, 40], "color": [0, 1, 0]}, 60.0),
+    ], ids=["box", "cylinder", "lshape"])
+    def test_every_key_a_shape_reads_is_used(self, spec, diagonal):
+        model = make_object(spec)
+        assert model.diagonal == pytest.approx(diagonal)
+        np.testing.assert_array_equal(np.unique(model.cloud.colors, axis=0), [[0, 1, 0]])
+
+    def test_unknown_keys_are_named(self):
+        # a misspelt key used to build the default box in the default colour
+        with pytest.raises(ValueError, match=r"\['colour', 'sise'\]"):
+            make_object({"shape": "box", "id": "b", "sise": [10, 10, 10], "colour": [0, 1, 0]})
+
+    def test_a_path_spec_holds_only_the_path(self, tmp_path):
+        save_object(make_object({"shape": "box", "id": "b"}), tmp_path / "b")
+        assert make_object({"path": str(tmp_path / "b")}).object_id == "b"
+        with pytest.raises(ValueError, match=r"\['id'\]"):
+            make_object({"path": str(tmp_path / "b"), "id": "other"})
+
+    def test_unknown_shape(self):
+        with pytest.raises(ValueError, match="unknown shape 'sphere'"):
+            make_object({"shape": "sphere", "id": "s", "radius": 3.0})

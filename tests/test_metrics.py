@@ -6,7 +6,7 @@ from scipy import ndimage
 
 from posetune import metrics
 from posetune.camera import CameraIntrinsics, default_camera, project_points, render_depth
-from posetune.geometry import ObjectModel, PointCloud, Pose, random_rotation, rotation_about_axis
+from posetune.geometry import ObjectModel, Pose, random_rotation, rotation_about_axis
 from posetune.metrics import (
     LADDER_FRACTIONS,
     MSPD_BASE_THRESHOLDS,
@@ -24,13 +24,15 @@ from posetune.metrics import (
 from posetune.objects import make_cylinder, make_object
 from posetune.scenes import generate_scene
 
+from clouds import cloud_of
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
 def make_model(points, symmetry=(), object_id="obj") -> ObjectModel:
-    return ObjectModel(object_id, PointCloud(points), symmetry)
+    return ObjectModel(object_id, cloud_of(points), symmetry)
 
 
 def random_pose(g, z=500.0) -> Pose:

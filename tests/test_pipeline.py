@@ -35,6 +35,8 @@ from posetune.scenes import NoiseConfig, Scene, apply_domain_randomization, gene
 from posetune.seeding import derive_rng
 from posetune.camera import default_camera, render_depth
 
+from clouds import cloud_of
+
 OPTIMIZED = ContinuousParams(vote_threshold=0.174, ransac_dist=19.88, icp_dist=4.85,
                              icp_scale=1.24, background_dist=86.0, accept_dist=12.0,
                              cut_radius=108.0)
@@ -59,8 +61,7 @@ def cluttered_scene(box):
 
 def empty_scene():
     cam = default_camera()
-    return Scene(PointCloud(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3))),
-                 {}, cam, 0)
+    return Scene(cloud_of(np.empty((0, 3))), {}, cam, 0)
 
 
 class TestParameterTypes:
@@ -349,9 +350,9 @@ class TestC2fIcp:
     def test_truth_is_fixed_point(self, box):
         pose = Pose(rotation_about_axis([0, 1, 0], 0.4), [5, -8, 520.0])
         model_icp = voxel_downsample(box.cloud, pipeline.ICP_MODEL_VOXEL)
-        candidate = PointCloud(pose.apply(model_icp.points))
+        candidate = pose.apply(model_icp.points)
         hyp = PoseHypothesis(pose, 100)
-        out = pipeline._icp_refine(hyp, cKDTree(candidate.points), candidate.points,
+        out = pipeline._icp_refine(hyp, cKDTree(candidate), candidate,
                                    model_icp.points, box.diagonal, 4.0, 2.0, 5)
         np.testing.assert_allclose(out.pose.rotation, pose.rotation, atol=1e-6)
         np.testing.assert_allclose(out.pose.translation, pose.translation, atol=1e-6)
@@ -368,9 +369,9 @@ class TestC2fIcp:
 
     def test_stalls_when_nothing_in_reach(self, box):
         pose = Pose(np.eye(3), [0, 0, 520.0])
-        candidate = PointCloud(pose.apply(box.cloud.points) + [500.0, 0, 0])
-        out = pipeline._icp_refine(PoseHypothesis(pose, 100), cKDTree(candidate.points),
-                                   candidate.points, icp_model_points(box).points,
+        candidate = pose.apply(box.cloud.points) + [500.0, 0, 0]
+        out = pipeline._icp_refine(PoseHypothesis(pose, 100), cKDTree(candidate),
+                                   candidate, icp_model_points(box).points,
                                    box.diagonal, 2.0, 1.0, 5)
         assert "icp stalled" in out.flags
         np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
@@ -506,19 +507,12 @@ class TestFacingPoints:
             assert mask.sum() < len(cloud)
             np.testing.assert_array_equal(model_pts, cloud.points[mask])
 
-    def test_model_without_normals_is_refused(self, box):
-        bare = ObjectModel("bare", PointCloud(box.cloud.points, colors=box.cloud.colors))
-        with pytest.raises(ValueError, match="'bare'.*normals"):
-            icp_model_points(bare)
-
     def test_model_color_kept_on_the_model(self):
         model = make_box("crate", [45, 60, 35], [0.85, 0.25, 0.2])
         first = pipeline._model_color(model)
         assert pipeline._model_color(model) is first
         assert not first.flags.writeable
         np.testing.assert_array_equal(first, model.cloud.colors.mean(axis=0))
-        bare = ObjectModel("bare", PointCloud(model.cloud.points))
-        assert pipeline._model_color(bare) is None
 
 
 def ndimage_depth_edges(scene_depth):

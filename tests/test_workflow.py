@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 import posetune
 from posetune import metrics, pipeline, workflow
 from posetune.gridopt import GridSpec, ParetoEntry, RuntimeCoefficients, enumerate_grid
-from posetune.geometry import ObjectModel, PointCloud, Pose
+from posetune.geometry import Pose
 from posetune.objects import make_box, make_object, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
                                PoseHypothesis, SceneEstimate, estimate_all, prepare)
@@ -179,15 +180,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=name):
             workflow.ExperimentConfig.from_dict(data)
 
-    def test_model_without_normals_fails_generate(self, tmp_path):
-        box = make_box("box", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3])
-        bare = ObjectModel("bare", PointCloud(box.cloud.points))
-        save_object(bare, tmp_path / "bare")
+    @staticmethod
+    def generate_without(tmp_path, channel: str):
+        """``cmd_generate`` on a saved box whose ``<channel>.npy`` is gone."""
+        save_object(make_box("bare", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "bare")
+        (tmp_path / "bare" / f"{channel}.npy").unlink()
         config = workflow.ExperimentConfig.from_dict(
             dict(tiny_config(tmp_path / "out").to_dict(),
                  objects=[{"path": str(tmp_path / "bare")}]))
-        with pytest.raises(workflow.StageError, match="'bare' has no normals"):
+        with pytest.raises(workflow.StageError, match=rf"{channel}\.npy") as raised:
             workflow.cmd_generate(config)
+        assert raised.value.stage == "generate"
+        assert not (tmp_path / "out" / "scenes").exists()
+
+    def test_model_without_normals_fails_generate(self, tmp_path):
+        self.generate_without(tmp_path, "normals")
+
+    def test_model_without_colors_fails_generate(self, tmp_path):
+        self.generate_without(tmp_path, "colors")
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"shape": "box", "id": "b", "sise": [10, 10, 10], "colour": [0, 1, 0]},
+         "['colour', 'sise']"),
+        ({"shape": "cylinder", "id": "c", "size": [10, 10, 10]}, "['size']"),
+        ({"path": "objects/box", "id": "box"}, "['id']"),
+        ("box", "not a mapping"),
+    ], ids=["misspelt", "other-shape", "id-beside-path", "not-a-mapping"])
+    def test_unknown_object_keys_fail_the_config(self, spec, named):
+        data = dict(tiny_config("experiment").to_dict(), objects=[spec])
+        with pytest.raises(ValueError, match=re.escape(named)):
+            workflow.ExperimentConfig.from_dict(data)
 
     def test_accepts_boundary_values(self):
         data = dict(tiny_config("experiment").to_dict(), clutter=1.0, occlusion=0.0,

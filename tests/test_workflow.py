@@ -12,13 +12,14 @@ import pytest
 
 import posetune
 from posetune import metrics, pipeline, workflow
-from posetune.gridopt import GridSpec, ParetoEntry, RuntimeCoefficients, enumerate_grid
+from posetune.gridopt import ParetoEntry, RuntimeCoefficients, enumerate_grid
 from posetune.geometry import Pose
-from posetune.objects import make_box, make_object, save_object
+from posetune.objects import make_box, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
                                PoseHypothesis, SceneEstimate, estimate_all, prepare)
-from posetune.scenes import NoiseConfig, apply_domain_randomization, generate_scene
 from posetune.seeding import stream_seed
+
+from bench_inputs import BENCH_GRID, DEPLOY_CP, validation_scenes
 
 OPTIMIZED = ContinuousParams(vote_threshold=0.174, ransac_dist=19.88, icp_dist=4.85,
                              icp_scale=1.24, background_dist=86.0, accept_dist=12.0,
@@ -389,26 +390,6 @@ class TestNoDr:
         assert not np.array_equal(noised.cloud.points, clean.cloud.points)
 
 
-# The benchmark's objects, and the DR levels that train-dr learns for them at
-# master seed 0 (bench/deploy_params.json).
-BENCH_OBJECTS = [
-    {"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0], "color": [0.7, 0.3, 0.3]},
-    {"shape": "cylinder", "id": "cyl", "radius": 25.0, "height": 80.0,
-     "color": [0.3, 0.5, 0.7]},
-]
-BENCH_LEVELS = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035, rgb_shift=0.07,
-                           rotation_max=6.25, flatten_frac=0.02)
-DEPLOY_CP = ContinuousParams(vote_threshold=0.18256880613712556, ransac_dist=34.34857084466563,
-                             icp_dist=9.996781928455857, icp_scale=1.0,
-                             background_dist=88.2001910987532, accept_dist=20.0,
-                             cut_radius=150.0)
-
-
-# The benchmark experiment's grid (bench/workloads.py): 48 feasible tuples.
-BENCH_GRID = GridSpec(classified=(2, 4, 8), estimated=(1, 2), ransac_iters=(100, 300),
-                      depth_checked=(1, 2), icp_iters=(2, 6))
-
-
 def _assert_same_results(a: SceneEstimate, b: SceneEstimate):
     assert a.results.keys() == b.results.keys()
     for object_id, ra in a.results.items():
@@ -434,13 +415,7 @@ class TestPreparedScenes:
 
     @pytest.fixture(scope="class")
     def validation(self):
-        # the benchmark experiment's two DR-noised validation scenes, as
-        # cmd_optimize builds them at master seed 0
-        models = [make_object(spec) for spec in BENCH_OBJECTS]
-        scenes = [apply_domain_randomization(
-            generate_scene(models, 0.75, 0.18, seed=stream_seed(0, "scene", "validation", i)),
-            BENCH_LEVELS, seed=stream_seed(0, "valnoise-dr", i)) for i in range(2)]
-        return models, scenes
+        return validation_scenes()
 
     @pytest.mark.parametrize("cp, dp", [
         (DEPLOY_CP, workflow.BO_FIXED_DISCRETE),

@@ -565,6 +565,10 @@ def _staged(memo: dict | None, key: tuple, timings: dict[str, float], stage: str
     return entry[0]
 
 
+def _pose_key(pose: Pose) -> tuple[bytes, bytes]:
+    return pose.rotation.tobytes(), pose.translation.tobytes()
+
+
 def _votes_or_none(candidate: np.ndarray, model: ObjectModel, cp: ContinuousParams,
                    gt_pose: Pose, seed) -> Matches | None:
     try:
@@ -584,18 +588,31 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
     Every stage runs through ``_staged``: the ranked candidates' point arrays
     (``ranked_candidates``), then per candidate its votes, its RANSAC
     hypotheses and the KD-tree of its points, then per hypothesis its ICP
-    refinement and its depth check. A stage's key names the
-    stage, ``cp``, the seed, the object and the discrete fields read up to it
-    in pipeline order (``classified``, then ``estimated`` for the ranking
-    alone, ``ransac_iters``, ``icp_iters``), with the candidate and hypothesis
-    indices in between.
+    refinement and its depth check. Each stage's memo key names the stage and
+    what it reads:
+
+    - the ranking: ``cp``, the seed, the object, ``classified`` and
+      ``estimated``;
+    - the votes and the tree: ``cp``, the seed, the object, ``classified``
+      and the candidate index ``ci``, which fix the candidate (the ranking is
+      cut to ``estimated``, which does not reorder it);
+    - RANSAC: those and ``ransac_iters``;
+    - ICP: the candidate's key, the hypothesis pose's rotation and
+      translation bytes, and ``icp_iters``. ICP reads the pose, the
+      candidate, the model points facing the camera at the pose and ``cp``;
+      the hypothesis's inlier count follows from its pose and the
+      candidate's votes. RANSAC seeds each chunk by its number, so a
+      300-iteration run repeats a 100-iteration run's first chunks and often
+      finds the same poses; those are refined once;
+    - the depth check: ``cp``, the object and the refined pose's bytes, as
+      it reads nothing else of the call. It keeps only the score, and the
+      caller puts it on its own refined hypothesis.
 
     Of the first ``dp.depth_checked`` hypotheses, one whose pose bytes equal
     an earlier one's is skipped before ICP: it would refine and check to the
     same result, and ``best`` changes only on a strictly greater score. So
-    each distinct pose is refined and checked once, under the index ``hi`` of
-    its first occurrence, and a skipped repeat charges no time, as a fresh
-    image does not compute it.
+    each distinct pose is refined and checked once per call, and a skipped
+    repeat charges no time, as a fresh image does not compute it.
 
     Each hypothesis is refined against only the ICP model points that face the
     camera at its RANSAC pose, (R n) . (R p + t) < 0 (``facing_points``),
@@ -623,21 +640,22 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
         tree = _staged(memo, ("tree", *head, ci), timings, "t_icp",
                        lambda: cKDTree(candidate))
         poses = set()   # (rotation, translation) bytes refined so far
-        for hi, hypothesis in enumerate(hypotheses[:dp.depth_checked]):
-            pose_key = (hypothesis.pose.rotation.tobytes(), hypothesis.pose.translation.tobytes())
+        for hypothesis in hypotheses[:dp.depth_checked]:
+            pose_key = _pose_key(hypothesis.pose)
             if pose_key in poses:
                 continue
             poses.add(pose_key)
-            at = (*head, ci, dp.ransac_iters, hi, dp.icp_iters)
-            refined = _staged(memo, ("icp", *at), timings, "t_icp", lambda: _icp_refine(
-                hypothesis, tree, candidate,
-                facing_points(icp_model_points(model), hypothesis.pose),
-                model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters))
-            checked = _staged(memo, ("depth", *at), timings, "t_depth", lambda: depth_check(
-                refined, scene, model, cp.background_dist, cp.accept_dist,
-                prepared.depth_edges))
-            if best is None or checked.depth_score > best.depth_score:
-                best = checked
+            refined = _staged(memo, ("icp", *head, ci, *pose_key, dp.icp_iters), timings,
+                              "t_icp", lambda: _icp_refine(
+                                  hypothesis, tree, candidate,
+                                  facing_points(icp_model_points(model), hypothesis.pose),
+                                  model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters))
+            score = _staged(memo, ("depth", cp, model.object_id, *_pose_key(refined.pose)),
+                            timings, "t_depth", lambda: depth_check(
+                                refined, scene, model, cp.background_dist, cp.accept_dist,
+                                prepared.depth_edges).depth_score)
+            if best is None or score > best.depth_score:
+                best = replace(refined, depth_score=score)
 
     if best is None:
         return EstimateResult(False, None, reason="no detection")
@@ -675,12 +693,14 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
     ``seconds`` plus this call's own seed choice.
 
     ``memo`` is a dict that keeps stage results across calls on this one
-    scene and these models (see ``_staged``), for a caller that runs tuples
-    sharing their leading discrete values at fixed ``cp`` and seed. The seed
-    choice is kept under its stage name, ``cp``, the seed and ``classified``;
-    every other key also names the object (``_estimate_prepared``). So a memo
-    returns only what this ``cp`` and seed would compute, and each reused
-    stage charges the seconds it took when computed.
+    scene and these models (see ``_staged``), for a caller that runs many
+    tuples at fixed ``cp`` and seed. Each key names its stage and what the
+    stage reads: the seed choice is kept under ``cp``, the seed and
+    ``classified``; every other key also names the object, and ICP and the
+    depth check are keyed by the pose they read (``_estimate_prepared``).
+    So a memo returns only what this ``cp`` and seed would compute, tuples
+    that find the same pose refine and check it once, and each reused stage
+    charges the seconds it took when computed.
     """
     if prepared is None:
         prepared = prepare(scene)

@@ -12,10 +12,13 @@ made from them. Those times come from the pipeline's ``clock``; with a
 counting clock in its place they reproduce too.
 
 ``cmd_optimize`` prepares each validation scene once for the whole search.
-During the grid phase ``cp`` and each scene's seed stay fixed, so tuples that
-share leading discrete values share stage results: each scene gets one stage
-memo for that phase, and a found pose is scored once per search. Every
-reused stage still charges its measured time, so the stage times, the grid
+During the grid phase ``cp`` and each scene's seed stay fixed, so tuples
+share stage results: each scene gets one stage memo for that phase, keyed
+per stage by what the stage reads. Tuples that share leading discrete values
+share their candidates, votes and RANSAC runs, and ICP and the depth check
+are keyed by the pose they read, so tuples that find the same pose refine
+and check it once. A found pose is scored once per search. Every reused
+stage still charges its measured time, so the stage times, the grid
 runtimes and the runtime fit state what a fresh image costs.
 """
 
@@ -102,6 +105,9 @@ class ExperimentConfig:
             raise ValueError("no objects configured")
         for spec in self.objects:
             check_spec_keys(spec)
+        repeated = _repeated([spec["id"] for spec in self.objects if "id" in spec])
+        if repeated:
+            raise ValueError(f"repeated object ids {repeated}")
         for name, build in (("schedule", self.bo_schedule), ("grid", self.grid_spec)):
             try:
                 build()
@@ -170,14 +176,24 @@ def _finish_stage(config: ExperimentConfig, stage: str, summary: dict) -> dict:
     return dict(summary, skipped=False)
 
 
-def build_models(config: ExperimentConfig) -> list[ObjectModel]:
-    """The configured models. A spec that cannot build one, such as an object
-    directory without ``normals.npy`` or ``colors.npy``, fails here rather
-    than scoring 0 in every search call."""
+def _repeated(ids: list[str]) -> list[str]:
+    return sorted({i for i in ids if ids.count(i) > 1})
+
+
+def build_models(config: ExperimentConfig, stage: str) -> list[ObjectModel]:
+    """The configured models, for the calling ``stage``. A spec that cannot
+    build one, such as an object directory without ``normals.npy`` or
+    ``colors.npy``, fails here with ``StageError(stage)`` rather than scoring
+    0 in every search call; so do two models with one id, which a config
+    cannot catch when an object directory holds its id in ``model.json``."""
     try:
-        return [make_object(spec) for spec in config.objects]
+        models = [make_object(spec) for spec in config.objects]
     except (KeyError, ValueError, OSError) as exc:
-        raise StageError("generate", f"bad object spec: {exc}") from exc
+        raise StageError(stage, f"bad object spec: {exc}") from exc
+    repeated = _repeated([model.object_id for model in models])
+    if repeated:
+        raise StageError(stage, f"repeated object ids {repeated}")
+    return models
 
 
 SPLITS = ("train", "validation", "eval")
@@ -201,7 +217,7 @@ def cmd_generate(config: ExperimentConfig, force: bool = False) -> dict:
     done = _stage_complete(config, "generate")
     if done and not force:
         return done
-    models = build_models(config)
+    models = build_models(config, "generate")
     out = config.out()
     for model in models:
         save_object(model, out / "objects" / model.object_id)
@@ -237,7 +253,7 @@ def cmd_train_dr(config: ExperimentConfig, force: bool = False) -> dict:
     if done and not force:
         return done
     _require(config, "train-dr", config.out() / "manifest.json", "generate")
-    models = build_models(config)
+    models = build_models(config, "train-dr")
     train_scenes = load_split(config, "train")
     dr_dir = config.out() / "dr"
     dr_dir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +334,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     if done and not force:
         return done
     _require(config, "optimize", config.out() / "manifest.json", "generate")
-    models = build_models(config)
+    models = build_models(config, "optimize")
     levels = None if no_dr else learned_levels(config)
     scenes = _noised_split(config, "validation", levels, f"valnoise-{tag}")
     # every search call re-estimates these scenes, so their parameter-free
@@ -406,7 +422,7 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
     """Select a front entry for the budget and score it on held-out scenes."""
     tag = _mode_tag(no_dr)
     budget = config.budget_seconds if budget is None else float(budget)
-    models = build_models(config)
+    models = build_models(config, "evaluate")
     object_count = len(models)
     stage = f"evaluate-{tag}-{budget:g}-{object_count}"
     done = _stage_complete(config, stage)

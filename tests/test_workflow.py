@@ -55,7 +55,7 @@ def evaluated_config(tmp_path_factory):
 def _eval_scores(config, cp, dp, score) -> list[float]:
     """``score(model, scene, pose)`` for every eval instance, 0 for one not
     found, estimated again at ``cp``, ``dp``."""
-    models = workflow.build_models(config)
+    models = workflow.build_models(config, "evaluate")
     scenes = workflow._noised_split(config, "eval", workflow.learned_levels(config),
                                     "evalnoise")
     scores = []
@@ -109,7 +109,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(workflow, "estimate_all", behind)
         report = workflow.cmd_evaluate(evaluated_config, force=True)
-        models = workflow.build_models(evaluated_config)
+        models = workflow.build_models(evaluated_config, "evaluate")
         scenes = workflow._noised_split(evaluated_config, "eval",
                                         workflow.learned_levels(evaluated_config), "evalnoise")
         expected = []
@@ -211,6 +211,36 @@ class TestConfigValidation:
         data = dict(tiny_config("experiment").to_dict(), objects=[spec])
         with pytest.raises(ValueError, match=re.escape(named)):
             workflow.ExperimentConfig.from_dict(data)
+
+    def test_repeated_object_ids_fail_the_config(self):
+        data = dict(tiny_config("experiment").to_dict(),
+                    objects=[{"shape": "box", "id": "a"}, {"shape": "cylinder", "id": "a"},
+                             {"shape": "lshape", "id": "b"}])
+        with pytest.raises(ValueError, match=re.escape("repeated object ids ['a']")):
+            workflow.ExperimentConfig.from_dict(data)
+
+    def test_repeated_id_from_an_object_directory_fails_generate(self, tmp_path):
+        # the directory names its id in model.json, so only build_models sees it
+        save_object(make_box("a", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "saved")
+        config = workflow.ExperimentConfig.from_dict(
+            dict(tiny_config(tmp_path / "out").to_dict(),
+                 objects=[{"path": str(tmp_path / "saved")}, {"shape": "cylinder", "id": "a"}]))
+        with pytest.raises(workflow.StageError, match=re.escape("repeated object ids ['a']")) \
+                as raised:
+            workflow.cmd_generate(config)
+        assert raised.value.stage == "generate"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_object_fails_with_the_calling_stage(self, tmp_path):
+        save_object(make_box("saved", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "saved")
+        config = workflow.ExperimentConfig.from_dict(
+            dict(tiny_config(tmp_path / "out").to_dict(),
+                 objects=[{"path": str(tmp_path / "saved")}]))
+        workflow.cmd_generate(config)
+        (tmp_path / "saved" / "colors.npy").unlink()
+        with pytest.raises(workflow.StageError, match=r"colors\.npy") as raised:
+            workflow.cmd_train_dr(config)
+        assert raised.value.stage == "train-dr"
 
     def test_accepts_boundary_values(self):
         data = dict(tiny_config("experiment").to_dict(), clutter=1.0, occlusion=0.0,
@@ -409,6 +439,39 @@ def _counting_clock(patch):
     patch.setattr(pipeline, "clock", itertools.count().__next__)
 
 
+def _pose_bytes(pose: Pose) -> tuple[bytes, bytes]:
+    return pose.rotation.tobytes(), pose.translation.tobytes()
+
+
+def _recording_poses(patch) -> tuple[list, list]:
+    """Log what each ``_icp_refine`` and ``depth_check`` call reads.
+
+    An ICP call logs its object, ``classified``, its candidate's points (which
+    name the candidate index under that ``classified``), its hypothesis pose
+    and ``icp_iters``; a depth check logs its object and its refined pose.
+    """
+    refined, checked, at = [], [], {}
+    estimate, icp, depth = pipeline._estimate_prepared, pipeline._icp_refine, pipeline.depth_check
+
+    def estimating(prepared, seeds, scene, model, cp, dp, *args):
+        at.update(object_id=model.object_id, classified=dp.classified)
+        return estimate(prepared, seeds, scene, model, cp, dp, *args)
+
+    def refining(hypothesis, tree, candidate, *args):
+        refined.append((at["object_id"], at["classified"], candidate.tobytes(),
+                        _pose_bytes(hypothesis.pose), args[-1]))
+        return icp(hypothesis, tree, candidate, *args)
+
+    def checking(hypothesis, scene, model, *args):
+        checked.append((model.object_id, _pose_bytes(hypothesis.pose)))
+        return depth(hypothesis, scene, model, *args)
+
+    patch.setattr(pipeline, "_estimate_prepared", estimating)
+    patch.setattr(pipeline, "_icp_refine", refining)
+    patch.setattr(pipeline, "depth_check", checking)
+    return refined, checked
+
+
 class TestPreparedScenes:
     """Validation scenes prepared once per search, and the grid phase's stage
     memos, give what a fresh call gives."""
@@ -439,12 +502,14 @@ class TestPreparedScenes:
         models, scenes = validation
         grid = enumerate_grid(BENCH_GRID)
         runs = []
-        with pytest.MonkeyPatch.context() as patch:
-            _counting_clock(patch)
-            for i, scene in enumerate(scenes):
+        for i, scene in enumerate(scenes):
+            with pytest.MonkeyPatch.context() as patch:
+                _counting_clock(patch)
+                refined, checked = _recording_poses(patch)
                 prepared = prepare(scene)
                 runs.append((prepared, [estimate_all(scene, models, DEPLOY_CP, dp, seed=i,
-                                                     prepared=prepared) for dp in grid]))
+                                                     prepared=prepared) for dp in grid],
+                             set(refined), set(checked)))
         return grid, runs
 
     @pytest.mark.parametrize("order", ["grid", "reversed"])
@@ -457,19 +522,28 @@ class TestPreparedScenes:
         positions = list(range(len(grid)))
         if order == "reversed":
             positions.reverse()
-        for i, (scene, (prepared, fresh)) in enumerate(zip(scenes, runs)):
-            memo = {}
-            for k in positions:
-                reused = estimate_all(scene, models, DEPLOY_CP, grid[k], seed=i,
-                                      prepared=prepared, memo=memo)
-                _assert_same_results(reused, fresh[k])
-                # every reused stage charges what computing it cost
-                assert reused.timings == fresh[k].timings
+        for i, (scene, (prepared, fresh, fresh_refined, fresh_checked)) in enumerate(
+                zip(scenes, runs)):
+            with pytest.MonkeyPatch.context() as patch:
+                refined, checked = _recording_poses(patch)
+                memo = {}
+                for k in positions:
+                    reused = estimate_all(scene, models, DEPLOY_CP, grid[k], seed=i,
+                                          prepared=prepared, memo=memo)
+                    _assert_same_results(reused, fresh[k])
+                    # every reused stage charges what computing it cost
+                    assert reused.timings == fresh[k].timings
             # one entry per stage computed; a fresh call charged one tick per
             # stage it ran, so the tuples shared most of their stages
             stage_runs = sum(sum(f.timings.values()) - prepared.seconds for f in fresh)
             assert len(memo) < stage_runs / 3
             assert any(r.found for f in fresh for r in f.results.values())
+            # ICP reads a hypothesis's pose, not its RANSAC iteration count or
+            # its rank, and the depth check reads only the refined pose: so
+            # each distinct (classified, candidate, pose, icp_iters) is refined
+            # once over the grid, and each distinct refined pose checked once
+            assert len(refined) == len(fresh_refined) and set(refined) == fresh_refined
+            assert len(checked) == len(fresh_checked) and set(checked) == fresh_checked
 
     def test_memo_filled_at_another_cp_or_seed_gives_the_fresh_result(self, validation,
                                                                       monkeypatch):

@@ -225,8 +225,8 @@ class TestConfigValidation:
         config = workflow.ExperimentConfig.from_dict(
             dict(tiny_config(tmp_path / "out").to_dict(),
                  objects=[{"path": str(tmp_path / "saved")}, {"shape": "cylinder", "id": "a"}]))
-        with pytest.raises(workflow.StageError, match=re.escape("repeated object ids ['a']")) \
-                as raised:
+        repeated = re.escape("repeated object ids ['a']")
+        with pytest.raises(workflow.StageError, match=repeated) as raised:
             workflow.cmd_generate(config)
         assert raised.value.stage == "generate"
         assert not (tmp_path / "out").exists()
@@ -439,10 +439,6 @@ def _counting_clock(patch):
     patch.setattr(pipeline, "clock", itertools.count().__next__)
 
 
-def _pose_bytes(pose: Pose) -> tuple[bytes, bytes]:
-    return pose.rotation.tobytes(), pose.translation.tobytes()
-
-
 def _recording_poses(patch) -> tuple[list, list]:
     """Log what each ``_icp_refine`` and ``depth_check`` call reads.
 
@@ -459,11 +455,11 @@ def _recording_poses(patch) -> tuple[list, list]:
 
     def refining(hypothesis, tree, candidate, *args):
         refined.append((at["object_id"], at["classified"], candidate.tobytes(),
-                        _pose_bytes(hypothesis.pose), args[-1]))
+                        pipeline._pose_key(hypothesis.pose), args[-1]))
         return icp(hypothesis, tree, candidate, *args)
 
     def checking(hypothesis, scene, model, *args):
-        checked.append((model.object_id, _pose_bytes(hypothesis.pose)))
+        checked.append((model.object_id, pipeline._pose_key(hypothesis.pose)))
         return depth(hypothesis, scene, model, *args)
 
     patch.setattr(pipeline, "_estimate_prepared", estimating)

@@ -14,7 +14,7 @@ RANSAC and ICP take only the ``(n, 3)`` points of the ranked candidates.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -148,7 +148,7 @@ class Matches:
 class PreparedScene:
     """The preprocessing of one scene that no parameter reads (``prepare``).
 
-    The voxelized cloud, its KD-tree (None when the cloud is empty), the
+    The voxelized cloud, its KD-tree (built on an empty cloud too), the
     ``_depth_edges`` mask that every depth check reads, and ``seconds``, the
     wall time all three took. A caller that estimates one scene under many
     parameter sets prepares it once and passes it to every ``estimate_all``
@@ -157,7 +157,7 @@ class PreparedScene:
     """
 
     cloud: PointCloud
-    tree: cKDTree | None
+    tree: cKDTree
     depth_edges: np.ndarray
     seconds: float
 
@@ -167,8 +167,7 @@ def prepare(scene: Scene) -> PreparedScene:
     t0 = clock()
     cloud = voxel_downsample(scene.cloud, SCENE_VOXEL)
     edges = _depth_edges(scene.depth)
-    tree = cKDTree(cloud.points) if len(cloud) else None
-    return PreparedScene(cloud, tree, edges, clock() - t0)
+    return PreparedScene(cloud, cKDTree(cloud.points), edges, clock() - t0)
 
 
 def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscreteParams,
@@ -176,10 +175,9 @@ def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscretePara
     """Uniform interest seeds on the prepared cloud, as ``(indices, density)``.
 
     The seed count reads ``dp.classified`` and the draw the seed; a seed's
-    density is its neighbour count within ``cp.cut_radius / 2``.
+    density is its neighbour count within ``cp.cut_radius / 2``. An empty
+    cloud gives no seeds.
     """
-    if prepared.tree is None:
-        return np.empty(0, dtype=np.int64), np.empty(0)
     n = len(prepared.cloud)
     n_seeds = min(max(4 * dp.classified, 8), n)
     rng = derive_rng(seed, "seeds")
@@ -220,16 +218,18 @@ def objectness(points: np.ndarray, colors: np.ndarray, model: ObjectModel) -> fl
 def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarray],
                       model: ObjectModel, cp: ContinuousParams, dp: DiscreteParams,
                       seed=0) -> list[np.ndarray]:
-    """The points of the ``dp.estimated`` best candidates around ``seeds``.
+    """The points of every candidate extracted around ``seeds``, best first.
 
     Seeds are visited by density times colour similarity to the model; each
     one farther than ``cp.cut_radius / 2`` from every earlier centre, up to
     ``dp.classified`` centres, extracts its ``cp.cut_radius`` ball of the
     prepared cloud as a sorted index array. A ball of fewer than
     ``MIN_POINTS`` is skipped; one above ``INPUT_POINTS`` is subsampled to
-    that many. The candidates are ranked by descending ``objectness`` (ties
-    keep extraction order) and the best ``dp.estimated`` come back as
-    ``(n, 3)`` point arrays.
+    that many. Each candidate's points are gathered once, scored by
+    ``objectness`` and returned as an ``(n, 3)`` array, ranked by descending
+    score (ties keep extraction order). Of the estimator parameters only
+    ``dp.classified`` is read: ``estimate_all`` carries the first
+    ``dp.estimated`` on.
     """
     seed_idx, density = seeds
     if len(seed_idx) == 0:
@@ -240,7 +240,7 @@ def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarr
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
     centers: list[np.ndarray] = []
-    candidates: list[np.ndarray] = []
+    scored: list[tuple[float, np.ndarray]] = []   # (-objectness, points)
     for rank in order:
         if len(centers) >= dp.classified:
             break
@@ -252,14 +252,14 @@ def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarr
         if len(idx) < MIN_POINTS:
             continue
         if len(idx) > INPUT_POINTS:
-            rng = derive_rng(seed, "cand-sub", model.object_id, len(candidates))
+            rng = derive_rng(seed, "cand-sub", model.object_id, len(scored))
             idx = idx[np.sort(rng.choice(len(idx), INPUT_POINTS, replace=False))]
-        candidates.append(np.sort(idx))
+        idx = np.sort(idx)
+        points = cloud.points[idx]
+        scored.append((-objectness(points, cloud.colors[idx], model), points))
 
     # sorted() is stable, so ties keep extraction order
-    ranked = sorted(candidates, key=lambda idx: -objectness(cloud.points[idx],
-                                                            cloud.colors[idx], model))
-    return [cloud.points[idx] for idx in ranked[:dp.estimated]]
+    return [points for _, points in sorted(scored, key=lambda entry: entry[0])]
 
 
 def generate_votes(points: np.ndarray, model: ObjectModel, vote_threshold: float,
@@ -430,15 +430,15 @@ def facing_points(cloud: PointCloud, pose: Pose) -> np.ndarray:
     return cloud.points[facing]
 
 
-def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
-                model_pts: np.ndarray, diagonal: float, icp_dist: float,
-                icp_scale: float, icp_iters: int) -> PoseHypothesis:
-    """Point-to-point ICP stages with a shrinking correspondence cut-off.
+def _icp_refine(pose: Pose, tree: cKDTree, model_pts: np.ndarray, diagonal: float,
+                icp_dist: float, icp_scale: float, icp_iters: int) -> Pose | None:
+    """``pose`` refined by point-to-point ICP stages with a shrinking
+    correspondence cut-off, matching ``model_pts`` to the points of ``tree``.
 
     Stage k of ``ICP_RESOLUTIONS`` uses the cut-off
     ``icp_dist * icp_scale**(ICP_RESOLUTIONS - 1 - k)`` rescaled by
-    diagonal/100. If no stage finds 3 correspondences, the hypothesis comes
-    back unchanged and flagged "icp stalled".
+    diagonal/100. If no stage finds 3 correspondences, ICP stalled and the
+    result is None.
 
     The KD query is bounded by the stage's cut-off, so the search stops at it;
     a model point with no target point that close gets no correspondence
@@ -451,8 +451,8 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
     through ``_rigid_fit``. The steps keep the pose as arrays and transform
     as ``Pose.apply`` does; the ``Pose`` is built once, on the way out.
     """
-    rot, trans = hypothesis.pose.rotation, hypothesis.pose.translation
-    moved = False
+    rot, trans = pose.rotation, pose.translation
+    target = tree.data
     produced_by = None   # the (mask, matched indices) that (rot, trans) was fitted to
     for stage in range(ICP_RESOLUTIONS):
         cutoff = icp_dist * icp_scale ** (ICP_RESOLUTIONS - 1 - stage) \
@@ -468,23 +468,19 @@ def _icp_refine(hypothesis: PoseHypothesis, tree: cKDTree, target: np.ndarray,
                 break
             rot, trans = _rigid_fit(model_pts[mask], target[matched])
             produced_by = (mask, matched)
-            moved = True
-    if not moved:
-        return replace(hypothesis, flags=hypothesis.flags + ("icp stalled",))
-    return replace(hypothesis, pose=Pose(rot, trans))
+    return None if produced_by is None else Pose(rot, trans)
 
 
-def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
-                background_dist: float, accept_dist: float,
-                depth_edges: np.ndarray) -> PoseHypothesis:
-    """Score the hypothesis by rendered-depth agreement plus contour support.
+def depth_check(pose: Pose, scene: Scene, model: ObjectModel, background_dist: float,
+                accept_dist: float, depth_edges: np.ndarray) -> float:
+    """Score ``pose`` in [0, 1] by rendered-depth agreement plus contour support.
 
     Rendered model pixels where the scene is closer by more than
     ``background_dist`` belong to foreground occluders and are excused.
     Among the rest, agreement counts pixels whose scene depth lies within
     ``accept_dist``, and pixels where the scene surface sits farther than
     the claimed model surface by more than ``background_dist`` contradict
-    the hypothesis (the sensor saw through it) and count as violations.
+    the pose (the sensor saw through it) and count as violations.
     The contour term is the fraction of model silhouette pixels within
     2 px of a scene depth discontinuity. The final score is
     0.5*agreement*(1-violation) + 0.5*contour. ``depth_edges`` is the scene's
@@ -497,10 +493,10 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     reads only pixels inside the window, and the erosion, which treats every
     pixel past the window as unset, give what they would on the full frame.
     """
-    model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), scene.cam)
+    model_depth = render_depth(pose.apply(model.cloud.points), scene.cam)
     window = pixel_window(model_depth > 0, SILHOUETTE_MARGIN)
     if window is None:
-        return replace(hypothesis, depth_score=0.0)
+        return 0.0
     model_depth = model_depth[window]
     rendered = model_depth > 0
     scene_depth = scene.depth[window]
@@ -510,7 +506,7 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     foreground = overlap & (diff < -background_dist)
     considered = int(rendered.sum() - foreground.sum())
     if considered == 0:
-        return replace(hypothesis, depth_score=0.0)
+        return 0.0
     agreement = float((overlap & (np.abs(diff) <= accept_dist)).sum()) / considered
     violation = float((overlap & (diff > background_dist)).sum()) / considered
 
@@ -519,8 +515,7 @@ def depth_check(hypothesis: PoseHypothesis, scene: Scene, model: ObjectModel,
     contour = 0.0
     if silhouette.any():
         contour = float(np.mean(depth_edges[window][silhouette]))
-    score = float(np.clip(0.5 * agreement * (1.0 - violation) + 0.5 * contour, 0.0, 1.0))
-    return replace(hypothesis, depth_score=score)
+    return float(np.clip(0.5 * agreement * (1.0 - violation) + 0.5 * contour, 0.0, 1.0))
 
 
 def _depth_edges(scene_depth: np.ndarray) -> np.ndarray:
@@ -585,34 +580,33 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
     votes, RANSAC, coarse-to-fine ICP and the depth check; stage times are
     added to ``timings``.
 
-    Every stage runs through ``_staged``: the ranked candidates' point arrays
-    (``ranked_candidates``), then per candidate its votes, its RANSAC
+    Every stage runs through ``_staged``: the ranking (``ranked_candidates``),
+    then per candidate among the first ``dp.estimated`` its votes, its RANSAC
     hypotheses and the KD-tree of its points, then per hypothesis its ICP
     refinement and its depth check. Each stage's memo key names the stage and
-    what it reads:
+    what it reads, and its entry holds what it computes:
 
-    - the ranking: ``cp``, the seed, the object, ``classified`` and
-      ``estimated``;
-    - the votes and the tree: ``cp``, the seed, the object, ``classified``
-      and the candidate index ``ci``, which fix the candidate (the ranking is
-      cut to ``estimated``, which does not reorder it);
-    - RANSAC: those and ``ransac_iters``;
-    - ICP: the candidate's key, the hypothesis pose's rotation and
-      translation bytes, and ``icp_iters``. ICP reads the pose, the
-      candidate, the model points facing the camera at the pose and ``cp``;
-      the hypothesis's inlier count follows from its pose and the
-      candidate's votes. RANSAC seeds each chunk by its number, so a
-      300-iteration run repeats a 100-iteration run's first chunks and often
-      finds the same poses; those are refined once;
-    - the depth check: ``cp``, the object and the refined pose's bytes, as
-      it reads nothing else of the call. It keeps only the score, and the
-      caller puts it on its own refined hypothesis.
+    - the ranking: ``cp``, the seed, the object and ``classified``; every
+      candidate's points, best first;
+    - the votes and the tree: those and the candidate index ``ci`` into that
+      ranking; the matches (None when too few) and the tree;
+    - RANSAC: those and ``ransac_iters``; the hypotheses;
+    - ICP: the candidate's key, the RANSAC pose's rotation and translation
+      bytes, and ``icp_iters``; the refined pose, or None when ICP stalled.
+      RANSAC seeds each chunk by its number, so a 300-iteration run repeats a
+      100-iteration run's first chunks and often finds the same poses; those
+      are refined once;
+    - the depth check: ``cp``, the object and the checked pose's bytes; the
+      score.
 
-    Of the first ``dp.depth_checked`` hypotheses, one whose pose bytes equal
-    an earlier one's is skipped before ICP: it would refine and check to the
-    same result, and ``best`` changes only on a strictly greater score. So
-    each distinct pose is refined and checked once per call, and a skipped
-    repeat charges no time, as a fresh image does not compute it.
+    The one ``PoseHypothesis`` kept is built here, when a score is strictly
+    greater than the best so far: the refined pose (the RANSAC pose, flagged
+    "icp stalled", when ICP stalled), that RANSAC hypothesis's inlier count
+    and the score. Of the first ``dp.depth_checked`` hypotheses, one whose
+    pose bytes equal an earlier one's is skipped before ICP: it would refine
+    and check to the same score, which replaces nothing. So each distinct pose
+    is refined and checked once per call, and a skipped repeat charges no
+    time, as a fresh image does not compute it.
 
     Each hypothesis is refined against only the ICP model points that face the
     camera at its RANSAC pose, (R n) . (R p + t) < 0 (``facing_points``),
@@ -621,14 +615,14 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
     channel still reaches no estimator stage.
     """
     head = (cp, seed, model.object_id, dp.classified)
-    ranked = _staged(memo, ("ranked", *head, dp.estimated), timings, "t_net",
+    ranked = _staged(memo, ("ranked", *head), timings, "t_net",
                      lambda: ranked_candidates(prepared, seeds, model, cp, dp, seed))
     gt_pose = scene.gt_poses.get(model.object_id)
     if gt_pose is None:
         return EstimateResult(False, None, reason="no detection")
 
     best: PoseHypothesis | None = None
-    for ci, candidate in enumerate(ranked):
+    for ci, candidate in enumerate(ranked[:dp.estimated]):
         stage_seed = (seed, model.object_id, ci)
         matches = _staged(memo, ("votes", *head, ci), timings, "t_net",
                           lambda: _votes_or_none(candidate, model, cp, gt_pose, stage_seed))
@@ -647,15 +641,17 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
             poses.add(pose_key)
             refined = _staged(memo, ("icp", *head, ci, *pose_key, dp.icp_iters), timings,
                               "t_icp", lambda: _icp_refine(
-                                  hypothesis, tree, candidate,
+                                  hypothesis.pose, tree,
                                   facing_points(icp_model_points(model), hypothesis.pose),
                                   model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters))
-            score = _staged(memo, ("depth", cp, model.object_id, *_pose_key(refined.pose)),
+            pose = hypothesis.pose if refined is None else refined
+            score = _staged(memo, ("depth", cp, model.object_id, *_pose_key(pose)),
                             timings, "t_depth", lambda: depth_check(
-                                refined, scene, model, cp.background_dist, cp.accept_dist,
-                                prepared.depth_edges).depth_score)
+                                pose, scene, model, cp.background_dist, cp.accept_dist,
+                                prepared.depth_edges))
             if best is None or score > best.depth_score:
-                best = replace(refined, depth_score=score)
+                best = PoseHypothesis(pose, hypothesis.inlier_count, score,
+                                      ("icp stalled",) if refined is None else ())
 
     if best is None:
         return EstimateResult(False, None, reason="no detection")
@@ -684,8 +680,9 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
     stage times are the image's (see ``SceneEstimate``).
 
     The seeds are chosen once per call and shared by the objects. Each
-    object's candidates are index sets into the prepared cloud, and its later
-    stages read only the points of the ranked ones (``ranked_candidates``).
+    object's candidates are index sets into the prepared cloud; its later
+    stages read only the points of the first ``dp.estimated`` of its ranking
+    (``ranked_candidates``).
 
     ``prepared`` is ``prepare(scene)``, passed by a caller that estimates the
     same scene under many parameter sets; without it the call prepares the
@@ -695,12 +692,14 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
     ``memo`` is a dict that keeps stage results across calls on this one
     scene and these models (see ``_staged``), for a caller that runs many
     tuples at fixed ``cp`` and seed. Each key names its stage and what the
-    stage reads: the seed choice is kept under ``cp``, the seed and
-    ``classified``; every other key also names the object, and ICP and the
-    depth check are keyed by the pose they read (``_estimate_prepared``).
-    So a memo returns only what this ``cp`` and seed would compute, tuples
-    that find the same pose refine and check it once, and each reused stage
-    charges the seconds it took when computed.
+    stage reads, and each entry holds what the stage computes: the seed
+    choice is kept under ``cp``, the seed and ``classified``; every other key
+    also names the object; the ranking is not cut, and ICP and the depth
+    check are keyed by the pose they read (``_estimate_prepared``). So a memo
+    returns only what this ``cp`` and seed would compute, tuples that share
+    ``classified`` share the ranking, tuples that find the same pose refine
+    and check it once, and each reused stage charges the seconds it took
+    when computed.
     """
     if prepared is None:
         prepared = prepare(scene)

@@ -8,7 +8,7 @@ on to the next channel.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 from .scenes import NoiseConfig, default_jump_sizes, default_noise_config
@@ -25,7 +25,7 @@ OPTIMIZATION_START = WARMUP_EPOCHS + FIXED_NOISE_EPOCHS
 LOSS_DROP_THRESHOLD = -0.025
 LOSS_RISE_THRESHOLD = 0.05
 
-NUM_CHANNELS = 6
+NUM_CHANNELS = len(fields(NoiseConfig))
 # How far one controller step moves each channel.
 JUMP_SIZES = default_jump_sizes()
 

@@ -14,12 +14,13 @@ counting clock in its place they reproduce too.
 ``cmd_optimize`` prepares each validation scene once for the whole search.
 During the grid phase ``cp`` and each scene's seed stay fixed, so tuples
 share stage results: each scene gets one stage memo for that phase, keyed
-per stage by what the stage reads. Tuples that share leading discrete values
-share their candidates, votes and RANSAC runs, and ICP and the depth check
-are keyed by the pose they read, so tuples that find the same pose refine
-and check it once. A found pose is scored once per search. Every reused
-stage still charges its measured time, so the stage times, the grid
-runtimes and the runtime fit state what a fresh image costs.
+per stage by what the stage reads. Tuples that share ``classified`` share the
+ranking, and the votes and (at equal ``ransac_iters``) the RANSAC runs of
+the candidates they both estimate. ICP and the depth check are keyed by the
+pose they read, so tuples that find the same pose refine and check it once.
+A found pose is scored once per search. Every reused stage still charges its
+measured time, so the stage times, the grid runtimes and the runtime fit
+state what a fresh image costs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -378,15 +380,12 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
          "best_value": max(t.value for t in trace)}, sort_keys=True, indent=1))
     (opt_dir / f"trace_{tag}.csv").write_text(trace_to_csv(trace))
 
-    def discrete_objective(dp: DiscreteParams) -> tuple[dict[str, float], float]:
-        return measure(best_cp, dp, memos)
-
+    # cp and the seeds stay fixed over the grid, so its tuples share stage
+    # results: one memo per validation scene, dropped with the grid phase
+    memos = [{} for _ in scenes]
     try:
         grid = enumerate_grid(config.grid_spec())
-        # cp and the seeds stay fixed over the grid, so its tuples share stage
-        # results: one memo per validation scene, dropped with the grid phase
-        memos = [{} for _ in scenes]
-        entries = evaluate_grid(grid, discrete_objective)
+        entries = evaluate_grid(grid, partial(measure, best_cp, memos=memos))
         del memos
         front = pareto_front(entries)
         coeffs = fit_runtime_model([(e.params, len(models), e.stages)

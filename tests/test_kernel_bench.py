@@ -17,7 +17,7 @@ from posetune import bayesopt, metrics, pipeline, workflow
 from posetune.geometry import Pose, rotation_about_axis
 from posetune.gridopt import GridSpec, enumerate_grid
 from posetune.objects import make_object
-from posetune.pipeline import ContinuousParams, DiscreteParams, PoseHypothesis
+from posetune.pipeline import ContinuousParams, DiscreteParams
 from posetune.scenes import (NoiseConfig, apply_domain_randomization, generate_scene, load_scene,
                              save_scene)
 from posetune.seeding import stream_seed
@@ -66,10 +66,9 @@ def setting():
 
 
 def test_depth_check(benchmark, setting):
-    hyp = PoseHypothesis(setting["est"], 50)
-    out = benchmark(pipeline.depth_check, hyp, setting["scene"], setting["cyl"],
-                    CP.background_dist, CP.accept_dist, setting["prepared"].depth_edges)
-    assert 0.0 <= out.depth_score <= 1.0
+    score = benchmark(pipeline.depth_check, setting["est"], setting["scene"], setting["cyl"],
+                      CP.background_dist, CP.accept_dist, setting["prepared"].depth_edges)
+    assert 0.0 <= score <= 1.0
 
 
 def test_recall_contribution_cylinder(benchmark, setting):
@@ -83,8 +82,8 @@ def _icp_case(model, est, target):
     """``_icp_refine``'s arguments as ``estimate_all`` passes them: the model
     points that face the camera at the hypothesis."""
     model_pts = pipeline.facing_points(pipeline.icp_model_points(model), est)
-    return (PoseHypothesis(est, 50), cKDTree(target), target, model_pts, model.diagonal,
-            CP.icp_dist, CP.icp_scale, DP.icp_iters)
+    return (est, cKDTree(target), model_pts, model.diagonal, CP.icp_dist, CP.icp_scale,
+            DP.icp_iters)
 
 
 def _icp_steps(args, monkeypatch):
@@ -102,16 +101,14 @@ def test_icp_refine(benchmark, setting, monkeypatch):
     # the cylinder creeps: every one of the 3 x icp_iters steps is taken
     args = _icp_case(setting["cyl"], setting["est"], setting["target"])
     assert _icp_steps(args, monkeypatch) == pipeline.ICP_RESOLUTIONS * DP.icp_iters
-    out = benchmark(pipeline._icp_refine, *args)
-    assert "icp stalled" not in out.flags
+    assert benchmark(pipeline._icp_refine, *args) is not None
 
 
 def test_icp_refine_fixed_point(benchmark, setting, monkeypatch):
     # the box reaches its fixed point before the last step, so the exit is timed
     args = _icp_case(setting["models"]["box"], setting["box_est"], setting["box_target"])
     assert _icp_steps(args, monkeypatch) < pipeline.ICP_RESOLUTIONS * DP.icp_iters
-    out = benchmark(pipeline._icp_refine, *args)
-    assert "icp stalled" not in out.flags
+    assert benchmark(pipeline._icp_refine, *args) is not None
 
 
 def test_voxel_downsample(benchmark, setting):
@@ -123,7 +120,7 @@ def test_voxel_downsample(benchmark, setting):
 def test_prepare(benchmark, setting):
     # the per-scene half of preprocessing, done once per validation scene
     prepared = benchmark(pipeline.prepare, setting["scene"])
-    assert prepared.tree is not None and prepared.seconds > 0
+    assert prepared.tree.n == len(prepared.cloud) and prepared.seconds > 0
 
 
 def test_choose_seeds(benchmark, setting):

@@ -167,16 +167,18 @@ class TestRankCandidates:
         for points, ball in zip(out, balls):
             assert {row[tuple(p)] for p in points} <= ball
 
-    def test_ranked_by_descending_objectness_then_cut(self, box, cluttered_scene, monkeypatch):
-        # score each candidate by its first coordinate: the ranking must sort by it
+    def test_ranked_by_descending_objectness(self, box, cluttered_scene, monkeypatch):
+        # score each candidate by its first coordinate: the ranking must sort
+        # every extracted candidate by it, whatever ``estimated`` is
         dp = DiscreteParams(8, 3, 500, 1, 10)
         out, seen = extracted_in_order(cluttered_scene, box, dp, 1, monkeypatch,
                                        score=lambda points: float(points[0, 0]))
         assert len(seen) > 3
-        best = sorted(seen, key=lambda points: -points[0, 0])[:3]
-        assert len(out) == 3
+        best = sorted(seen, key=lambda points: -points[0, 0])
+        assert len(out) == len(seen)
         for got, want in zip(out, best):
-            np.testing.assert_array_equal(got, want)
+            # the array objectness scored is the one returned
+            assert got is want
 
 
 class TestGenerateVotes:
@@ -351,30 +353,26 @@ class TestC2fIcp:
         pose = Pose(rotation_about_axis([0, 1, 0], 0.4), [5, -8, 520.0])
         model_icp = voxel_downsample(box.cloud, pipeline.ICP_MODEL_VOXEL)
         candidate = pose.apply(model_icp.points)
-        hyp = PoseHypothesis(pose, 100)
-        out = pipeline._icp_refine(hyp, cKDTree(candidate), candidate,
-                                   model_icp.points, box.diagonal, 4.0, 2.0, 5)
-        np.testing.assert_allclose(out.pose.rotation, pose.rotation, atol=1e-6)
-        np.testing.assert_allclose(out.pose.translation, pose.translation, atol=1e-6)
+        out = pipeline._icp_refine(pose, cKDTree(candidate), model_icp.points, box.diagonal,
+                                   4.0, 2.0, 5)
+        np.testing.assert_allclose(out.rotation, pose.rotation, atol=1e-6)
+        np.testing.assert_allclose(out.translation, pose.translation, atol=1e-6)
 
     def test_converges_from_small_offset(self, box):
         g = np.random.default_rng(19)
         pose = Pose(random_rotation(g), [0, 0, 520.0])
         candidate = transform_cloud(box.cloud, pose)
         start = Pose(pose.rotation, pose.translation + [2.0, 0, 0])
-        out = pipeline._icp_refine(PoseHypothesis(start, 100), cKDTree(candidate.points),
-                                   candidate.points, icp_model_points(box).points,
-                                   box.diagonal, 4.85, 1.24, 10)
-        assert add_score(box, pose, out.pose) < 0.5
+        out = pipeline._icp_refine(start, cKDTree(candidate.points),
+                                   icp_model_points(box).points, box.diagonal, 4.85, 1.24, 10)
+        assert add_score(box, pose, out) < 0.5
 
     def test_stalls_when_nothing_in_reach(self, box):
         pose = Pose(np.eye(3), [0, 0, 520.0])
         candidate = pose.apply(box.cloud.points) + [500.0, 0, 0]
-        out = pipeline._icp_refine(PoseHypothesis(pose, 100), cKDTree(candidate),
-                                   candidate, icp_model_points(box).points,
+        out = pipeline._icp_refine(pose, cKDTree(candidate), icp_model_points(box).points,
                                    box.diagonal, 2.0, 1.0, 5)
-        assert "icp stalled" in out.flags
-        np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
+        assert out is None
 
     def test_bounded_query_matches_unbounded(self, box, cluttered_scene):
         gt = cluttered_scene.gt_poses["crate"]
@@ -387,8 +385,7 @@ class TestC2fIcp:
         for _ in range(4):
             start = Pose(rotation_about_axis(g.normal(size=3), 0.08) @ gt.rotation,
                          gt.translation + g.normal(0, 3.0, 3))
-            out = pipeline._icp_refine(PoseHypothesis(start, 50), tree, target,
-                                       model_pts, box.diagonal, 4.85, 1.24, 10)
+            out = pipeline._icp_refine(start, tree, model_pts, box.diagonal, 4.85, 1.24, 10)
             # reference: unbounded query, far matches dropped by the mask only
             pose = start
             for stage in range(pipeline.ICP_RESOLUTIONS):
@@ -400,8 +397,8 @@ class TestC2fIcp:
                     if mask.sum() < 3:
                         break
                     pose = Pose(*pipeline._rigid_fit(model_pts[mask], target[nearest[mask]]))
-            np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
-            np.testing.assert_array_equal(out.pose.translation, pose.translation)
+            np.testing.assert_array_equal(out.rotation, pose.rotation)
+            np.testing.assert_array_equal(out.translation, pose.translation)
 
     def test_fixed_point_exit_matches_every_iteration(self, box, cluttered_scene, monkeypatch):
         gt = cluttered_scene.gt_poses["crate"]
@@ -420,8 +417,8 @@ class TestC2fIcp:
             for _ in range(3):
                 start = Pose(rotation_about_axis(g.normal(size=3), 0.08) @ gt.rotation,
                              gt.translation + g.normal(0, 3.0, 3))
-                out = pipeline._icp_refine(PoseHypothesis(start, 50), tree, target,
-                                           model_pts, box.diagonal, icp_dist, 1.24, 10)
+                out = pipeline._icp_refine(start, tree, model_pts, box.diagonal, icp_dist,
+                                           1.24, 10)
                 # reference: every iteration of every stage runs
                 pose = start
                 for stage in range(pipeline.ICP_RESOLUTIONS):
@@ -435,8 +432,8 @@ class TestC2fIcp:
                             break
                         pose = Pose(*original(model_pts[mask], target[nearest[mask]]))
                         steps += 1
-                np.testing.assert_array_equal(out.pose.rotation, pose.rotation)
-                np.testing.assert_array_equal(out.pose.translation, pose.translation)
+                np.testing.assert_array_equal(out.rotation, pose.rotation)
+                np.testing.assert_array_equal(out.translation, pose.translation)
         assert len(fits) < steps  # the exit fired
 
     def test_model_cloud_voxelized_once_per_model(self, cluttered_scene, monkeypatch):
@@ -494,9 +491,9 @@ class TestFacingPoints:
         original = pipeline._icp_refine
         calls = []
 
-        def recorded(hypothesis, tree, target, model_pts, *args):
-            calls.append((hypothesis.pose, model_pts))
-            return original(hypothesis, tree, target, model_pts, *args)
+        def recorded(pose, tree, model_pts, *args):
+            calls.append((pose, model_pts))
+            return original(pose, tree, model_pts, *args)
 
         monkeypatch.setattr(pipeline, "_icp_refine", recorded)
         estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=0)
@@ -547,43 +544,40 @@ class TestDepthEdges:
 class TestDepthCheck:
     def test_exact_pose_scores_high(self, box, clean_scene):
         gt = clean_scene.gt_poses["crate"]
-        out = depth_check(PoseHypothesis(gt, 500), clean_scene, box,
-                          background_dist=86.0, accept_dist=12.0,
-                          depth_edges=pipeline._depth_edges(clean_scene.depth))
-        assert out.depth_score >= 0.95
+        score = depth_check(gt, clean_scene, box, background_dist=86.0, accept_dist=12.0,
+                            depth_edges=pipeline._depth_edges(clean_scene.depth))
+        assert score >= 0.95
 
     def test_displaced_pose_scores_low(self, box, clean_scene):
         gt = clean_scene.gt_poses["crate"]
         moved = Pose(gt.rotation, gt.translation + [160.0, 0, 0])
-        out = depth_check(PoseHypothesis(moved, 500), clean_scene, box,
-                          background_dist=86.0, accept_dist=12.0,
-                          depth_edges=pipeline._depth_edges(clean_scene.depth))
-        assert out.depth_score < 0.2
+        score = depth_check(moved, clean_scene, box, background_dist=86.0, accept_dist=12.0,
+                            depth_edges=pipeline._depth_edges(clean_scene.depth))
+        assert score < 0.2
 
     def test_huge_background_dist_disables_violation(self, box, cluttered_scene):
         # floating above the ground plane: penalized only when bd is finite
         pose = Pose(np.eye(3), [0, 0, 600.0])
         edges = pipeline._depth_edges(cluttered_scene.depth)
-        tight = depth_check(PoseHypothesis(pose, 10), cluttered_scene, box,
-                            background_dist=5.0, accept_dist=5.0, depth_edges=edges)
-        loose = depth_check(PoseHypothesis(pose, 10), cluttered_scene, box,
-                            background_dist=1e9, accept_dist=5.0, depth_edges=edges)
-        assert loose.depth_score >= tight.depth_score
+        tight = depth_check(pose, cluttered_scene, box, background_dist=5.0, accept_dist=5.0,
+                            depth_edges=edges)
+        loose = depth_check(pose, cluttered_scene, box, background_dist=1e9, accept_dist=5.0,
+                            depth_edges=edges)
+        assert loose >= tight
 
     def test_precomputed_edges_give_same_score(self, box, cluttered_scene):
         edges = prepare(cluttered_scene).depth_edges
         gt = cluttered_scene.gt_poses["crate"]
         for offset in ([0, 0, 0], [6.0, -3.0, 0], [40.0, 0, 10.0], [160.0, 0, 0]):
-            hyp = PoseHypothesis(Pose(gt.rotation, gt.translation + offset), 10)
-            shared = depth_check(hyp, cluttered_scene, box, 86.0, 12.0, depth_edges=edges)
-            assert shared.depth_score == \
-                self.full_frame_reference(hyp, cluttered_scene, box, 86.0, 12.0)
+            pose = Pose(gt.rotation, gt.translation + offset)
+            shared = depth_check(pose, cluttered_scene, box, 86.0, 12.0, depth_edges=edges)
+            assert shared == self.full_frame_reference(pose, cluttered_scene, box, 86.0, 12.0)
 
 
     @staticmethod
-    def full_frame_reference(hypothesis, scene, model, background_dist, accept_dist):
+    def full_frame_reference(pose, scene, model, background_dist, accept_dist):
         """``depth_check``'s score with every step on the full frame."""
-        model_depth = render_depth(hypothesis.pose.apply(model.cloud.points), scene.cam)
+        model_depth = render_depth(pose.apply(model.cloud.points), scene.cam)
         rendered = model_depth > 0
         if not rendered.any():
             return 0.0
@@ -627,10 +621,9 @@ class TestDepthCheck:
         gt = cluttered_scene.gt_poses["crate"]
         poses += [gt, Pose(gt.rotation, gt.translation + [6.0, -3.0, 0])]
         for pose in poses:
-            hyp = PoseHypothesis(pose, 10)
-            expected = self.full_frame_reference(hyp, cluttered_scene, box, 86.0, 12.0)
-            assert depth_check(hyp, cluttered_scene, box, 86.0, 12.0,
-                               depth_edges=edges).depth_score == expected
+            expected = self.full_frame_reference(pose, cluttered_scene, box, 86.0, 12.0)
+            assert depth_check(pose, cluttered_scene, box, 86.0, 12.0,
+                               depth_edges=edges) == expected
 
 
 class TestEstimate:
@@ -675,6 +668,36 @@ class TestEstimate:
         np.testing.assert_allclose(solo.hypothesis.pose.translation,
                                    joint.hypothesis.pose.translation, atol=1e-9)
 
+    def test_only_the_first_estimated_candidates_are_voted_on(self, box, cluttered_scene,
+                                                               monkeypatch):
+        # the ranking is not cut; estimate_all carries its first ``estimated`` on
+        dp = DiscreteParams(8, 3, 100, 1, 2)
+        ranking = ranked(cluttered_scene, box, dp, seed=1)
+        assert len(ranking) > 3
+        voted = []
+        original = pipeline.generate_votes
+        monkeypatch.setattr(pipeline, "generate_votes",
+                            lambda points, *args, **kwargs:
+                            voted.append(points) or original(points, *args, **kwargs))
+        estimate_all(cluttered_scene, [box], OPTIMIZED, dp, seed=1)
+        assert len(voted) == 3
+        for got, want in zip(voted, ranking):
+            np.testing.assert_array_equal(got, want)
+
+    def test_stalled_icp_keeps_the_ransac_hypothesis_flagged(self, box, cluttered_scene,
+                                                              monkeypatch):
+        gt = cluttered_scene.gt_poses["crate"]
+        h = PoseHypothesis(Pose(gt.rotation, gt.translation + [2.0, -1.0, 3.0]), 60)
+        monkeypatch.setattr(pipeline, "ransac_pose", lambda *args, **kwargs: [h])
+        monkeypatch.setattr(pipeline, "_icp_refine", lambda *args: None)
+        result = estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=0).results["crate"]
+        assert result.found
+        got = result.hypothesis
+        assert got.pose is h.pose and got.inlier_count == 60 and got.flags == ("icp stalled",)
+        assert got.depth_score == depth_check(h.pose, cluttered_scene, box,
+                                              OPTIMIZED.background_dist, OPTIMIZED.accept_dist,
+                                              pipeline._depth_edges(cluttered_scene.depth))
+
     def test_repeated_pose_is_refined_and_checked_once(self, box, cluttered_scene):
         gt = cluttered_scene.gt_poses["crate"]
         h = PoseHypothesis(Pose(rotation_about_axis([1, 0, 0], 0.05) @ gt.rotation,
@@ -688,10 +711,9 @@ class TestEstimate:
             ransac_calls, refined, checked = [], [], []
             original_icp, original_depth = pipeline._icp_refine, pipeline.depth_check
 
-            def icp(hypothesis, *args):
-                refined.append((hypothesis.pose.rotation.tobytes(),
-                                hypothesis.pose.translation.tobytes()))
-                return original_icp(hypothesis, *args)
+            def icp(pose, *args):
+                refined.append((pose.rotation.tobytes(), pose.translation.tobytes()))
+                return original_icp(pose, *args)
 
             def depth(*args):
                 checked.append(1)

@@ -439,33 +439,41 @@ def _counting_clock(patch):
     patch.setattr(pipeline, "clock", itertools.count().__next__)
 
 
-def _recording_poses(patch) -> tuple[list, list]:
-    """Log what each ``_icp_refine`` and ``depth_check`` call reads.
+def _recording_stages(patch) -> tuple[list, list, list]:
+    """Log what each ``ranked_candidates``, ``_icp_refine`` and ``depth_check``
+    call reads.
 
-    An ICP call logs its object, ``classified``, its candidate's points (which
-    name the candidate index under that ``classified``), its hypothesis pose
-    and ``icp_iters``; a depth check logs its object and its refined pose.
+    A ranking logs its object and ``classified``. An ICP call logs its object,
+    ``classified``, its candidate's points (which name the candidate index
+    under that ``classified``), its RANSAC pose and ``icp_iters``; a depth
+    check logs its object and the pose it checks.
     """
-    refined, checked, at = [], [], {}
-    estimate, icp, depth = pipeline._estimate_prepared, pipeline._icp_refine, pipeline.depth_check
+    ranked, refined, checked, at = [], [], [], {}
+    estimate, rank = pipeline._estimate_prepared, pipeline.ranked_candidates
+    icp, depth = pipeline._icp_refine, pipeline.depth_check
 
     def estimating(prepared, seeds, scene, model, cp, dp, *args):
         at.update(object_id=model.object_id, classified=dp.classified)
         return estimate(prepared, seeds, scene, model, cp, dp, *args)
 
-    def refining(hypothesis, tree, candidate, *args):
-        refined.append((at["object_id"], at["classified"], candidate.tobytes(),
-                        pipeline._pose_key(hypothesis.pose), args[-1]))
-        return icp(hypothesis, tree, candidate, *args)
+    def ranking(prepared, seeds, model, cp, dp, *args):
+        ranked.append((model.object_id, dp.classified))
+        return rank(prepared, seeds, model, cp, dp, *args)
 
-    def checking(hypothesis, scene, model, *args):
-        checked.append((model.object_id, pipeline._pose_key(hypothesis.pose)))
-        return depth(hypothesis, scene, model, *args)
+    def refining(pose, tree, *args):
+        refined.append((at["object_id"], at["classified"], tree.data.tobytes(),
+                        pipeline._pose_key(pose), args[-1]))
+        return icp(pose, tree, *args)
+
+    def checking(pose, scene, model, *args):
+        checked.append((model.object_id, pipeline._pose_key(pose)))
+        return depth(pose, scene, model, *args)
 
     patch.setattr(pipeline, "_estimate_prepared", estimating)
+    patch.setattr(pipeline, "ranked_candidates", ranking)
     patch.setattr(pipeline, "_icp_refine", refining)
     patch.setattr(pipeline, "depth_check", checking)
-    return refined, checked
+    return ranked, refined, checked
 
 
 class TestPreparedScenes:
@@ -501,7 +509,7 @@ class TestPreparedScenes:
         for i, scene in enumerate(scenes):
             with pytest.MonkeyPatch.context() as patch:
                 _counting_clock(patch)
-                refined, checked = _recording_poses(patch)
+                _, refined, checked = _recording_stages(patch)
                 prepared = prepare(scene)
                 runs.append((prepared, [estimate_all(scene, models, DEPLOY_CP, dp, seed=i,
                                                      prepared=prepared) for dp in grid],
@@ -521,7 +529,7 @@ class TestPreparedScenes:
         for i, (scene, (prepared, fresh, fresh_refined, fresh_checked)) in enumerate(
                 zip(scenes, runs)):
             with pytest.MonkeyPatch.context() as patch:
-                refined, checked = _recording_poses(patch)
+                ranked, refined, checked = _recording_stages(patch)
                 memo = {}
                 for k in positions:
                     reused = estimate_all(scene, models, DEPLOY_CP, grid[k], seed=i,
@@ -535,11 +543,16 @@ class TestPreparedScenes:
             assert len(memo) < stage_runs / 3
             assert any(r.found for f in fresh for r in f.results.values())
             # ICP reads a hypothesis's pose, not its RANSAC iteration count or
-            # its rank, and the depth check reads only the refined pose: so
+            # its rank, and the depth check reads only the pose it checks: so
             # each distinct (classified, candidate, pose, icp_iters) is refined
-            # once over the grid, and each distinct refined pose checked once
+            # once over the grid, and each distinct checked pose checked once
             assert len(refined) == len(fresh_refined) and set(refined) == fresh_refined
             assert len(checked) == len(fresh_checked) and set(checked) == fresh_checked
+            # the ranking reads ``classified``, not ``estimated``: each object
+            # is ranked once per ``classified`` over the grid
+            rankings = {(model.object_id, classified) for model in models
+                        for classified in BENCH_GRID.classified}
+            assert len(ranked) == len(rankings) == 6 and set(ranked) == rankings
 
     def test_memo_filled_at_another_cp_or_seed_gives_the_fresh_result(self, validation,
                                                                       monkeypatch):

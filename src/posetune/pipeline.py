@@ -227,9 +227,8 @@ def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarr
     ``MIN_POINTS`` is skipped; one above ``INPUT_POINTS`` is subsampled to
     that many. Each candidate's points are gathered once, scored by
     ``objectness`` and returned as an ``(n, 3)`` array, ranked by descending
-    score (ties keep extraction order). Of the estimator parameters only
-    ``dp.classified`` is read: ``estimate_all`` carries the first
-    ``dp.estimated`` on.
+    score (ties keep extraction order). Of ``dp`` only ``classified`` is
+    read: ``estimate_all`` carries the first ``dp.estimated`` on.
     """
     seed_idx, density = seeds
     if len(seed_idx) == 0:

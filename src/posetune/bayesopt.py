@@ -28,17 +28,16 @@ HYPER_REFRESH_PERIOD = 10
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Named box bounds for the seven continuous parameters."""
+    """Box bounds for the continuous parameters, in ``ContinuousParams`` order."""
 
-    names: tuple[str, ...]
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=np.float64)
         upper = np.asarray(self.upper, dtype=np.float64)
-        if len(self.names) != len(lower) or len(lower) != len(upper):
-            raise ValueError("bounds do not match dimension names")
+        if len(lower) != len(upper):
+            raise ValueError("lower and upper bounds differ in length")
         if not (lower < upper).all():
             raise ValueError("each lower bound must be below its upper bound")
         object.__setattr__(self, "lower", lower)
@@ -46,7 +45,7 @@ class SearchSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.names)
+        return len(self.lower)
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.lower) / (self.upper - self.lower)
@@ -68,7 +67,7 @@ class SearchSpace:
         }
         assert list(bounds) == [f.name for f in fields(ContinuousParams)]
         lo, hi = zip(*bounds.values())
-        return SearchSpace(tuple(bounds), np.array(lo), np.array(hi))
+        return SearchSpace(np.array(lo), np.array(hi))
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,8 @@ class Schedule:
 
     def __post_init__(self):
         for count, kappa in self.phases:
-            if count < 1:
-                raise ValueError("phase counts must be positive")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"phase counts must be positive integers, not {count!r}")
             if kappa is not None and kappa < 0:
                 raise ValueError("kappa must be >= 0")
 
@@ -231,10 +230,9 @@ def optimize_continuous(
 ) -> tuple[ContinuousParams, list[TraceEntry]]:
     """Run the schedule, one objective evaluation per iteration.
 
-    An objective that raises ``ValueError`` or ``np.linalg.LinAlgError`` (an
-    invalid pose, a failed decomposition) scores 0 for that iteration and the
-    run continues; any other exception is a bug and propagates.
-    Returns the best observed parameters with the full trace.
+    The objective returns a measurement or raises; whatever it raises ends
+    the search and propagates. Returns the best observed parameters with the
+    full trace.
     """
     rng = derive_rng(seed, "bo")
     xs: list[np.ndarray] = []
@@ -255,10 +253,7 @@ def optimize_continuous(
                     gp = _fit_with(np.array(xs), np.array(ys), *hypers)
                 unit = space.normalize(ucb_acquire(gp, kappa, rng, space))
             params = ContinuousParams.from_vector(space.denormalize(unit))
-            try:
-                value = float(objective(params))
-            except (ValueError, np.linalg.LinAlgError):
-                value = 0.0
+            value = float(objective(params))
             xs.append(unit)
             ys.append(value)
             trace.append(TraceEntry(iteration, kappa, params, value))

@@ -17,18 +17,20 @@ from __future__ import annotations
 import io
 import csv
 import itertools
-import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .pipeline import STAGE_KEYS, DiscreteParams
 
+# The runtime fit needs at least this many measured grid tuples.
+MIN_MEASUREMENTS = 5
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Values to test per discrete parameter; each list strictly increasing."""
+    """Integer values to test per discrete parameter; each list strictly increasing."""
 
     classified: tuple[int, ...]
     estimated: tuple[int, ...]
@@ -38,9 +40,11 @@ class GridSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            values = tuple(int(v) for v in getattr(self, f.name))
+            values = tuple(getattr(self, f.name))
             if not values:
                 raise ValueError(f"{f.name} list is empty")
+            if any(type(v) is not int for v in values):
+                raise ValueError(f"{f.name} values must be integers")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{f.name} values must be strictly increasing")
             object.__setattr__(self, f.name, values)
@@ -52,21 +56,16 @@ class GridSpec:
                         ransac_iters=(500, 1500, 2500), depth_checked=(1, 2, 5, 10),
                         icp_iters=(10, 30, 50))
 
-    @staticmethod
-    def from_dict(data: dict) -> "GridSpec":
-        return GridSpec(**{f.name: data[f.name] for f in fields(GridSpec)})
-
 
 @dataclass(frozen=True)
 class ParetoEntry:
     """One measured tuple. ``stages`` holds the mean time of each stage in
-    ``STAGE_KEYS`` and ``runtime`` is their sum; a tuple whose objective
-    failed has no stages and the time spent until then as its runtime."""
+    ``STAGE_KEYS`` and ``runtime`` is their sum."""
 
     params: DiscreteParams
     runtime: float
     recall: float
-    stages: dict[str, float] = field(default_factory=dict)
+    stages: dict[str, float]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,6 +104,13 @@ def enumerate_grid(spec: GridSpec) -> list[DiscreteParams]:
     return out
 
 
+def feasible_count(spec: GridSpec) -> int:
+    """``len(enumerate_grid(spec))``, without building the tuples."""
+    return (sum(pe <= pc for pc in spec.classified for pe in spec.estimated)
+            * sum(dc <= ri for ri in spec.ransac_iters for dc in spec.depth_checked)
+            * len(spec.icp_iters))
+
+
 def evaluate_grid(
     grid: list[DiscreteParams],
     objective: Callable[[DiscreteParams], tuple[dict[str, float], float]],
@@ -113,17 +119,11 @@ def evaluate_grid(
     that no two measurements contend; the entry's runtime is the stages' sum.
     A stage time may have been measured under an earlier tuple that shared
     the stage, so the runtime is what a fresh image costs, not the wall time
-    of this tuple's call. An objective that raises ``ValueError`` or
-    ``np.linalg.LinAlgError`` scores recall 0 at the time spent until then,
-    with no stage times; any other exception is a bug and propagates."""
+    of this tuple's call. The objective returns a measurement or raises;
+    whatever it raises ends the search and propagates."""
     entries = []
     for params in grid:
-        start = time.perf_counter()
-        try:
-            stages, recall = objective(params)
-        except (ValueError, np.linalg.LinAlgError):
-            entries.append(ParetoEntry(params, time.perf_counter() - start, 0.0))
-            continue
+        stages, recall = objective(params)
         stages = {key: float(stages[key]) for key in STAGE_KEYS}
         entries.append(ParetoEntry(params, sum(stages.values()), float(recall), stages))
     return entries
@@ -162,10 +162,9 @@ def _design_row(params: DiscreteParams, objects: int) -> list[float]:
             objects * params.estimated * params.depth_checked]
 
 
-def fit_runtime_model(
-    measurements: list[tuple[DiscreteParams, int, dict[str, float]]],
-) -> RuntimeCoefficients:
-    """Fit each stage on its own over (params, object count, stage times) rows.
+def fit_runtime_model(entries: list[ParetoEntry], objects: int) -> RuntimeCoefficients:
+    """Fit each stage on its own over grid entries measured at ``objects``
+    objects per image.
 
     Stage k's coefficient is the least-squares slope through the origin of
     its measured times t_k against its own regressor x_k (``_design_row``):
@@ -173,10 +172,10 @@ def fit_runtime_model(
     nonnegative, so every coefficient is too. ``residual`` is the norm of the
     predicted minus the measured total times.
     """
-    if len(measurements) < 5:
-        raise ValueError("need at least 5 measurements")
-    x = np.array([_design_row(p, o) for p, o, _ in measurements])
-    t = np.array([[stages[key] for key in STAGE_KEYS] for _, _, stages in measurements])
+    if len(entries) < MIN_MEASUREMENTS:
+        raise ValueError(f"need at least {MIN_MEASUREMENTS} measurements")
+    x = np.array([_design_row(e.params, objects) for e in entries])
+    t = np.array([[e.stages[key] for key in STAGE_KEYS] for e in entries])
     coeffs = (x * t).sum(axis=0) / (x * x).sum(axis=0)
     residual = np.linalg.norm(x @ coeffs - t.sum(axis=1))
     return RuntimeCoefficients(*coeffs, residual=float(residual))
@@ -223,6 +222,6 @@ def measurements_to_csv(entries: list[ParetoEntry]) -> str:
     writer.writerow([*(f.name for f in fields(DiscreteParams)), "runtime", *STAGE_KEYS,
                      "recall"])
     for e in entries:
-        stages = [f"{e.stages[key]:.6f}" if e.stages else "" for key in STAGE_KEYS]
-        writer.writerow([*astuple(e.params), f"{e.runtime:.6f}", *stages, f"{e.recall:.6f}"])
+        writer.writerow([*astuple(e.params), f"{e.runtime:.6f}",
+                         *(f"{e.stages[key]:.6f}" for key in STAGE_KEYS), f"{e.recall:.6f}"])
     return buf.getvalue()

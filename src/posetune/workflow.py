@@ -37,11 +37,13 @@ import numpy as np
 from .bayesopt import Schedule, SearchSpace, default_schedule, optimize_continuous, trace_to_csv
 from .geometry import ObjectModel
 from .gridopt import (
+    MIN_MEASUREMENTS,
     GridSpec,
     ParetoEntry,
     RuntimeCoefficients,
     enumerate_grid,
     evaluate_grid,
+    feasible_count,
     fit_runtime_model,
     measurements_to_csv,
     pareto_front,
@@ -91,11 +93,10 @@ class ExperimentConfig:
     grid: dict | None = None
 
     def __post_init__(self):
-        for split in SPLITS:
-            if _split_count(self, split) < 1:
-                raise ValueError(f"{split}_scenes must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("train_scenes", "validation_scenes", "eval_scenes", "epochs"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
         if not self.budget_seconds > 0:
             raise ValueError("budget_seconds must be positive")
         for name in ("clutter", "occlusion"):
@@ -113,7 +114,7 @@ class ExperimentConfig:
         for name, build in (("schedule", self.bo_schedule), ("grid", self.grid_spec)):
             try:
                 build()
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"bad {name} {getattr(self, name)!r}: {exc}") from exc
 
     @staticmethod
@@ -133,11 +134,16 @@ class ExperimentConfig:
     def bo_schedule(self) -> Schedule:
         if self.schedule is None:
             return default_schedule()
-        return Schedule(tuple((int(c), None if k is None else float(k))
-                              for c, k in self.schedule))
+        return Schedule(tuple((c, None if k is None else float(k)) for c, k in self.schedule))
 
     def grid_spec(self) -> GridSpec:
-        return default_grid() if self.grid is None else GridSpec.from_dict(self.grid)
+        """The grid, which must hold enough feasible tuples for the runtime fit."""
+        spec = default_grid() if self.grid is None else GridSpec(**self.grid)
+        count = feasible_count(spec)
+        if count < MIN_MEASUREMENTS:
+            raise ValueError(f"{count} feasible tuples; the runtime fit needs at least "
+                             f"{MIN_MEASUREMENTS}")
+        return spec
 
     def out(self) -> Path:
         return Path(self.output_dir)
@@ -185,9 +191,9 @@ def _repeated(ids: list[str]) -> list[str]:
 def build_models(config: ExperimentConfig, stage: str) -> list[ObjectModel]:
     """The configured models, for the calling ``stage``. A spec that cannot
     build one, such as an object directory without ``normals.npy`` or
-    ``colors.npy``, fails here with ``StageError(stage)`` rather than scoring
-    0 in every search call; so do two models with one id, which a config
-    cannot catch when an object directory holds its id in ``model.json``."""
+    ``colors.npy``, fails here with ``StageError(stage)`` before the stage
+    does any work; so do two models with one id, which a config cannot catch
+    when an object directory holds its id in ``model.json``."""
     try:
         models = [make_object(spec) for spec in config.objects]
     except (KeyError, ValueError, OSError) as exc:
@@ -278,9 +284,10 @@ def cmd_train_dr(config: ExperimentConfig, force: bool = False) -> dict:
     return _finish_stage(config, "train-dr", summary)
 
 
-def learned_levels(config: ExperimentConfig) -> NoiseConfig:
+def learned_levels(config: ExperimentConfig, stage: str = "optimize") -> NoiseConfig:
+    """The mean DR levels that ``train-dr`` learned, for the calling ``stage``."""
     path = config.out() / "dr" / "levels.json"
-    _require(config, "optimize", path, "train-dr")
+    _require(config, stage, path, "train-dr")
     return NoiseConfig(**json.loads(path.read_text()))
 
 
@@ -388,8 +395,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
         entries = evaluate_grid(grid, partial(measure, best_cp, memos=memos))
         del memos
         front = pareto_front(entries)
-        coeffs = fit_runtime_model([(e.params, len(models), e.stages)
-                                    for e in entries if e.stages])
+        coeffs = fit_runtime_model(entries, len(models))
     except Exception as exc:
         raise StageError("optimize:discrete", str(exc)) from exc
     (opt_dir / f"grid_{tag}.csv").write_text(measurements_to_csv(entries))
@@ -411,8 +417,8 @@ def load_optimization(config: ExperimentConfig, no_dr: bool = False):
     _require(config, "evaluate", front_path, "optimize")
     cp = ContinuousParams(**json.loads(cont_path.read_text())["params"])
     data = json.loads(front_path.read_text())
-    front = [ParetoEntry(DiscreteParams.from_dict(e["params"]), e["runtime"],
-                         e["recall"]) for e in data["front"]]
+    front = [ParetoEntry(**dict(e, params=DiscreteParams.from_dict(e["params"])))
+             for e in data["front"]]
     return cp, front, RuntimeCoefficients(**data["coefficients"])
 
 
@@ -428,7 +434,7 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
     if done and not force:
         return done
     cp, front, coeffs = load_optimization(config, no_dr)
-    levels = learned_levels(config)
+    levels = learned_levels(config, "evaluate")
     scenes = _noised_split(config, "eval", levels, "evalnoise")
     selection = select_for_budget(front, coeffs, object_count, budget)
     dp = selection.entry.params

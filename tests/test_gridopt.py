@@ -9,6 +9,7 @@ from posetune.gridopt import (
     _design_row,
     enumerate_grid,
     evaluate_grid,
+    feasible_count,
     fit_runtime_model,
     measurements_to_csv,
     pareto_front,
@@ -22,8 +23,18 @@ PLANTED = RuntimeCoefficients(t_pre=8.57e-1, t_net=7.99e-3, t_ran=2.70e-4,
                               t_icp=1.67e-4, t_depth=9.12e-3)
 
 
+def stage_times(*times) -> dict[str, float]:
+    return dict(zip(STAGE_KEYS, times))
+
+
+def measured(params, recall, *times) -> ParetoEntry:
+    """The entry of a tuple whose stages took ``times``."""
+    return ParetoEntry(params, sum(times), recall, stage_times(*times))
+
+
 def entry(pc, pe, ri, dc, ii, runtime, recall):
-    return ParetoEntry(DiscreteParams(pc, pe, ri, dc, ii), runtime, recall)
+    """An entry whose whole runtime is preprocessing."""
+    return measured(DiscreteParams(pc, pe, ri, dc, ii), recall, runtime, 0.0, 0.0, 0.0, 0.0)
 
 
 def brute_force_front(entries):
@@ -72,6 +83,18 @@ class TestEnumerateGrid:
             GridSpec((8, 8), (2,), (500,), (1,), (10,))
         with pytest.raises(ValueError):
             GridSpec((), (2,), (500,), (1,), (10,))
+        for value in (2.7, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="icp_iters values must be integers"):
+                GridSpec((8,), (2,), (500,), (1,), (1, value))
+
+    def test_feasible_count_matches_enumeration(self):
+        g = np.random.default_rng(5)
+        specs = [GridSpec.reference(), GridSpec((8,), (2,), (500,), (1,), (10,))]
+        for _ in range(20):
+            specs.append(GridSpec(*(tuple(sorted({int(v) for v in g.integers(1, 12, 3)}))
+                                    for _ in range(5))))
+        for spec in specs:
+            assert feasible_count(spec) == len(enumerate_grid(spec))
 
 
 class TestEvaluateGrid:
@@ -83,16 +106,8 @@ class TestEvaluateGrid:
         assert out[0].runtime == 1.5 and out[0].recall == 0.8
         assert out[0].stages == stages
 
-    def test_failure_records_zero_recall(self):
-        def broken(params):
-            raise ValueError("behind camera")
-
-        out = evaluate_grid([DiscreteParams(8, 2, 500, 1, 10)], broken)
-        assert out[0].recall == 0.0
-        assert out[0].runtime >= 0.0
-        assert out[0].stages == {}
-
-    @pytest.mark.parametrize("error", [TypeError, KeyError, RuntimeError])
+    @pytest.mark.parametrize("error", [TypeError, KeyError, RuntimeError, ValueError,
+                                       np.linalg.LinAlgError])
     def test_objective_bug_propagates(self, error):
         def broken(params):
             raise error("bug")
@@ -157,33 +172,30 @@ class TestParetoFront:
             pareto_front([])
 
 
-def stage_times(*times) -> dict[str, float]:
-    return dict(zip(STAGE_KEYS, times))
-
-
 class TestRuntimeModel:
     def grid_measurements(self, coeffs, objects=15, noise=None, seed=0):
-        """Per-stage times on the reference grid: each coefficient times its
-        regressor, scaled by 1 + N(0, noise) per stage when ``noise`` is set."""
+        """Entries on the reference grid at ``objects`` objects whose stage
+        times are each coefficient times its regressor, scaled by
+        1 + N(0, noise) per stage when ``noise`` is set."""
         g = np.random.default_rng(seed)
         rows = []
         for params in enumerate_grid(GridSpec.reference()):
             times = np.array(_design_row(params, objects)) * coeffs.as_tuple()
             if noise:
                 times *= 1 + g.normal(0, noise, len(times))
-            rows.append((params, objects, stage_times(*times)))
+            rows.append(measured(params, 0.5, *times))
         return rows
 
     def test_exact_recovery_of_planted_coefficients(self):
-        fitted = fit_runtime_model(self.grid_measurements(PLANTED))
+        fitted = fit_runtime_model(self.grid_measurements(PLANTED), 15)
         for got, want in zip(fitted.as_tuple(), PLANTED.as_tuple()):
             assert abs(got - want) <= 1e-9 * want
         assert fitted.residual < 1e-9
 
     def test_constant_runtime_gives_pure_offset(self):
-        rows = [(p, 15, stage_times(0.857, 0.0, 0.0, 0.0, 0.0))
+        rows = [measured(p, 0.5, 0.857, 0.0, 0.0, 0.0, 0.0)
                 for p in enumerate_grid(GridSpec.reference())]
-        fitted = fit_runtime_model(rows)
+        fitted = fit_runtime_model(rows, 15)
         assert fitted.t_pre == pytest.approx(0.857, rel=1e-12)
         assert fitted.as_tuple()[1:] == (0.0, 0.0, 0.0, 0.0)
 
@@ -191,7 +203,7 @@ class TestRuntimeModel:
         # 10% timing noise on every stage of every tuple
         for seed in range(5):
             fitted = fit_runtime_model(
-                self.grid_measurements(PLANTED, noise=0.1, seed=seed))
+                self.grid_measurements(PLANTED, noise=0.1, seed=seed), 15)
             for got, want in zip(fitted.as_tuple(), PLANTED.as_tuple()):
                 assert abs(got - want) <= 0.10 * want
 
@@ -199,9 +211,9 @@ class TestRuntimeModel:
         # each stage's slope through the origin against its own regressor, and
         # the residual of the total times
         rows = self.grid_measurements(PLANTED, noise=0.3, seed=7)
-        fitted = fit_runtime_model(rows)
-        x = np.array([_design_row(p, o) for p, o, _ in rows])
-        t = np.array([[stages[k] for k in STAGE_KEYS] for _, _, stages in rows])
+        fitted = fit_runtime_model(rows, 15)
+        x = np.array([_design_row(e.params, 15) for e in rows])
+        t = np.array([[e.stages[k] for k in STAGE_KEYS] for e in rows])
         for k, got in enumerate(fitted.as_tuple()):
             [want], *_ = np.linalg.lstsq(x[:, k:k + 1], t[:, k], rcond=None)
             assert got == pytest.approx(want, rel=1e-12)
@@ -213,21 +225,21 @@ class TestRuntimeModel:
         # per stage does not
         params = DiscreteParams(8, 2, 500, 1, 10)
         times = (0.5, 0.16, 2.7, 0.3, 0.4)
-        fitted = fit_runtime_model([(params, 15, stage_times(*times))] * 6)
+        fitted = fit_runtime_model([measured(params, 0.5, *times)] * 6, 15)
         for got, time, regressor in zip(fitted.as_tuple(), times, _design_row(params, 15)):
             assert got == pytest.approx(time / regressor, rel=1e-12)
 
     def test_too_few_measurements_rejected(self):
         with pytest.raises(ValueError):
-            fit_runtime_model([(DiscreteParams(8, 2, 500, 1, 10), 15,
-                                stage_times(1.0, 1.0, 1.0, 1.0, 1.0))] * 4)
+            fit_runtime_model([measured(DiscreteParams(8, 2, 500, 1, 10), 0.5,
+                                        1.0, 1.0, 1.0, 1.0, 1.0)] * 4, 15)
 
     def test_coefficients_never_negative(self):
         g = np.random.default_rng(4)
-        rows = [(p, 15, stage_times(*g.uniform(0.0, 1.0, 5)))
+        rows = [measured(p, 0.5, *g.uniform(0.0, 1.0, 5))
                 for p in enumerate_grid(GridSpec((8, 16), (2, 4), (500, 1500),
                                                  (1, 2), (10, 30)))]
-        fitted = fit_runtime_model(rows)
+        fitted = fit_runtime_model(rows, 15)
         assert all(c >= 0 for c in fitted.as_tuple())
 
 
@@ -293,16 +305,16 @@ class TestSelectForBudget:
 
 class TestEmissions:
     def test_measurements_csv(self):
-        stages = stage_times(0.25, 0.5, 0.125, 0.0625, 0.0625)
-        failed = entry(8, 2, 500, 1, 2, 0.75, 0.0)
-        text = measurements_to_csv([ParetoEntry(DiscreteParams(8, 2, 500, 1, 10), 1.0, 0.5,
-                                                stages), failed])
+        text = measurements_to_csv([
+            measured(DiscreteParams(8, 2, 500, 1, 10), 0.5, 0.25, 0.5, 0.125, 0.0625, 0.0625),
+            entry(8, 2, 500, 1, 2, 0.75, 0.0)])
         lines = text.strip().splitlines()
         assert lines[0] == ("classified,estimated,ransac_iters,depth_checked,icp_iters,"
                             "runtime,t_pre,t_net,t_ran,t_icp,t_depth,recall")
         assert lines[1] == "8,2,500,1,10,1.000000,0.250000,0.500000,0.125000,0.062500," \
                            "0.062500,0.500000"
-        assert lines[2] == "8,2,500,1,2,0.750000,,,,,,0.000000"
+        assert lines[2] == "8,2,500,1,2,0.750000,0.750000,0.000000,0.000000,0.000000," \
+                           "0.000000,0.000000"
 
     def test_budget_selection_dict(self):
         sel = BudgetSelection(entry(8, 2, 500, 1, 10, 1.0, 0.5), 1.2, True)

@@ -43,13 +43,19 @@ def evaluated_config(tmp_path_factory):
     (out / "dr" / "levels.json").write_text(json.dumps(
         {"xyz_sigma": 0.5, "normal_sigma": 0.0, "rgb_sigma": 0.0, "rgb_shift": 0.0,
          "rotation_max": 0.0, "flatten_frac": 0.0}))
-    (out / "opt").mkdir()
-    (out / "opt" / "continuous_dr.json").write_text(json.dumps(
-        {"params": OPTIMIZED.as_dict()}))
-    (out / "opt" / "front_dr.json").write_text(json.dumps(
-        {"front": [ParetoEntry(SMALL_DP, 0.1, 0.5).to_dict()],
-         "coefficients": RuntimeCoefficients(0.01, 0.0, 0.0, 0.0, 0.0).to_dict()}))
+    _write_optimization(out, "dr")
     return config
+
+
+def _write_optimization(out, tag: str):
+    """Hand-written ``optimize`` results: ``OPTIMIZED`` and a one-entry front
+    at ``SMALL_DP``."""
+    (out / "opt").mkdir()
+    (out / "opt" / f"continuous_{tag}.json").write_text(json.dumps(
+        {"params": OPTIMIZED.as_dict()}))
+    (out / "opt" / f"front_{tag}.json").write_text(json.dumps(
+        {"front": [ParetoEntry(SMALL_DP, 0.1, 0.5, dict.fromkeys(STAGE_KEYS, 0.02)).to_dict()],
+         "coefficients": RuntimeCoefficients(0.01, 0.0, 0.0, 0.0, 0.0).to_dict()}))
 
 
 def _eval_scores(config, cp, dp, score) -> list[float]:
@@ -95,6 +101,15 @@ class TestEvaluate:
         report = workflow.cmd_evaluate(evaluated_config, force=True)
         scores = _eval_scores(evaluated_config, OPTIMIZED, SMALL_DP, _recall)
         assert report["recall"] == float(np.mean(scores))
+
+    def test_missing_levels_fail_evaluate(self, tmp_path):
+        # the no-DR searches never read the learned levels; the evaluation does
+        config = tiny_config(tmp_path)
+        workflow.cmd_generate(config)
+        _write_optimization(tmp_path, "nodr")
+        with pytest.raises(workflow.StageError, match="levels.json") as raised:
+            workflow.cmd_evaluate(config, no_dr=True)
+        assert raised.value.stage == "evaluate"
 
     def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
         # every box found with the translation moved to z = 20 mm: part of the
@@ -175,6 +190,14 @@ class TestConfigValidation:
         ("grid", {"classified": [2, 4]}),
         ("schedule", [[0, None]]),
         ("schedule", [[2]]),
+        ("train_scenes", 1.5), ("validation_scenes", 2.0), ("eval_scenes", True),
+        ("epochs", 2.5), ("schedule", [[2.5, None]]), ("schedule", [[True, None]]),
+        ("grid", {"classified": [2, 4], "estimated": [1, 2], "ransac_iters": [50, 100],
+                  "depth_checked": [1], "icp_iters": [1, 2.7]}),
+        ("grid", {"classified": [2, 4], "estimated": [1, 2], "ransac_iters": [50, 100],
+                  "depth_checked": [1], "icp_iters": [1, 2], "icp_iter": [3]}),
+        ("grid", {"classified": [2], "estimated": [1], "ransac_iters": [50],
+                  "depth_checked": [1], "icp_iters": [1, 2, 3, 4]}),
     ])
     def test_rejects_bad_values(self, name, value):
         data = dict(tiny_config("experiment").to_dict(), **{name: value})
@@ -243,8 +266,11 @@ class TestConfigValidation:
         assert raised.value.stage == "train-dr"
 
     def test_accepts_boundary_values(self):
+        # five feasible tuples are enough for the runtime fit
+        grid = {"classified": [2], "estimated": [1], "ransac_iters": [50],
+                "depth_checked": [1], "icp_iters": [1, 2, 3, 4, 5]}
         data = dict(tiny_config("experiment").to_dict(), clutter=1.0, occlusion=0.0,
-                    epochs=1, budget_seconds=0.01)
+                    epochs=1, budget_seconds=0.01, grid=grid)
         assert workflow.ExperimentConfig.from_dict(data).to_dict() == data
 
 
@@ -304,6 +330,14 @@ class TestEndToEnd:
         assert all(round(e["recall"], 6) in grid_recalls for e in front)
         assert set(run["front"]["coefficients"]) == \
             {"t_pre", "t_net", "t_ran", "t_icp", "t_depth", "residual"}
+
+    def test_saved_front_loads_with_its_stages(self, run):
+        config = run["config"]
+        saved = json.loads((config.out() / "opt" / "front_dr.json").read_text())["front"]
+        _, front, _ = workflow.load_optimization(config)
+        assert [e.stages for e in front] == [e["stages"] for e in saved]
+        assert all(e.stages.keys() == set(STAGE_KEYS) for e in front)
+        assert [e.to_dict() for e in front] == saved
 
     def test_grid_rows_carry_stage_times(self, run):
         rows = [line.split(",") for line in
@@ -634,12 +668,33 @@ class TestStageMarkers:
             {"xyz_sigma": 0.5, "normal_sigma": 0.0, "rgb_sigma": 0.0, "rgb_shift": 0.0,
              "rotation_max": 0.0, "flatten_frac": 0.0}))
 
-        def broken(*args, **kwargs):
-            raise TypeError("bug")
+        # whatever the objective raises fails the stage; nothing scores it 0
+        for error in (TypeError, ValueError, np.linalg.LinAlgError):
+            def broken(*args, **kwargs):
+                raise error("bug")
 
-        monkeypatch.setattr(workflow, "estimate_all", broken)
-        with pytest.raises(workflow.StageError, match="bug"):
-            workflow.cmd_optimize(config)
+            monkeypatch.setattr(workflow, "estimate_all", broken)
+            with pytest.raises(workflow.StageError, match="bug") as raised:
+                workflow.cmd_optimize(config)
+            assert raised.value.stage == "optimize:continuous"
+            assert isinstance(raised.value.__cause__, error)
+
+    def test_grid_objective_error_becomes_stage_error(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        workflow.cmd_generate(config)
+        original = workflow.estimate_all
+
+        def broken_in_grid(*args, memo=None, **kwargs):
+            # only the grid phase passes memos
+            if memo is not None:
+                raise ValueError("bug")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(workflow, "estimate_all", broken_in_grid)
+        with pytest.raises(workflow.StageError, match="bug") as raised:
+            workflow.cmd_optimize(config, no_dr=True)
+        assert raised.value.stage == "optimize:discrete"
+        assert not (tmp_path / "opt" / "grid_nodr.csv").exists()
 
 
 def _loaded_by_workflow(module: str) -> bool:

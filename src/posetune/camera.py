@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +19,14 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside image")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "CameraIntrinsics":
-        return CameraIntrinsics(data["fx"], data["fy"], data["cx"], data["cy"],
-                                int(data["width"]), int(data["height"]))
 
 
 def default_camera() -> CameraIntrinsics:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import csv
 import itertools
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -67,13 +67,11 @@ class ParetoEntry:
     recall: float
     stages: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RuntimeCoefficients:
-    """Per-unit stage durations (seconds), each nonnegative."""
+    """Per-unit stage durations (seconds), each nonnegative. The stage fields
+    are ``STAGE_KEYS`` in order: ``fit_runtime_model`` fills them by position."""
 
     t_pre: float
     t_net: float
@@ -91,9 +89,6 @@ class RuntimeCoefficients:
         """The stage durations, without the fit residual."""
         return astuple(self)[:-1]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def enumerate_grid(spec: GridSpec) -> list[DiscreteParams]:
     """Feasible Cartesian product, in deterministic nested order."""
@@ -102,13 +97,6 @@ def enumerate_grid(spec: GridSpec) -> list[DiscreteParams]:
         if pe <= pc and dc <= ri:
             out.append(DiscreteParams(pc, pe, ri, dc, ii))
     return out
-
-
-def feasible_count(spec: GridSpec) -> int:
-    """``len(enumerate_grid(spec))``, without building the tuples."""
-    return (sum(pe <= pc for pc in spec.classified for pe in spec.estimated)
-            * sum(dc <= ri for ri in spec.ransac_iters for dc in spec.depth_checked)
-            * len(spec.icp_iters))
 
 
 def evaluate_grid(
@@ -194,9 +182,6 @@ class BudgetSelection:
     entry: ParetoEntry
     predicted_runtime: float
     within_budget: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def select_for_budget(front: list[ParetoEntry], coeffs: RuntimeCoefficients,

@@ -14,7 +14,7 @@ RANSAC and ICP take only the ``(n, 3)`` points of the ranked candidates.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -70,14 +70,11 @@ class ContinuousParams:
     cut_radius: float        # candidate extraction radius
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.vote_threshold > 1:
             raise ValueError("vote_threshold must be <= 1")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     def as_vector(self) -> np.ndarray:
         return np.array(astuple(self))
@@ -99,20 +96,21 @@ class DiscreteParams:
     icp_iters: int       # ICP iterations per resolution stage
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{f.name} must be an integer >= 1, not {value!r}")
         if self.estimated > self.classified:
             raise ValueError("estimated exceeds classified")
         if self.depth_checked > self.ransac_iters:
             raise ValueError("depth_checked exceeds ransac_iters")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
     def from_dict(data: dict) -> "DiscreteParams":
-        return DiscreteParams(**{f.name: int(data[f.name]) for f in fields(DiscreteParams)})
+        """``DiscreteParams(**data)``: the constructor checks every value and
+        converts none. Kept as a name because the benchmark reads it
+        (``READ_NAMES`` in ``tests/test_bench_contract.py``)."""
+        return DiscreteParams(**data)
 
 
 @dataclass(frozen=True)
@@ -532,9 +530,12 @@ def _depth_edges(scene_depth: np.ndarray) -> np.ndarray:
 class EstimateResult:
     """Outcome of one (scene, object) estimation."""
 
-    found: bool
     hypothesis: PoseHypothesis | None
     reason: str = ""
+
+    @property
+    def found(self) -> bool:
+        return self.hypothesis is not None
 
 
 STAGE_KEYS = ("t_pre", "t_net", "t_ran", "t_icp", "t_depth")
@@ -618,7 +619,7 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
                      lambda: ranked_candidates(prepared, seeds, model, cp, dp, seed))
     gt_pose = scene.gt_poses.get(model.object_id)
     if gt_pose is None:
-        return EstimateResult(False, None, reason="no detection")
+        return EstimateResult(None, "no detection")
 
     best: PoseHypothesis | None = None
     for ci, candidate in enumerate(ranked[:dp.estimated]):
@@ -653,8 +654,8 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
                                       ("icp stalled",) if refined is None else ())
 
     if best is None:
-        return EstimateResult(False, None, reason="no detection")
-    return EstimateResult(True, best)
+        return EstimateResult(None, "no detection")
+    return EstimateResult(best)
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,10 @@ class Scene:
     depth: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # stream_seed hashes str(seed): a seed of 1.0 or True would silently
+        # give other streams than 1
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
         depth = render_depth(self.cloud.points, self.cam)
         depth.setflags(write=False)
         object.__setattr__(self, "depth", depth)
@@ -252,18 +256,21 @@ def save_scene(scene: Scene, directory: str | Path) -> None:
     scene.cloud.save(directory)
     meta = {
         "seed": scene.seed,
-        "camera": scene.cam.to_dict(),
+        "camera": asdict(scene.cam),
         "gt_poses": {k: p.to_dict() for k, p in sorted(scene.gt_poses.items())},
     }
     (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
 
 
 def load_scene(directory: str | Path) -> Scene:
+    """The scene ``save_scene`` wrote. The camera and the seed go to their
+    constructors as stored, so a float width or seed raises ``ValueError``
+    rather than being converted."""
     directory = Path(directory)
     meta = json.loads((directory / "meta.json").read_text())
     return Scene(
         PointCloud.load(directory),
         {k: Pose.from_dict(v) for k, v in meta["gt_poses"].items()},
-        CameraIntrinsics.from_dict(meta["camera"]),
-        int(meta["seed"]),
+        CameraIntrinsics(**meta["camera"]),
+        meta["seed"],
     )

@@ -8,7 +8,7 @@ on to the next channel.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .scenes import NoiseConfig, default_jump_sizes, default_noise_config
@@ -120,9 +120,6 @@ class EpochRecord:
     active_index: int
     frozen: tuple[bool, ...]
     phase: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def run_scheduled_training(

@@ -43,7 +43,6 @@ from .gridopt import (
     RuntimeCoefficients,
     enumerate_grid,
     evaluate_grid,
-    feasible_count,
     fit_runtime_model,
     measurements_to_csv,
     pareto_front,
@@ -97,6 +96,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        for name in ("budget_seconds", "clutter", "occlusion"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if not self.budget_seconds > 0:
             raise ValueError("budget_seconds must be positive")
         for name in ("clutter", "occlusion"):
@@ -124,12 +129,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return ExperimentConfig(**data)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def fingerprint(self) -> str:
         return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
+            json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
 
     def bo_schedule(self) -> Schedule:
         if self.schedule is None:
@@ -139,7 +141,7 @@ class ExperimentConfig:
     def grid_spec(self) -> GridSpec:
         """The grid, which must hold enough feasible tuples for the runtime fit."""
         spec = default_grid() if self.grid is None else GridSpec(**self.grid)
-        count = feasible_count(spec)
+        count = len(enumerate_grid(spec))
         if count < MIN_MEASUREMENTS:
             raise ValueError(f"{count} feasible tuples; the runtime fit needs at least "
                              f"{MIN_MEASUREMENTS}")
@@ -273,7 +275,7 @@ def cmd_train_dr(config: ExperimentConfig, force: bool = False) -> dict:
         finals.append(state.levels)
         (dr_dir / f"{model.object_id}.json").write_text(json.dumps(
             {"final_levels": state.levels.as_dict(), "phase": state.phase,
-             "trace": [rec.to_dict() for rec in history]},
+             "trace": [asdict(rec) for rec in history]},
             sort_keys=True, indent=1))
     mean_levels = NoiseConfig.from_tuple(
         np.mean([lv.as_tuple() for lv in finals], axis=0))
@@ -383,7 +385,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     except Exception as exc:
         raise StageError("optimize:continuous", str(exc)) from exc
     (opt_dir / f"continuous_{tag}.json").write_text(json.dumps(
-        {"params": best_cp.as_dict(), "metric": config.metric,
+        {"params": asdict(best_cp), "metric": config.metric,
          "best_value": max(t.value for t in trace)}, sort_keys=True, indent=1))
     (opt_dir / f"trace_{tag}.csv").write_text(trace_to_csv(trace))
 
@@ -400,12 +402,12 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
         raise StageError("optimize:discrete", str(exc)) from exc
     (opt_dir / f"grid_{tag}.csv").write_text(measurements_to_csv(entries))
     (opt_dir / f"front_{tag}.json").write_text(json.dumps(
-        {"front": [e.to_dict() for e in front],
-         "coefficients": coeffs.to_dict()}, sort_keys=True, indent=1))
-    summary = {"mode": tag, "continuous": best_cp.as_dict(),
+        {"front": [asdict(e) for e in front],
+         "coefficients": asdict(coeffs)}, sort_keys=True, indent=1))
+    summary = {"mode": tag, "continuous": asdict(best_cp),
                "best_value": max(t.value for t in trace),
                "grid_entries": len(entries), "front_size": len(front),
-               "coefficients": coeffs.to_dict()}
+               "coefficients": asdict(coeffs)}
     return _finish_stage(config, f"optimize-{tag}", summary)
 
 
@@ -417,7 +419,7 @@ def load_optimization(config: ExperimentConfig, no_dr: bool = False):
     _require(config, "evaluate", front_path, "optimize")
     cp = ContinuousParams(**json.loads(cont_path.read_text())["params"])
     data = json.loads(front_path.read_text())
-    front = [ParetoEntry(**dict(e, params=DiscreteParams.from_dict(e["params"])))
+    front = [ParetoEntry(**dict(e, params=DiscreteParams(**e["params"])))
              for e in data["front"]]
     return cp, front, RuntimeCoefficients(**data["coefficients"])
 
@@ -460,8 +462,8 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
         "metric": config.metric,
         "budget_seconds": budget,
         "object_count": object_count,
-        "selection": selection.to_dict(),
-        "continuous": cp.as_dict(),
+        "selection": asdict(selection),
+        "continuous": asdict(cp),
         "recall": recall,
         "per_object_recall": {k: float(np.mean(v)) for k, v in per_object.items()},
         "measured_runtime": float(sum(stages.values())),

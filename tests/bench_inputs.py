@@ -1,9 +1,13 @@
 """The benchmark experiment's inputs, as the tests rebuild them without
 running its stages: its objects, the DR levels that ``train-dr`` learns for
-them at master seed 0 and the deploy parameters (all from
-``bench/deploy_params.json``), its grid, its two DR-noised validation
-scenes, and the ``deploy`` workload's DR-noised images.
+them at master seed 0 and the deploy parameters, all read from
+``bench/deploy_params.json`` so that a benchmark which derives that file
+again moves the digests in ``test_golden.py``; its grid, its two DR-noised
+validation scenes, and the ``deploy`` workload's DR-noised images.
 """
+
+import json
+from pathlib import Path
 
 from posetune.gridopt import GridSpec
 from posetune.objects import make_object
@@ -11,19 +15,12 @@ from posetune.pipeline import ContinuousParams, DiscreteParams
 from posetune.scenes import NoiseConfig, apply_domain_randomization, generate_scene
 from posetune.seeding import stream_seed
 
-BENCH_OBJECTS = [
-    {"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0], "color": [0.7, 0.3, 0.3]},
-    {"shape": "cylinder", "id": "cyl", "radius": 25.0, "height": 80.0,
-     "color": [0.3, 0.5, 0.7]},
-]
-BENCH_LEVELS = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035, rgb_shift=0.07,
-                           rotation_max=6.25, flatten_frac=0.02)
-DEPLOY_CP = ContinuousParams(vote_threshold=0.18256880613712556, ransac_dist=34.34857084466563,
-                             icp_dist=9.996781928455857, icp_scale=1.0,
-                             background_dist=88.2001910987532, accept_dist=20.0,
-                             cut_radius=150.0)
-DEPLOY_DP = DiscreteParams(classified=4, estimated=2, ransac_iters=100, depth_checked=1,
-                           icp_iters=6)
+_DEPLOY_PARAMS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "deploy_params.json").read_text())
+BENCH_OBJECTS = _DEPLOY_PARAMS["objects"]
+BENCH_LEVELS = NoiseConfig(**_DEPLOY_PARAMS["levels"])
+DEPLOY_CP = ContinuousParams(**_DEPLOY_PARAMS["continuous"])
+DEPLOY_DP = DiscreteParams(**_DEPLOY_PARAMS["discrete"])
 # The benchmark experiment's grid (bench/workloads.py): 48 feasible tuples.
 BENCH_GRID = GridSpec(classified=(2, 4, 8), estimated=(1, 2), ransac_iters=(100, 300),
                       depth_checked=(1, 2), icp_iters=(2, 6))

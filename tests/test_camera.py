@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -68,6 +70,15 @@ def reference_render(points, cam):
         np.minimum.at(depth, (v[inside], u[inside]), z[inside])
     depth[np.isinf(depth)] = 0.0
     return depth
+
+
+class TestIntrinsics:
+    @pytest.mark.parametrize("name", ["width", "height"])
+    def test_rejects_fractional_size(self, name):
+        data = asdict(default_camera())
+        data[name] = float(data[name])
+        with pytest.raises(ValueError, match=name):
+            CameraIntrinsics(**data)
 
 
 class TestRenderDepth:

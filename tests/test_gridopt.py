@@ -1,3 +1,5 @@
+from dataclasses import asdict, astuple, fields
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from posetune.gridopt import (
     _design_row,
     enumerate_grid,
     evaluate_grid,
-    feasible_count,
     fit_runtime_model,
     measurements_to_csv,
     pareto_front,
@@ -39,7 +40,7 @@ def entry(pc, pe, ri, dc, ii, runtime, recall):
 
 def brute_force_front(entries):
     """Independent O(n^2) dominance filter with duplicate collapsing."""
-    keys = [(e.runtime, e.recall, tuple(e.params.as_dict().values())) for e in entries]
+    keys = [(e.runtime, e.recall, astuple(e.params)) for e in entries]
     survivors = []
     for i, e in enumerate(entries):
         dominated = False
@@ -75,8 +76,8 @@ class TestEnumerateGrid:
 
     def test_deterministic_order(self):
         spec = GridSpec.reference()
-        assert [p.as_dict() for p in enumerate_grid(spec)] == \
-            [p.as_dict() for p in enumerate_grid(spec)]
+        assert [asdict(p) for p in enumerate_grid(spec)] == \
+            [asdict(p) for p in enumerate_grid(spec)]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -86,15 +87,6 @@ class TestEnumerateGrid:
         for value in (2.7, 2.0, True, "2"):
             with pytest.raises(ValueError, match="icp_iters values must be integers"):
                 GridSpec((8,), (2,), (500,), (1,), (1, value))
-
-    def test_feasible_count_matches_enumeration(self):
-        g = np.random.default_rng(5)
-        specs = [GridSpec.reference(), GridSpec((8,), (2,), (500,), (1,), (10,))]
-        for _ in range(20):
-            specs.append(GridSpec(*(tuple(sorted({int(v) for v in g.integers(1, 12, 3)}))
-                                    for _ in range(5))))
-        for spec in specs:
-            assert feasible_count(spec) == len(enumerate_grid(spec))
 
 
 class TestEvaluateGrid:
@@ -185,6 +177,11 @@ class TestRuntimeModel:
                 times *= 1 + g.normal(0, noise, len(times))
             rows.append(measured(params, 0.5, *times))
         return rows
+
+    def test_stage_fields_follow_stage_keys(self):
+        # fit_runtime_model fills the coefficients by position, and asdict
+        # names them in front_*.json beside the stage columns of grid_*.csv
+        assert [f.name for f in fields(RuntimeCoefficients)] == [*STAGE_KEYS, "residual"]
 
     def test_exact_recovery_of_planted_coefficients(self):
         fitted = fit_runtime_model(self.grid_measurements(PLANTED), 15)
@@ -318,6 +315,6 @@ class TestEmissions:
 
     def test_budget_selection_dict(self):
         sel = BudgetSelection(entry(8, 2, 500, 1, 10, 1.0, 0.5), 1.2, True)
-        data = sel.to_dict()
+        data = asdict(sel)
         assert data["within_budget"] is True
         assert data["predicted_runtime"] == 1.2

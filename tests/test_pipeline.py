@@ -1,7 +1,7 @@
 import itertools
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -76,6 +76,12 @@ class TestParameterTypes:
             DiscreteParams(8, 10, 500, 1, 10)
         with pytest.raises(ValueError, match="depth_checked"):
             DiscreteParams(8, 2, 5, 10, 10)
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_from_dict_converts_nothing(self, value):
+        data = dict(asdict(SMALL_DP), classified=value)
+        with pytest.raises(ValueError, match="classified must be an integer"):
+            DiscreteParams.from_dict(data)
 
     def test_vector_roundtrip(self):
         params = OPTIMIZED

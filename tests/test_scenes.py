@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,17 @@ class TestSceneIO:
             assert np.array_equal(getattr(loaded.gt_poses["crate"], key),
                                   getattr(scene.gt_poses["crate"], key))
         assert np.array_equal(loaded.depth, scene.depth)
+
+    @pytest.mark.parametrize("name", ["seed", "width"])
+    def test_load_rejects_float_seed_or_width(self, box, tmp_path, name):
+        save_scene(generate_scene([box], 0.4, 0.1, seed=19), tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        owner = meta if name == "seed" else meta["camera"]
+        owner[name] = float(owner[name])
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=name):
+            load_scene(tmp_path)
 
     def test_rewrite_is_byte_identical(self, box, tmp_path):
         scene = generate_scene([box], 0.4, 0.1, seed=19)

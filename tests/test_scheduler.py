@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,7 @@ class TestRunScheduledTraining:
         assert history[0].levels == NoiseConfig.zero()
         assert history[5].levels == default_noise_config()
         assert history[8].levels.xyz_sigma >= DEFAULTS[0]
-        record = history[9].to_dict()
+        record = asdict(history[9])
         assert set(record) == {"epoch", "loss", "levels", "active_index",
                                "frozen", "phase"}
 

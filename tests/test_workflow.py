@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +53,10 @@ def _write_optimization(out, tag: str):
     at ``SMALL_DP``."""
     (out / "opt").mkdir()
     (out / "opt" / f"continuous_{tag}.json").write_text(json.dumps(
-        {"params": OPTIMIZED.as_dict()}))
+        {"params": asdict(OPTIMIZED)}))
     (out / "opt" / f"front_{tag}.json").write_text(json.dumps(
-        {"front": [ParetoEntry(SMALL_DP, 0.1, 0.5, dict.fromkeys(STAGE_KEYS, 0.02)).to_dict()],
-         "coefficients": RuntimeCoefficients(0.01, 0.0, 0.0, 0.0, 0.0).to_dict()}))
+        {"front": [asdict(ParetoEntry(SMALL_DP, 0.1, 0.5, dict.fromkeys(STAGE_KEYS, 0.02)))],
+         "coefficients": asdict(RuntimeCoefficients(0.01, 0.0, 0.0, 0.0, 0.0))}))
 
 
 def _eval_scores(config, cp, dp, score) -> list[float]:
@@ -119,7 +120,7 @@ class TestEvaluate:
             for model in models:
                 gt = scene.gt_poses[model.object_id]
                 pose = Pose(gt.rotation, [gt.translation[0], gt.translation[1], 20.0])
-                results[model.object_id] = EstimateResult(True, PoseHypothesis(pose, 100, 0.5))
+                results[model.object_id] = EstimateResult(PoseHypothesis(pose, 100, 0.5))
             return SceneEstimate(results, dict.fromkeys(STAGE_KEYS, 0.001))
 
         monkeypatch.setattr(workflow, "estimate_all", behind)
@@ -198,9 +199,11 @@ class TestConfigValidation:
                   "depth_checked": [1], "icp_iters": [1, 2], "icp_iter": [3]}),
         ("grid", {"classified": [2], "estimated": [1], "ransac_iters": [50],
                   "depth_checked": [1], "icp_iters": [1, 2, 3, 4]}),
+        ("seed", 1.5), ("seed", True), ("clutter", True), ("occlusion", False),
+        ("budget_seconds", True),
     ])
     def test_rejects_bad_values(self, name, value):
-        data = dict(tiny_config("experiment").to_dict(), **{name: value})
+        data = dict(asdict(tiny_config("experiment")), **{name: value})
         with pytest.raises(ValueError, match=name):
             workflow.ExperimentConfig.from_dict(data)
 
@@ -210,7 +213,7 @@ class TestConfigValidation:
         save_object(make_box("bare", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "bare")
         (tmp_path / "bare" / f"{channel}.npy").unlink()
         config = workflow.ExperimentConfig.from_dict(
-            dict(tiny_config(tmp_path / "out").to_dict(),
+            dict(asdict(tiny_config(tmp_path / "out")),
                  objects=[{"path": str(tmp_path / "bare")}]))
         with pytest.raises(workflow.StageError, match=rf"{channel}\.npy") as raised:
             workflow.cmd_generate(config)
@@ -231,12 +234,12 @@ class TestConfigValidation:
         ("box", "not a mapping"),
     ], ids=["misspelt", "other-shape", "id-beside-path", "not-a-mapping"])
     def test_unknown_object_keys_fail_the_config(self, spec, named):
-        data = dict(tiny_config("experiment").to_dict(), objects=[spec])
+        data = dict(asdict(tiny_config("experiment")), objects=[spec])
         with pytest.raises(ValueError, match=re.escape(named)):
             workflow.ExperimentConfig.from_dict(data)
 
     def test_repeated_object_ids_fail_the_config(self):
-        data = dict(tiny_config("experiment").to_dict(),
+        data = dict(asdict(tiny_config("experiment")),
                     objects=[{"shape": "box", "id": "a"}, {"shape": "cylinder", "id": "a"},
                              {"shape": "lshape", "id": "b"}])
         with pytest.raises(ValueError, match=re.escape("repeated object ids ['a']")):
@@ -246,7 +249,7 @@ class TestConfigValidation:
         # the directory names its id in model.json, so only build_models sees it
         save_object(make_box("a", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "saved")
         config = workflow.ExperimentConfig.from_dict(
-            dict(tiny_config(tmp_path / "out").to_dict(),
+            dict(asdict(tiny_config(tmp_path / "out")),
                  objects=[{"path": str(tmp_path / "saved")}, {"shape": "cylinder", "id": "a"}]))
         repeated = re.escape("repeated object ids ['a']")
         with pytest.raises(workflow.StageError, match=repeated) as raised:
@@ -257,7 +260,7 @@ class TestConfigValidation:
     def test_bad_object_fails_with_the_calling_stage(self, tmp_path):
         save_object(make_box("saved", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "saved")
         config = workflow.ExperimentConfig.from_dict(
-            dict(tiny_config(tmp_path / "out").to_dict(),
+            dict(asdict(tiny_config(tmp_path / "out")),
                  objects=[{"path": str(tmp_path / "saved")}]))
         workflow.cmd_generate(config)
         (tmp_path / "saved" / "colors.npy").unlink()
@@ -269,9 +272,9 @@ class TestConfigValidation:
         # five feasible tuples are enough for the runtime fit
         grid = {"classified": [2], "estimated": [1], "ransac_iters": [50],
                 "depth_checked": [1], "icp_iters": [1, 2, 3, 4, 5]}
-        data = dict(tiny_config("experiment").to_dict(), clutter=1.0, occlusion=0.0,
+        data = dict(asdict(tiny_config("experiment")), clutter=1.0, occlusion=0.0,
                     epochs=1, budget_seconds=0.01, grid=grid)
-        assert workflow.ExperimentConfig.from_dict(data).to_dict() == data
+        assert asdict(workflow.ExperimentConfig.from_dict(data)) == data
 
 
 class TestEndToEnd:
@@ -337,7 +340,7 @@ class TestEndToEnd:
         _, front, _ = workflow.load_optimization(config)
         assert [e.stages for e in front] == [e["stages"] for e in saved]
         assert all(e.stages.keys() == set(STAGE_KEYS) for e in front)
-        assert [e.to_dict() for e in front] == saved
+        assert [asdict(e) for e in front] == saved
 
     def test_grid_rows_carry_stage_times(self, run):
         rows = [line.split(",") for line in
@@ -355,7 +358,7 @@ class TestEndToEnd:
         # runtimes, the fit and the budget selection reproduce too
         shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
         config = workflow.ExperimentConfig.from_dict(
-            dict(run["config"].to_dict(), output_dir=str(tmp_path)))
+            dict(asdict(run["config"]), output_dir=str(tmp_path)))
         written = []
         for _ in range(2):
             _counting_clock(monkeypatch)
@@ -381,7 +384,7 @@ class TestAddMetric:
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
         config = workflow.ExperimentConfig.from_dict(
-            dict(tiny_config(tmp_path_factory.mktemp("add")).to_dict(), metric="add",
+            dict(asdict(tiny_config(tmp_path_factory.mktemp("add"))), metric="add",
                  eval_scenes=3))
         calls = {"add_correct": 0, "recall_contribution": 0}
         with pytest.MonkeyPatch.context() as patch:
@@ -607,7 +610,7 @@ class TestPreparedScenes:
 
     def test_optimize_passes_a_memo_to_grid_calls_only(self, tmp_path, monkeypatch):
         config = workflow.ExperimentConfig.from_dict(
-            dict(tiny_config(tmp_path).to_dict(), validation_scenes=2))
+            dict(asdict(tiny_config(tmp_path)), validation_scenes=2))
         workflow.cmd_generate(config)
         memos = []
         original = workflow.estimate_all
@@ -629,7 +632,7 @@ class TestPreparedScenes:
 
     def test_optimize_prepares_each_validation_scene_once(self, tmp_path, monkeypatch):
         config = workflow.ExperimentConfig.from_dict(
-            dict(tiny_config(tmp_path).to_dict(), validation_scenes=2))
+            dict(asdict(tiny_config(tmp_path)), validation_scenes=2))
         workflow.cmd_generate(config)
         calls = {"workflow": 0, "pipeline": 0}
         monkeypatch.setattr(workflow, "prepare",

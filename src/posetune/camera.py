@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import check_number
+
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -19,6 +21,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            check_number(name, getattr(self, name))
         for name in ("width", "height"):
             value = getattr(self, name)
             if type(value) is not int:

@@ -12,6 +12,15 @@ NORMAL_TOL = 1e-6
 MAX_KEYPOINTS = 100
 
 
+def check_number(name: str, value):
+    """``value`` if it is an ``int`` or a ``float`` (``np.float64`` is one),
+    else a ``ValueError`` naming ``name``. A ``bool`` is refused: Python
+    counts it as an ``int``, so ``True`` would pass as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return value
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
     out.setflags(write=False)
@@ -52,6 +61,10 @@ class Pose:
     def inverse(self) -> "Pose":
         rt = self.rotation.T
         return Pose(rt, -rt @ self.translation)
+
+    def key(self) -> tuple[bytes, bytes]:
+        """The rotation and translation bytes: equal keys, bit-identical poses."""
+        return self.rotation.tobytes(), self.translation.tobytes()
 
     def to_dict(self) -> dict:
         return {"rotation": self.rotation.reshape(-1).tolist(),
@@ -140,8 +153,9 @@ class ObjectModel:
     """Object reference cloud with its symmetry set.
 
     ``symmetry`` holds the object's discrete symmetry transforms (identity
-    excluded); empty means no symmetry. The bounding-box ``diagonal`` and the
-    farthest-point ``keypoints`` (at most ``MAX_KEYPOINTS``) follow from the cloud.
+    excluded); empty means no symmetry. The bounding-box ``diagonal``, the
+    farthest-point ``keypoints`` (at most ``MAX_KEYPOINTS``) and the read-only
+    ``mean_color`` follow from the cloud.
     """
 
     object_id: str
@@ -149,6 +163,7 @@ class ObjectModel:
     symmetry: tuple[Pose, ...] = ()
     diagonal: float = field(init=False)
     keypoints: np.ndarray = field(init=False)
+    mean_color: np.ndarray = field(init=False)
 
     def __post_init__(self):
         diagonal = bbox_diagonal(self.cloud)
@@ -157,6 +172,7 @@ class ObjectModel:
         object.__setattr__(self, "diagonal", diagonal)
         object.__setattr__(self, "keypoints",
                            _freeze(farthest_point_sample(self.cloud.points, MAX_KEYPOINTS)))
+        object.__setattr__(self, "mean_color", _freeze(self.cloud.colors.mean(axis=0)))
         object.__setattr__(self, "symmetry", tuple(self.symmetry))
 
     @property

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import check_number
 from .pipeline import STAGE_KEYS, DiscreteParams
 
 # The runtime fit needs at least this many measured grid tuples.
@@ -81,8 +82,8 @@ class RuntimeCoefficients:
     residual: float = 0.0
 
     def __post_init__(self):
-        for f, value in zip(fields(self), self.as_tuple()):
-            if value < 0:
+        for f in fields(self):
+            if check_number(f.name, getattr(self, f.name)) < 0:
                 raise ValueError(f"{f.name} must be >= 0")
 
     def as_tuple(self) -> tuple[float, ...]:

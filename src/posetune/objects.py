@@ -41,12 +41,16 @@ def _box_surface(size, spacing: float = SURFACE_SPACING) -> tuple[np.ndarray, np
     return np.vstack(pts), np.vstack(nrm)
 
 
+def _uniform_model(object_id: str, pts: np.ndarray, nrm: np.ndarray, color,
+                   symmetry: tuple[Pose, ...] = ()) -> ObjectModel:
+    """The model whose every point has the one colour ``color``."""
+    colors = np.tile(np.asarray(color, dtype=np.float64), (len(pts), 1))
+    return ObjectModel(object_id, PointCloud(pts, nrm, colors), symmetry)
+
+
 def make_box(object_id: str, size, color) -> ObjectModel:
     """Axis-aligned box surface centered at the origin."""
-    pts, nrm = _box_surface(np.asarray(size, dtype=np.float64))
-    colors = np.tile(np.asarray(color, dtype=np.float64), (len(pts), 1))
-    cloud = PointCloud(pts, nrm, colors)
-    return ObjectModel(object_id, cloud)
+    return _uniform_model(object_id, *_box_surface(np.asarray(size, dtype=np.float64)), color)
 
 
 def make_cylinder(object_id: str, radius: float, height: float, color) -> ObjectModel:
@@ -68,15 +72,12 @@ def make_cylinder(object_id: str, radius: float, height: float, color) -> Object
         n = np.tile([0.0, 0.0, sign], (len(disc), 1))
         caps.append(cap)
         caps_n.append(n)
-    pts = np.vstack([side, *caps])
-    nrm = np.vstack([side_n, *caps_n])
-    colors = np.tile(np.asarray(color, dtype=np.float64), (len(pts), 1))
-    cloud = PointCloud(pts, nrm, colors)
     symmetry = tuple(
         Pose(rotation_about_axis([0, 0, 1], 2 * np.pi * k / CYLINDER_SYMMETRY_STEPS),
              np.zeros(3))
         for k in range(1, CYLINDER_SYMMETRY_STEPS))
-    return ObjectModel(object_id, cloud, symmetry)
+    return _uniform_model(object_id, np.vstack([side, *caps]), np.vstack([side_n, *caps_n]),
+                          color, symmetry)
 
 
 def make_lshape(object_id: str, size, color) -> ObjectModel:
@@ -86,11 +87,8 @@ def make_lshape(object_id: str, size, color) -> ObjectModel:
     b_pts, b_nrm = _box_surface(np.array([sx / 2, sy, sz / 2]))
     a_pts = a_pts + [0.0, 0.0, -sz / 4]
     b_pts = b_pts + [-sx / 4, 0.0, sz / 4]
-    pts = np.vstack([a_pts, b_pts])
-    nrm = np.vstack([a_nrm, b_nrm])
-    colors = np.tile(np.asarray(color, dtype=np.float64), (len(pts), 1))
-    cloud = PointCloud(pts, nrm, colors)
-    return ObjectModel(object_id, cloud)
+    return _uniform_model(object_id, np.vstack([a_pts, b_pts]), np.vstack([a_nrm, b_nrm]),
+                          color)
 
 
 # Each builtin shape's builder and the defaults of the keys it reads besides

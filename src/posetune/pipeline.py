@@ -20,8 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import box_max, box_min, erode_cross, pixel_window, render_depth
-from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, rotation_about_axis,
-                       voxel_downsample)
+from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, check_number,
+                       rotation_about_axis, voxel_downsample)
 from .scenes import Scene
 from .seeding import derive_rng
 
@@ -71,7 +71,7 @@ class ContinuousParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if check_number(f.name, getattr(self, f.name)) <= 0:
                 raise ValueError(f"{f.name} must be positive")
         if self.vote_threshold > 1:
             raise ValueError("vote_threshold must be <= 1")
@@ -150,8 +150,7 @@ class PreparedScene:
     ``_depth_edges`` mask that every depth check reads, and ``seconds``, the
     wall time all three took. A caller that estimates one scene under many
     parameter sets prepares it once and passes it to every ``estimate_all``
-    call; each call charges ``seconds`` to its ``t_pre``, so the stage times
-    still state what a fresh image costs.
+    call, and each call charges ``seconds`` to its ``t_pre``.
     """
 
     cloud: PointCloud
@@ -186,18 +185,7 @@ def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscretePara
     return seed_idx, density
 
 
-def _mean_color(model: ObjectModel) -> np.ndarray:
-    color = model.cloud.colors.mean(axis=0)
-    color.setflags(write=False)   # shared by every caller
-    return color
-
-
-def _model_color(model: ObjectModel) -> np.ndarray:
-    """Mean colour of the model cloud, computed once per model."""
-    return _kept_on_model(model, "_mean_color", _mean_color)
-
-
-def _color_similarity(colors: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def color_similarity(colors: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per row of ``colors`` (n, 3): exp(-|colour - reference| / COLOR_SIM_SCALE)."""
     return np.exp(-np.linalg.norm(colors - reference, axis=1) / COLOR_SIM_SCALE)
 
@@ -209,7 +197,7 @@ def objectness(points: np.ndarray, colors: np.ndarray, model: ObjectModel) -> fl
     size_factor = len(points) / INPUT_POINTS
     extent = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
     geom = np.exp(-abs(extent - model.diagonal) / model.diagonal)
-    color = _color_similarity(colors.mean(axis=0, keepdims=True), _model_color(model))[0]
+    color = color_similarity(colors.mean(axis=0, keepdims=True), model.mean_color)[0]
     return float(size_factor * geom * color)
 
 
@@ -232,7 +220,7 @@ def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarr
     if len(seed_idx) == 0:
         return []
     cloud, tree = prepared.cloud, prepared.tree
-    sim = _color_similarity(cloud.colors[seed_idx], _model_color(model))
+    sim = color_similarity(cloud.colors[seed_idx], model.mean_color)
     scores = (density / density.max()) * sim
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
@@ -259,6 +247,14 @@ def ranked_candidates(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarr
     return [points for _, points in sorted(scored, key=lambda entry: entry[0])]
 
 
+def vote_confidence(points: np.ndarray, model: ObjectModel,
+                    pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, ``(confidence, nearest)``: the index of the nearest model
+    keypoint at ``pose``, and exp(-distance / (VOTE_CONF_FRACTION * diagonal))."""
+    dist, nearest = cKDTree(pose.apply(model.keypoints)).query(points)
+    return np.exp(-dist / (VOTE_CONF_FRACTION * model.diagonal)), nearest
+
+
 def generate_votes(points: np.ndarray, model: ObjectModel, vote_threshold: float,
                    gt_pose: Pose, seed=0) -> Matches:
     """Match a candidate's points to nearest model keypoints under a jittered truth.
@@ -274,9 +270,7 @@ def generate_votes(points: np.ndarray, model: ObjectModel, vote_threshold: float
                                      np.deg2rad(rng.normal(0.0, VOTE_ROT_SIGMA_DEG)))
     jitter = Pose(jitter_rot @ gt_pose.rotation,
                   jitter_rot @ gt_pose.translation + rng.normal(0.0, VOTE_TRANS_SIGMA, 3))
-    keypoints_world = jitter.apply(model.keypoints)
-    dist, nearest = cKDTree(keypoints_world).query(points)
-    confidence = np.exp(-dist / (VOTE_CONF_FRACTION * model.diagonal))
+    confidence, nearest = vote_confidence(points, model, jitter)
     keep = confidence >= vote_threshold * confidence.max()
     if keep.sum() < MIN_MATCHES:
         raise InsufficientMatches(
@@ -547,7 +541,9 @@ def _staged(memo: dict | None, key: tuple, timings: dict[str, float], stage: str
 
     A miss times ``compute()`` with ``clock`` and, when ``memo`` is a dict,
     keeps ``(value, seconds)`` under ``key``. A hit charges the seconds
-    measured on the miss, so a reused stage still costs what computing it did.
+    measured on the miss, so a reused stage still costs what computing it did
+    and the stage times state what a fresh image costs. The keys are listed at
+    ``_estimate_prepared``.
     """
     entry = None if memo is None else memo.get(key)
     if entry is None:
@@ -558,10 +554,6 @@ def _staged(memo: dict | None, key: tuple, timings: dict[str, float], stage: str
             memo[key] = entry
     timings[stage] += entry[1]
     return entry[0]
-
-
-def _pose_key(pose: Pose) -> tuple[bytes, bytes]:
-    return pose.rotation.tobytes(), pose.translation.tobytes()
 
 
 def _votes_or_none(candidate: np.ndarray, model: ObjectModel, cp: ContinuousParams,
@@ -584,10 +576,14 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
     then per candidate among the first ``dp.estimated`` its votes, its RANSAC
     hypotheses and the KD-tree of its points, then per hypothesis its ICP
     refinement and its depth check. Each stage's memo key names the stage and
-    what it reads, and its entry holds what it computes:
+    what it reads, and its entry holds what it computes. No key names the
+    scene, so one memo serves one scene and one set of models:
 
+    - the seed choice, made once per ``estimate_all`` call: ``cp``, the seed
+      and ``classified``; the seeds;
     - the ranking: ``cp``, the seed, the object and ``classified``; every
-      candidate's points, best first;
+      candidate's points, best first. It is not cut, so tuples that share
+      ``classified`` share it;
     - the votes and the tree: those and the candidate index ``ci`` into that
       ranking; the matches (None when too few) and the tree;
     - RANSAC: those and ``ransac_iters``; the hypotheses;
@@ -635,7 +631,7 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
                        lambda: cKDTree(candidate))
         poses = set()   # (rotation, translation) bytes refined so far
         for hypothesis in hypotheses[:dp.depth_checked]:
-            pose_key = _pose_key(hypothesis.pose)
+            pose_key = hypothesis.pose.key()
             if pose_key in poses:
                 continue
             poses.add(pose_key)
@@ -645,7 +641,7 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
                                   facing_points(icp_model_points(model), hypothesis.pose),
                                   model.diagonal, cp.icp_dist, cp.icp_scale, dp.icp_iters))
             pose = hypothesis.pose if refined is None else refined
-            score = _staged(memo, ("depth", cp, model.object_id, *_pose_key(pose)),
+            score = _staged(memo, ("depth", cp, model.object_id, *pose.key()),
                             timings, "t_depth", lambda: depth_check(
                                 pose, scene, model, cp.background_dist, cp.accept_dist,
                                 prepared.depth_edges))
@@ -663,10 +659,8 @@ class SceneEstimate:
     """Per-object results plus the stage times, kept per image only: the shared
     preprocessing, then each later stage summed over the objects.
 
-    The stage times are what a fresh image costs. ``t_pre`` holds the prepared
-    scene's measured ``seconds`` plus the seed choice, also when the call
-    reused a preparation made earlier, and a stage taken from a memo charges
-    the seconds measured when it was computed.
+    The stage times are what a fresh image costs, also when the call reused a
+    preparation (``PreparedScene``) or a memo (``_staged``).
     """
 
     results: dict[str, EstimateResult]
@@ -686,20 +680,11 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
 
     ``prepared`` is ``prepare(scene)``, passed by a caller that estimates the
     same scene under many parameter sets; without it the call prepares the
-    scene itself. Either way ``t_pre`` charges the preparation's measured
-    ``seconds`` plus this call's own seed choice.
+    scene itself.
 
     ``memo`` is a dict that keeps stage results across calls on this one
-    scene and these models (see ``_staged``), for a caller that runs many
-    tuples at fixed ``cp`` and seed. Each key names its stage and what the
-    stage reads, and each entry holds what the stage computes: the seed
-    choice is kept under ``cp``, the seed and ``classified``; every other key
-    also names the object; the ranking is not cut, and ICP and the depth
-    check are keyed by the pose they read (``_estimate_prepared``). So a memo
-    returns only what this ``cp`` and seed would compute, tuples that share
-    ``classified`` share the ranking, tuples that find the same pose refine
-    and check it once, and each reused stage charges the seconds it took
-    when computed.
+    scene and these models, for a caller that runs many tuples at fixed
+    ``cp`` and seed. Its keys are listed at ``_estimate_prepared``.
     """
     if prepared is None:
         prepared = prepare(scene)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraIntrinsics, default_camera, render_depth, visible_mask
-from .geometry import ObjectModel, PointCloud, Pose, random_rotation, rotation_about_axis, transform_cloud
+from .geometry import (ObjectModel, PointCloud, Pose, check_number, random_rotation,
+                       rotation_about_axis, transform_cloud)
 from .seeding import derive_rng
 
 # The hidden-point pass runs on a 4x-downscaled visibility buffer so sparse
@@ -46,9 +47,9 @@ class NoiseConfig:
     flatten_frac: float
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if check_number(f.name, getattr(self, f.name)) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
     def as_tuple(self) -> tuple[float, ...]:
         return astuple(self)
@@ -178,7 +179,7 @@ def generate_scene(objects: list[ObjectModel], clutter_level: float,
         parts.append(_plane_patch(rng, np.zeros(2), half, 0.75 * half,
                                   GROUND_PLANE_Z, GROUND_SPACING,
                                   np.array([0.55, 0.53, 0.5])))
-        object_colors = [m.cloud.colors.mean(axis=0) for m in objects]
+        object_colors = [m.mean_color for m in objects]
         for _ in range(int(round(6 * clutter_level))):
             parts.append(_clutter_box(rng, cam, object_colors))
 

@@ -101,17 +101,6 @@ def scheduler_step(state: SchedulerState, epoch_loss: float) -> SchedulerState:
                    active_index=active, recorded_loss=epoch_loss, phase=phase)
 
 
-def noise_for_epoch(state: SchedulerState, epoch: int) -> NoiseConfig:
-    """Levels in effect for a given epoch: none, then fixed, then adaptive."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    if epoch < WARMUP_EPOCHS:
-        return NoiseConfig.zero()
-    if epoch < OPTIMIZATION_START:
-        return default_noise_config()
-    return state.levels
-
-
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -130,7 +119,9 @@ def run_scheduled_training(
 
     ``trainer(epoch, noise)`` returns that epoch's loss. Controller updates
     happen before each optimizing epoch using the previous epoch's loss;
-    the first optimizing epoch performs the entry transition instead.
+    the first optimizing epoch performs the entry transition instead. The
+    noise is zero in the warm-up phase and ``state.levels`` after it, which
+    stay at ``default_noise_config()`` through the fixed phase.
     """
     state = initial_state()
     history: list[EpochRecord] = []
@@ -141,7 +132,7 @@ def run_scheduled_training(
             state = begin_optimization(state, history[-1].loss)
         elif state.phase == OPTIMIZING:
             state = scheduler_step(state, history[-1].loss)
-        noise = noise_for_epoch(state, epoch)
+        noise = NoiseConfig.zero() if state.phase == WARMUP else state.levels
         history.append(EpochRecord(epoch, trainer(epoch, noise), noise, state.active_index,
                                    state.frozen, state.phase))
     return state, history

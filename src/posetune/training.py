@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import ObjectModel
-from .pipeline import COLOR_SIM_SCALE, VOTE_CONF_FRACTION, _model_color
+from .pipeline import color_similarity, vote_confidence
 from .scenes import NoiseConfig, Scene, apply_domain_randomization
 
 EPOCH_DECAY = 0.94
@@ -42,12 +41,9 @@ class SurrogateTrainer:
         if region.sum() < MIN_REGION_POINTS:
             return 0.0
         points = scene.cloud.points[region]
-        keypoints = gt.apply(self.model.keypoints)
-        dist, _ = cKDTree(keypoints).query(points)
-        confidence = float(np.mean(np.exp(-dist / (VOTE_CONF_FRACTION * self.model.diagonal))))
+        confidence = float(np.mean(vote_confidence(points, self.model, gt)[0]))
         observed = scene.cloud.colors[region].mean(axis=0)
-        expected = _model_color(self.model)
-        color_sim = float(np.exp(-np.linalg.norm(observed - expected) / COLOR_SIM_SCALE))
+        color_sim = float(color_similarity(observed[None], self.model.mean_color)[0])
         return (1.0 - COLOR_WEIGHT) * confidence + COLOR_WEIGHT * color_sim
 
     def __call__(self, epoch: int, noise: NoiseConfig) -> float:

@@ -11,16 +11,11 @@ Pareto front and the fitted runtime coefficients) and the budget selection
 made from them. Those times come from the pipeline's ``clock``; with a
 counting clock in its place they reproduce too.
 
-``cmd_optimize`` prepares each validation scene once for the whole search.
-During the grid phase ``cp`` and each scene's seed stay fixed, so tuples
-share stage results: each scene gets one stage memo for that phase, keyed
-per stage by what the stage reads. Tuples that share ``classified`` share the
-ranking, and the votes and (at equal ``ransac_iters``) the RANSAC runs of
-the candidates they both estimate. ICP and the depth check are keyed by the
-pose they read, so tuples that find the same pose refine and check it once.
-A found pose is scored once per search. Every reused stage still charges its
-measured time, so the stage times, the grid runtimes and the runtime fit
-state what a fresh image costs.
+``cmd_optimize`` prepares each validation scene once for the whole search
+and gives each one stage memo for the grid phase; a found pose is scored once
+per search. Reused work still charges its measured time
+(``pipeline.SceneEstimate``), so the grid runtimes and the runtime fit state
+what a fresh image costs.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .bayesopt import Schedule, SearchSpace, default_schedule, optimize_continuous, trace_to_csv
-from .geometry import ObjectModel
+from .geometry import ObjectModel, check_number
 from .gridopt import (
     MIN_MEASUREMENTS,
     GridSpec,
@@ -99,9 +94,7 @@ class ExperimentConfig:
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, not {self.seed!r}")
         for name in ("budget_seconds", "clutter", "occlusion"):
-            value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ValueError(f"{name} must be a number, not {value!r}")
+            check_number(name, getattr(self, name))
         if not self.budget_seconds > 0:
             raise ValueError("budget_seconds must be positive")
         for name in ("clutter", "occlusion"):
@@ -136,7 +129,7 @@ class ExperimentConfig:
     def bo_schedule(self) -> Schedule:
         if self.schedule is None:
             return default_schedule()
-        return Schedule(tuple((c, None if k is None else float(k)) for c, k in self.schedule))
+        return Schedule(tuple((c, k) for c, k in self.schedule))
 
     def grid_spec(self) -> GridSpec:
         """The grid, which must hold enough feasible tuples for the runtime fit."""
@@ -309,14 +302,10 @@ def _score_scenes(config: ExperimentConfig, models: list[ObjectModel], scenes: l
     """Estimate each scene once and score every instance.
 
     ``score(model, scene, pose)`` is called once per found instance.
-    ``prepared`` holds ``prepare(scene)`` per scene for a caller that
-    estimates the same scenes again and again; without it each call prepares
-    its scene. ``memos`` holds one stage memo per scene, passed to
-    ``estimate_all`` by a caller whose calls share ``cp`` and the seeds.
-    Returns each stage's mean time over the scenes, as a fresh image costs
-    (see ``SceneEstimate``), and one ``(scene index, object id, score)``
-    record per instance, in scene then model order, with 0 for an instance
-    not found.
+    ``prepared`` and ``memos`` hold one ``prepare(scene)`` and one stage memo
+    per scene, passed on to ``estimate_all``. Returns each stage's mean time
+    over the scenes and one ``(scene index, object id, score)`` record per
+    instance, in scene then model order, with 0 for an instance not found.
     """
     timings, records = [], []
     for i, scene in enumerate(scenes):
@@ -349,7 +338,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     levels = None if no_dr else learned_levels(config)
     scenes = _noised_split(config, "validation", levels, f"valnoise-{tag}")
     # every search call re-estimates these scenes, so their parameter-free
-    # preprocessing is done once here; each call still charges its time
+    # preprocessing is done once here
     prepared = [prepare(scene) for scene in scenes]
     opt_dir = config.out() / "opt"
     opt_dir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +350,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
 
     def instance_recall(model: ObjectModel, scene: Scene, pose) -> float:
         # one metric call: the full evaluate_pose would about double the cost
-        key = (id(scene), model.object_id, pose.rotation.tobytes(), pose.translation.tobytes())
+        key = (id(scene), model.object_id, *pose.key())
         if key not in recalls:
             gt = scene.gt_poses[model.object_id]
             recalls[key] = (float(add_correct(model, gt, pose)) if config.metric == "add"

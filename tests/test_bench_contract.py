@@ -3,7 +3,9 @@
 ``bench/tracing.Patches.replace`` raises ``AttributeError`` on a missing
 name, so renaming or deleting one of the patched names breaks
 ``bench/run.py --trace 1``; a missing name that ``bench/*.py`` reads breaks
-every run.
+every run. A hooked name that still exists but that the program no longer
+calls through reads 0 in a traced run: ``test_hooks_see_the_program_calls``
+catches that.
 """
 
 import ast
@@ -17,7 +19,12 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
 import layers  # noqa: E402
-from posetune import workflow  # noqa: E402
+from posetune import pipeline, workflow  # noqa: E402
+from posetune.scenes import default_noise_config  # noqa: E402
+from posetune.training import SurrogateTrainer  # noqa: E402
+from tracing import Patches, Tracer  # noqa: E402
+
+from bench_inputs import DEPLOY_CP, validation_scenes  # noqa: E402
 
 # What ``workloads.configure`` replaces to count operations and time images.
 CONFIGURE_PATCHES = ("optimize_continuous", "evaluate_grid", "estimate_all")
@@ -67,3 +74,24 @@ def test_read_names_cover_the_bench_sources():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules}
         assert read <= listed, f"{source.name} reads {sorted(read - listed)}"
+
+
+def test_hooks_see_the_program_calls():
+    # the inputs are built before the hooks go in, so every span below comes
+    # from the two calls: one GP-UCB estimate and one DR epoch
+    models, [scene, _] = validation_scenes()
+    trainer = SurrogateTrainer([scene], models[0])
+    tracer, patches = Tracer(), Patches()
+    layers.install(tracer, patches)
+    try:
+        pipeline.estimate_all(scene, models, DEPLOY_CP, workflow.BO_FIXED_DISCRETE)
+        estimated = tracer.summary()
+        trainer(0, default_noise_config())
+        trained = tracer.summary()
+    finally:
+        patches.close()
+    for name in ("pipeline.generate_votes", "pipeline.ransac_pose", "pipeline.depth_check",
+                 "geometry.voxel_downsample", "camera.render_depth"):
+        assert estimated.get(name, {}).get("calls", 0) >= 1, name
+    for name in ("training.SurrogateTrainer.__call__", "scenes.apply_domain_randomization"):
+        assert trained.get(name, {}).get("calls", 0) >= 1, name

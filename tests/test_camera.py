@@ -80,6 +80,13 @@ class TestIntrinsics:
         with pytest.raises(ValueError, match=name):
             CameraIntrinsics(**data)
 
+    @pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [True, "100.0"])
+    def test_focal_lengths_and_centre_are_numbers(self, name, value):
+        data = dict(asdict(default_camera()), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            CameraIntrinsics(**data)
+
 
 class TestRenderDepth:
     def test_matches_two_dimensional_splat(self):

@@ -55,6 +55,14 @@ class TestPose:
         np.testing.assert_allclose(q.rotation, p.rotation)
         np.testing.assert_allclose(q.translation, p.translation)
 
+    def test_key_is_equal_exactly_for_bit_identical_poses(self):
+        p = random_pose(rng(8))
+        assert p.key() == (p.rotation.tobytes(), p.translation.tobytes())
+        assert Pose(p.rotation.copy(), p.translation.copy()).key() == p.key()
+        nudged = p.translation.copy()
+        nudged[0] = np.nextafter(nudged[0], np.inf)
+        assert Pose(p.rotation, nudged).key() != p.key()
+
 
 class TestTransformCloud:
     def test_identity_pose_is_noop(self):
@@ -284,6 +292,16 @@ class TestObjectModel:
         assert len(back.symmetry) == len(model.symmetry) == 11
         for a, b in zip(back.symmetry, model.symmetry):
             assert np.array_equal(a.rotation, b.rotation)
+
+    def test_mean_color_derived_from_the_cloud(self, tmp_path):
+        model = make_object({"shape": "box", "id": "b",
+                             "color": [0.85, 0.25, 0.2]})
+        np.testing.assert_array_equal(model.mean_color, model.cloud.colors.mean(axis=0))
+        assert not model.mean_color.flags.writeable
+        with pytest.raises(TypeError):
+            ObjectModel("b", model.cloud, mean_color=np.zeros(3))
+        save_object(model, tmp_path / "b")
+        np.testing.assert_array_equal(load_object(tmp_path / "b").mean_color, model.mean_color)
 
     def test_farthest_point_sample_spreads(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0], [0.1, 0, 0]])

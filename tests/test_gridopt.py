@@ -1,4 +1,4 @@
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -177,6 +177,12 @@ class TestRuntimeModel:
                 times *= 1 + g.normal(0, noise, len(times))
             rows.append(measured(params, 0.5, *times))
         return rows
+
+    @pytest.mark.parametrize("name", ["t_icp", "residual"])
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_coefficients_are_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            replace(PLANTED, **{name: value})
 
     def test_stage_fields_follow_stage_keys(self):
         # fit_runtime_model fills the coefficients by position, and asdict

@@ -71,6 +71,11 @@ class TestParameterTypes:
         with pytest.raises(ValueError):
             ContinuousParams(0.5, -1, 2, 2, 10, 5, 72)
 
+    @pytest.mark.parametrize("value", [True, "0.3"])
+    def test_continuous_values_are_numbers(self, value):
+        with pytest.raises(ValueError, match="vote_threshold must be a number"):
+            replace(OPTIMIZED, vote_threshold=value)
+
     def test_discrete_feasibility(self):
         with pytest.raises(ValueError, match="estimated"):
             DiscreteParams(8, 10, 500, 1, 10)
@@ -509,13 +514,6 @@ class TestFacingPoints:
             mask = facing_reference(cloud, pose)
             assert mask.sum() < len(cloud)
             np.testing.assert_array_equal(model_pts, cloud.points[mask])
-
-    def test_model_color_kept_on_the_model(self):
-        model = make_box("crate", [45, 60, 35], [0.85, 0.25, 0.2])
-        first = pipeline._model_color(model)
-        assert pipeline._model_color(model) is first
-        assert not first.flags.writeable
-        np.testing.assert_array_equal(first, model.cloud.colors.mean(axis=0))
 
 
 def ndimage_depth_edges(scene_depth):

@@ -35,6 +35,11 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(-1.0, 0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_levels_are_numbers(self, value):
+        with pytest.raises(ValueError, match="rgb_shift must be a number"):
+            NoiseConfig(0.0, 0.0, 0.0, value, 0.0, 0.0)
+
 
 class TestGenerateScene:
     def test_clean_scene_contains_only_object_points(self, box):

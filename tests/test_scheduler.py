@@ -12,7 +12,6 @@ from posetune.scheduler import (
     SchedulerState,
     begin_optimization,
     initial_state,
-    noise_for_epoch,
     run_scheduled_training,
     scheduler_step,
 )
@@ -113,14 +112,6 @@ class TestSchedulerStep:
             scheduler_step(initial_state(), 1.0)
 
 
-class TestNoiseForEpoch:
-    def test_warmup_is_noise_free(self):
-        assert noise_for_epoch(initial_state(), 2) == NoiseConfig.zero()
-
-    def test_fixed_phase_uses_default_levels(self):
-        assert noise_for_epoch(initial_state(), 5) == default_noise_config()
-
-
 class TestRunScheduledTraining:
     def test_steady_improvement_raises_first_channel_twelve_times(self):
         losses = {}
@@ -169,9 +160,16 @@ class TestRunScheduledTraining:
         assert all(p in (OPTIMIZING, DONE) for p in phases[8:])
 
     def test_noise_levels_recorded_per_epoch(self):
-        state, history = run_scheduled_training(lambda e, n: 1.0, epochs=10)
-        assert history[0].levels == NoiseConfig.zero()
-        assert history[5].levels == default_noise_config()
+        received = []
+
+        def trainer(epoch, noise):
+            received.append(noise)
+            return 1.0
+
+        state, history = run_scheduled_training(trainer, epochs=10)
+        assert [rec.levels for rec in history] == received
+        assert history[0].levels == history[3].levels == NoiseConfig.zero()
+        assert history[4].levels == history[7].levels == default_noise_config()
         assert history[8].levels.xyz_sigma >= DEFAULTS[0]
         record = asdict(history[9])
         assert set(record) == {"epoch", "loss", "levels", "active_index",

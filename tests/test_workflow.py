@@ -13,7 +13,7 @@ import pytest
 
 import posetune
 from posetune import metrics, pipeline, workflow
-from posetune.gridopt import ParetoEntry, RuntimeCoefficients, enumerate_grid
+from posetune.gridopt import ParetoEntry, RuntimeCoefficients, enumerate_grid, select_for_budget
 from posetune.geometry import Pose
 from posetune.objects import make_box, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
@@ -112,6 +112,15 @@ class TestEvaluate:
             workflow.cmd_evaluate(config, no_dr=True)
         assert raised.value.stage == "evaluate"
 
+    def test_edited_level_is_named(self, tmp_path):
+        config = tiny_config(tmp_path)
+        (tmp_path / "dr").mkdir()
+        (tmp_path / "dr" / "levels.json").write_text(json.dumps(
+            {"xyz_sigma": True, "normal_sigma": 0.0, "rgb_sigma": 0.0, "rgb_shift": 0.0,
+             "rotation_max": 0.0, "flatten_frac": 0.0}))
+        with pytest.raises(ValueError, match="xyz_sigma must be a number"):
+            workflow.learned_levels(config)
+
     def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
         # every box found with the translation moved to z = 20 mm: part of the
         # model lies behind the camera, so MSPD is infinite
@@ -200,7 +209,7 @@ class TestConfigValidation:
         ("grid", {"classified": [2], "estimated": [1], "ransac_iters": [50],
                   "depth_checked": [1], "icp_iters": [1, 2, 3, 4]}),
         ("seed", 1.5), ("seed", True), ("clutter", True), ("occlusion", False),
-        ("budget_seconds", True),
+        ("budget_seconds", True), ("schedule", [[4, True]]), ("schedule", [[4, "0.5"]]),
     ])
     def test_rejects_bad_values(self, name, value):
         data = dict(asdict(tiny_config("experiment")), **{name: value})
@@ -369,6 +378,22 @@ class TestEndToEnd:
         assert written[0] == written[1]
         assert written[0][0] != (run["config"].out() / "opt" / "grid_dr.csv").read_bytes()
 
+    def test_budget_override_selects_for_that_budget(self, run, tmp_path):
+        shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
+        config = workflow.ExperimentConfig.from_dict(
+            dict(asdict(run["config"]), output_dir=str(tmp_path)))
+        marker = (tmp_path / "optimize-dr.done.json").read_bytes()
+        _, front, coeffs = workflow.load_optimization(config)
+        for budget, within in ((1e-6, False), (1e9, True)):
+            workflow.cmd_evaluate(config, budget=budget)
+            path = tmp_path / "eval" / f"report_dr_{budget:g}_1.json"
+            report = json.loads(path.read_text())
+            assert report["budget_seconds"] == budget
+            assert report["selection"] == asdict(select_for_budget(front, coeffs, 1, budget))
+            assert report["selection"]["within_budget"] is within
+        assert len(list((tmp_path / "eval").glob("report_*.json"))) == 3
+        assert (tmp_path / "optimize-dr.done.json").read_bytes() == marker
+
     def test_optimize_before_generate_raises(self, tmp_path):
         with pytest.raises(workflow.StageError):
             workflow.cmd_optimize(tiny_config(tmp_path))
@@ -499,11 +524,11 @@ def _recording_stages(patch) -> tuple[list, list, list]:
 
     def refining(pose, tree, *args):
         refined.append((at["object_id"], at["classified"], tree.data.tobytes(),
-                        pipeline._pose_key(pose), args[-1]))
+                        pose.key(), args[-1]))
         return icp(pose, tree, *args)
 
     def checking(pose, scene, model, *args):
-        checked.append((model.object_id, pipeline._pose_key(pose)))
+        checked.append((model.object_id, pose.key()))
         return depth(pose, scene, model, *args)
 
     patch.setattr(pipeline, "_estimate_prepared", estimating)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .geometry import check_number
+from .geometry import check_integer, check_number
 from .pipeline import ContinuousParams
 from .seeding import derive_rng
 
@@ -79,8 +79,7 @@ class Schedule:
 
     def __post_init__(self):
         for count, kappa in self.phases:
-            if type(count) is not int or count < 1:
-                raise ValueError(f"phase counts must be positive integers, not {count!r}")
+            check_integer("phase count", count, 1)
             if kappa is not None and check_number("kappa", kappa) < 0:
                 raise ValueError("kappa must be >= 0")
 

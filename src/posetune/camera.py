@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_number
+from .geometry import check_integer, check_number
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,7 @@ class CameraIntrinsics:
         for name in ("fx", "fy", "cx", "cy"):
             check_number(name, getattr(self, name))
         for name in ("width", "height"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            check_integer(name, getattr(self, name))
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -13,11 +14,22 @@ MAX_KEYPOINTS = 100
 
 
 def check_number(name: str, value):
-    """``value`` if it is an ``int`` or a ``float`` (``np.float64`` is one),
-    else a ``ValueError`` naming ``name``. A ``bool`` is refused: Python
+    """``value`` if it is a finite ``int`` or ``float`` (``np.float64`` is
+    one), else a ``ValueError`` naming ``name``. A ``bool`` is refused: Python
     counts it as an ``int``, so ``True`` would pass as 1."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return value
+
+
+def check_integer(name: str, value, minimum: int | None = None):
+    """``value`` if it is an ``int``, not a ``bool``, and at least ``minimum``
+    when one is given, else a ``ValueError`` naming ``name``."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, not {value!r}")
     return value
 
 

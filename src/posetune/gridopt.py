@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import check_number
+from .geometry import check_integer, check_number
 from .pipeline import STAGE_KEYS, DiscreteParams
 
 # The runtime fit needs at least this many measured grid tuples.
@@ -44,8 +44,8 @@ class GridSpec:
             values = tuple(getattr(self, f.name))
             if not values:
                 raise ValueError(f"{f.name} list is empty")
-            if any(type(v) is not int for v in values):
-                raise ValueError(f"{f.name} values must be integers")
+            for value in values:
+                check_integer(f"{f.name} value", value)
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{f.name} values must be strictly increasing")
             object.__setattr__(self, f.name, values)

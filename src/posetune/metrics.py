@@ -2,6 +2,8 @@
 
 ADD/ADD-I drive the classic per-object correctness test; VSD, MSSD and MSPD
 feed the multi-threshold average recall used as the optimization objective.
+The entry points ``add_correct``, ``mssd_score``, ``recall_contribution`` and
+``evaluate_pose`` each read one ``_PosedCopies``, which computes every score.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -75,25 +78,9 @@ def _sym_poses(model: ObjectModel) -> list[Pose]:
     return [Pose.identity(), *model.symmetry]
 
 
-def add_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
-    """Mean distance between corresponding model points under the two poses."""
-    return _PosedCopies(model, gt, est).add()
-
-
-def add_i_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
-    """Mean nearest-point distance from the gt-posed cloud to the est-posed cloud."""
-    return _PosedCopies(model, gt, est).add_i()
-
-
 def add_correct(model: ObjectModel, gt: Pose, est: Pose) -> bool:
     """ADD (or ADD-I for symmetric objects) below 10% of the model diagonal."""
-    posed = _PosedCopies(model, gt, est)
-    return _add_correct(model, posed.add, posed.add_i)
-
-
-def _add_correct(model: ObjectModel, add, add_i) -> bool:
-    """``add_correct`` from the scores ``add()`` and ``add_i()``; only the one read is called."""
-    return (add_i() if model.is_symmetric else add()) < ADD_CORRECT_FRACTION * model.diagonal
+    return _PosedCopies(model, gt, est).add_correct()
 
 
 def _bound_frame(model: ObjectModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -148,11 +135,20 @@ class _PosedCopies:
             self._copies[i] = self.est.apply(self.syms[i].apply(self.pts))
         return self._copies[i]
 
+    @cached_property
     def add(self) -> float:
+        """Mean distance between corresponding model points under the two poses."""
         return float(np.linalg.norm(self.gt_pts - self.copy(0), axis=1).mean())
 
+    @cached_property
     def add_i(self) -> float:
+        """Mean nearest-point distance from the gt-posed cloud to the est-posed cloud."""
         return float(cKDTree(self.copy(0)).query(self.gt_pts)[0].mean())
+
+    def add_correct(self) -> bool:
+        """ADD, or ADD-I for a symmetric model, below 10% of the diagonal."""
+        score = self.add_i if self.model.is_symmetric else self.add
+        return score < ADD_CORRECT_FRACTION * self.model.diagonal
 
     def sub_copies(self) -> np.ndarray:
         """The bound rows of every copy, (copies, rows, 3), posed at once by
@@ -223,18 +219,6 @@ def mssd_score(model: ObjectModel, gt: Pose, est: Pose) -> float:
     return _PosedCopies(model, gt, est).mssd()
 
 
-def mspd_score(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics) -> float:
-    """Max projected pixel distance, minimized over symmetry transforms.
-
-    Raises ValueError if a point of any symmetry copy lies at or behind the
-    camera plane.
-    """
-    mspd = _PosedCopies(model, gt, est).mspd(cam)
-    if np.isinf(mspd):
-        raise ValueError("behind camera")
-    return mspd
-
-
 def _close_depth(depth: np.ndarray) -> np.ndarray:
     """Fill splat pinholes: 3x3 min filter then 3x3 max filter on the depth
     buffer, each over the window's pixels inside the buffer."""
@@ -278,15 +262,6 @@ def _vsd_errors(gt_pts: np.ndarray, est_pts: np.ndarray, cam: CameraIntrinsics,
     return [float((single + int((diffs > tau).sum())) / count) for tau in taus]
 
 
-def vsd_score(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics,
-              scene_depth: np.ndarray, tau: float) -> float:
-    """Fraction of visible-pixel disagreement beyond depth tolerance ``tau`` (mm)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    pts = model.cloud.points
-    return _vsd_errors(gt.apply(pts), est.apply(pts), cam, scene_depth, [tau])[0]
-
-
 def _ladder_recall(model: ObjectModel, cam: CameraIntrinsics, vsd_errs: list[float],
                    mssd: float, mspd: float) -> float:
     """VSD/MSSD/MSPD correctness averaged over the ladder, from scores already
@@ -324,10 +299,9 @@ def evaluate_pose(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics
     an infinite MSPD.
     """
     posed = _PosedCopies(model, gt, est)
-    add, add_i = posed.add(), posed.add_i()
     vsd_errs, mssd, mspd = posed.vsd_errors(cam, scene_depth), posed.mssd(), posed.mspd(cam)
-    return MetricScore(add=add, add_i=add_i, vsd=vsd_errs[-1], mssd=mssd, mspd=mspd,
-                       correct_add=_add_correct(model, lambda: add, lambda: add_i),
+    return MetricScore(add=posed.add, add_i=posed.add_i, vsd=vsd_errs[-1], mssd=mssd, mspd=mspd,
+                       correct_add=posed.add_correct(),
                        bop_recall_contribution=_ladder_recall(model, cam, vsd_errs, mssd, mspd))
 
 

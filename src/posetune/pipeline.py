@@ -20,8 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import box_max, box_min, erode_cross, pixel_window, render_depth
-from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, check_number,
-                       rotation_about_axis, voxel_downsample)
+from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, check_integer,
+                       check_number, rotation_about_axis, voxel_downsample)
 from .scenes import Scene
 from .seeding import derive_rng
 
@@ -97,9 +97,7 @@ class DiscreteParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{f.name} must be an integer >= 1, not {value!r}")
+            check_integer(f.name, getattr(self, f.name), 1)
         if self.estimated > self.classified:
             raise ValueError("estimated exceeds classified")
         if self.depth_checked > self.ransac_iters:

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraIntrinsics, default_camera, render_depth, visible_mask
-from .geometry import (ObjectModel, PointCloud, Pose, check_number, random_rotation,
-                       rotation_about_axis, transform_cloud)
+from .geometry import (ObjectModel, PointCloud, Pose, check_integer, check_number,
+                       random_rotation, rotation_about_axis, transform_cloud)
+from .objects import _box_surface, _grid
 from .seeding import derive_rng
 
 # The hidden-point pass runs on a 4x-downscaled visibility buffer so sparse
@@ -91,8 +92,7 @@ class Scene:
     def __post_init__(self):
         # stream_seed hashes str(seed): a seed of 1.0 or True would silently
         # give other streams than 1
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        check_integer("seed", self.seed)
         depth = render_depth(self.cloud.points, self.cam)
         depth.setflags(write=False)
         object.__setattr__(self, "depth", depth)
@@ -109,8 +109,6 @@ def _coarse_camera(cam: CameraIntrinsics) -> CameraIntrinsics:
 
 
 def _plane_patch(rng, center, half_x, half_y, z, spacing, color) -> PointCloud:
-    from .objects import _grid
-
     xy = _grid(2 * half_x, 2 * half_y, spacing)
     xy = xy + rng.uniform(-spacing / 4, spacing / 4, size=xy.shape) + center
     n = len(xy)
@@ -121,8 +119,6 @@ def _plane_patch(rng, center, half_x, half_y, z, spacing, color) -> PointCloud:
 
 
 def _clutter_box(rng, cam, object_colors) -> PointCloud:
-    from .objects import _box_surface
-
     size = rng.uniform(18.0, 42.0, size=3)
     pts, normals = _box_surface(size, spacing=CLUTTER_SPACING)
     rot = random_rotation(rng)

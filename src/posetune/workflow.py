@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .bayesopt import Schedule, SearchSpace, default_schedule, optimize_continuous, trace_to_csv
-from .geometry import ObjectModel, check_number
+from .geometry import ObjectModel, check_integer, check_number
 from .gridopt import (
     MIN_MEASUREMENTS,
     GridSpec,
@@ -88,11 +88,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("train_scenes", "validation_scenes", "eval_scenes", "epochs"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed)
         for name in ("budget_seconds", "clutter", "occlusion"):
             check_number(name, getattr(self, name))
         if not self.budget_seconds > 0:

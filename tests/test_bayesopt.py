@@ -63,8 +63,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(((10, -0.1),))
         for count in (2.5, 2.0, True):
-            with pytest.raises(ValueError, match="integers"):
+            with pytest.raises(ValueError, match="phase count must be an integer"):
                 Schedule(((count, None),))
+        for kappa in (float("nan"), float("inf")):
+            # a NaN kappa would make every UCB score NaN
+            with pytest.raises(ValueError, match="kappa must be finite"):
+                Schedule(((4, kappa),))
 
 
 class TestGpFit:

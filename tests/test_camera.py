@@ -87,6 +87,11 @@ class TestIntrinsics:
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             CameraIntrinsics(**data)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_focal_length_is_finite(self, value):
+        with pytest.raises(ValueError, match="fx must be finite"):
+            CameraIntrinsics(value, 260.0, 160.0, 120.0, 320, 240)
+
 
 class TestRenderDepth:
     def test_matches_two_dimensional_splat(self):

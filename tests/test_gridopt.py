@@ -85,7 +85,7 @@ class TestEnumerateGrid:
         with pytest.raises(ValueError):
             GridSpec((), (2,), (500,), (1,), (10,))
         for value in (2.7, 2.0, True, "2"):
-            with pytest.raises(ValueError, match="icp_iters values must be integers"):
+            with pytest.raises(ValueError, match="icp_iters value must be an integer"):
                 GridSpec((8,), (2,), (500,), (1,), (1, value))
 
 
@@ -183,6 +183,11 @@ class TestRuntimeModel:
     def test_coefficients_are_numbers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             replace(PLANTED, **{name: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_coefficients_are_finite(self, value):
+        with pytest.raises(ValueError, match="t_pre must be finite"):
+            RuntimeCoefficients(value, 0.0, 0.0, 0.0, 0.0)
 
     def test_stage_fields_follow_stage_keys(self):
         # fit_runtime_model fills the coefficients by position, and asdict

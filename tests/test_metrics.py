@@ -12,14 +12,10 @@ from posetune.metrics import (
     MSPD_BASE_THRESHOLDS,
     MetricScore,
     add_correct,
-    add_i_score,
-    add_score,
     evaluate_pose,
-    mspd_score,
     mssd_score,
     recall_contribution,
     scores_to_csv,
-    vsd_score,
 )
 from posetune.objects import make_cylinder, make_object
 from posetune.scenes import generate_scene
@@ -39,6 +35,15 @@ def random_pose(g, z=500.0) -> Pose:
     return Pose(random_rotation(g), np.append(g.uniform(-40, 40, 2), z))
 
 
+PosedCopies = metrics._PosedCopies
+
+
+def vsd_at(model, gt, est, cam, scene_depth, tau) -> float:
+    """The VSD error of the identity copy at the one tolerance ``tau`` (mm)."""
+    pts = model.cloud.points
+    return metrics._vsd_errors(gt.apply(pts), est.apply(pts), cam, scene_depth, [tau])[0]
+
+
 @pytest.fixture
 def box_model():
     g = rng(42)
@@ -49,12 +54,12 @@ def box_model():
 class TestAdd:
     def test_zero_at_ground_truth(self, box_model):
         pose = random_pose(rng(1))
-        assert add_score(box_model, pose, pose) == 0.0
+        assert PosedCopies(box_model, pose, pose).add == 0.0
 
     def test_pure_translation_is_displacement(self, box_model):
         gt = random_pose(rng(2))
         est = Pose(gt.rotation, gt.translation + [0, 0, 5.0])
-        assert add_score(box_model, gt, est) == pytest.approx(5.0, abs=1e-12)
+        assert PosedCopies(box_model, gt, est).add == pytest.approx(5.0, abs=1e-12)
 
     def test_hand_computed_rotation_case(self):
         model = make_model([[10.0, 0, 0], [0, 20.0, 0], [0, 0, 30.0]])
@@ -62,13 +67,13 @@ class TestAdd:
         est = Pose(rotation_about_axis([0, 0, 1], np.pi / 2), [0, 0, 500.0])
         # per-point by hand: |p - Rz90 p| for the three points
         expected = (np.sqrt(200.0) + np.sqrt(800.0) + 0.0) / 3.0
-        assert add_score(model, gt, est) == pytest.approx(expected, rel=1e-12)
+        assert PosedCopies(model, gt, est).add == pytest.approx(expected, rel=1e-12)
 
 
 class TestAddI:
     def test_zero_at_ground_truth(self, box_model):
         pose = random_pose(rng(3))
-        assert add_i_score(box_model, pose, pose) == 0.0
+        assert PosedCopies(box_model, pose, pose).add_i == 0.0
 
     def test_rotation_about_symmetry_axis_scores_zero(self):
         angles = np.linspace(0, 2 * np.pi, 24, endpoint=False)
@@ -77,7 +82,7 @@ class TestAddI:
         model = make_model(ring)
         gt = Pose(np.eye(3), [0, 0, 400.0])
         est = gt.compose(Pose(rotation_about_axis([0, 0, 1], angles[1]), np.zeros(3)))
-        assert add_i_score(model, gt, est) < 1e-3 * model.diagonal
+        assert PosedCopies(model, gt, est).add_i < 1e-3 * model.diagonal
 
     def test_matches_brute_force_nearest_neighbor(self):
         g = rng(4)
@@ -87,14 +92,15 @@ class TestAddI:
         est_pts = est.apply(model.cloud.points)
         # O(N^2) oracle
         expected = np.mean([min(np.linalg.norm(p - q) for q in est_pts) for p in gt_pts])
-        assert add_i_score(model, gt, est) == pytest.approx(expected, rel=1e-12)
+        assert PosedCopies(model, gt, est).add_i == pytest.approx(expected, rel=1e-12)
 
     def test_never_exceeds_add(self):
         g = rng(5)
         for _ in range(300):
             model = make_model(g.uniform(-20, 20, (12, 3)))
             gt, est = random_pose(g), random_pose(g)
-            assert add_i_score(model, gt, est) <= add_score(model, gt, est) + 1e-12
+            scores = PosedCopies(model, gt, est)
+            assert scores.add_i <= scores.add + 1e-12
 
 
 class TestAddCorrect:
@@ -108,6 +114,31 @@ class TestAddCorrect:
         offset = np.array([1.0, 0, 0]) * fraction * box_model.diagonal
         est = Pose(gt.rotation, gt.translation + offset)
         assert add_correct(box_model, gt, est) is expected
+
+
+class TestAddComputedOnce:
+    """ADD-I builds a KD-tree, so it is built only where a score reads it."""
+
+    def test_add_correct_without_symmetry_builds_no_kd_tree(self, monkeypatch):
+        box = make_object({"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0]})
+
+        def refuse(points):
+            raise AssertionError("ADD-I computed for a model without symmetry")
+
+        monkeypatch.setattr(metrics, "cKDTree", refuse)
+        gt = random_pose(rng(33))
+        assert add_correct(box, gt, Pose(gt.rotation, gt.translation + [3.0, 0.0, 0.0]))
+        assert not add_correct(box, gt, Pose(gt.rotation, gt.translation + [30.0, 0.0, 0.0]))
+
+    def test_evaluate_pose_builds_one_kd_tree(self, monkeypatch):
+        cyl = make_cylinder("cyl", 25.0, 80.0, [0.3, 0.5, 0.7])
+        scene = generate_scene([cyl], 0.0, 0.0, seed=6)
+        built, real = [], metrics.cKDTree
+        monkeypatch.setattr(metrics, "cKDTree", lambda points: built.append(points) or real(points))
+        gt = scene.gt_poses["cyl"]
+        got = evaluate_pose(cyl, gt, gt.compose(cyl.symmetry[3]), scene.cam, scene.depth)
+        assert len(built) == 1
+        assert got.correct_add and got.add_i < got.add
 
 
 class TestMssd:
@@ -135,7 +166,7 @@ class TestMspd:
     def test_zero_at_ground_truth(self, box_model):
         cam = default_camera()
         pose = random_pose(rng(11))
-        assert mspd_score(box_model, pose, pose, cam) == 0.0
+        assert PosedCopies(box_model, pose, pose).mspd(cam) == 0.0
 
     def test_lateral_shift_matches_pinhole_oracle(self):
         cam = default_camera()
@@ -145,21 +176,20 @@ class TestMspd:
         dx = 20.0
         est = Pose(np.eye(3), [dx, 0, z])
         expected = cam.fx * dx / z
-        assert mspd_score(model, gt, est, cam) == pytest.approx(expected, rel=1e-3)
+        assert PosedCopies(model, gt, est).mspd(cam) == pytest.approx(expected, rel=1e-3)
 
     def test_axial_shift_of_principal_axis_points_projects_identically(self):
         cam = default_camera()
         model = make_model([[0.0, 0.0, 0.0], [0.0, 0.0, 10.0]])
         gt = Pose(np.eye(3), [0, 0, 400.0])
         est = Pose(np.eye(3), [0, 0, 450.0])
-        assert mspd_score(model, gt, est, cam) == pytest.approx(0.0, abs=1e-9)
+        assert PosedCopies(model, gt, est).mspd(cam) == pytest.approx(0.0, abs=1e-9)
 
-    def test_behind_camera_raises(self, box_model):
+    def test_behind_camera_is_infinite(self, box_model):
         cam = default_camera()
         gt = Pose(np.eye(3), [0, 0, 500.0])
         est = Pose(np.eye(3), [0, 0, -500.0])
-        with pytest.raises(ValueError, match="behind camera"):
-            mspd_score(box_model, gt, est, cam)
+        assert PosedCopies(box_model, gt, est).mspd(cam) == np.inf
 
 
 class TestVsd:
@@ -172,25 +202,25 @@ class TestVsd:
                                         self.cam)
 
     def test_zero_at_ground_truth(self):
-        assert vsd_score(self.model, self.gt, self.gt, self.cam,
-                         self.scene_depth, tau=5.0) == 0.0
+        assert vsd_at(self.model, self.gt, self.gt, self.cam,
+                      self.scene_depth, tau=5.0) == 0.0
 
     def test_disjoint_silhouettes_score_one(self):
         est = Pose(self.gt.rotation, [250.0, 0, 500.0])
-        assert vsd_score(self.model, self.gt, est, self.cam,
-                         self.scene_depth, tau=5.0) == 1.0
+        assert vsd_at(self.model, self.gt, est, self.cam,
+                      self.scene_depth, tau=5.0) == 1.0
 
     def test_subthreshold_axial_shift_scores_near_zero(self):
         # up to a ~1 px silhouette ring of splat-rasterization noise
         est = Pose(self.gt.rotation, self.gt.translation + [0, 0, 3.0])
-        assert vsd_score(self.model, self.gt, est, self.cam,
-                         self.scene_depth, tau=5.0) <= 0.05
+        assert vsd_at(self.model, self.gt, est, self.cam,
+                      self.scene_depth, tau=5.0) <= 0.05
 
     def test_range(self):
         g = rng(13)
         for _ in range(10):
             est = random_pose(g)
-            v = vsd_score(self.model, self.gt, est, self.cam, self.scene_depth, 5.0)
+            v = vsd_at(self.model, self.gt, est, self.cam, self.scene_depth, 5.0)
             assert 0.0 <= v <= 1.0
 
 
@@ -200,10 +230,11 @@ class TestRigidInvariance:
         model = make_model(g.uniform(-20, 20, (30, 3)))
         gt, est = random_pose(g), random_pose(g)
         shift = Pose(random_rotation(g), g.uniform(-10, 10, 3))
-        for score in (add_score, add_i_score, mssd_score):
-            before = score(model, gt, est)
-            after = score(model, shift.compose(gt), shift.compose(est))
-            assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
+        before = PosedCopies(model, gt, est)
+        after = PosedCopies(model, shift.compose(gt), shift.compose(est))
+        for b, a in ((before.add, after.add), (before.add_i, after.add_i),
+                     (before.mssd(), after.mssd())):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
 class TestBopRecall:
@@ -238,13 +269,13 @@ class TestBopRecall:
         got = recall_contribution(self.model, self.gt, est, self.cam, self.scene_depth)
         # enumerate the ladder explicitly
         mssd = mssd_score(self.model, self.gt, est)
-        mspd = mspd_score(self.model, self.gt, est, self.cam)
+        mspd = PosedCopies(self.model, self.gt, est).mspd(self.cam)
         mssd_hits = sum(mssd < f * self.model.diagonal for f in LADDER_FRACTIONS)
         scale = self.cam.width / 640.0
         mspd_hits = sum(mspd < t * scale for t in MSPD_BASE_THRESHOLDS)
         vsd_hits = sum(
-            vsd_score(self.model, self.gt, est, self.cam, self.scene_depth,
-                      f * self.model.diagonal) < f
+            vsd_at(self.model, self.gt, est, self.cam, self.scene_depth,
+                   f * self.model.diagonal) < f
             for f in LADDER_FRACTIONS)
         expected = (vsd_hits + mssd_hits + mspd_hits) / 30.0
         assert got == pytest.approx(expected)
@@ -254,13 +285,12 @@ class TestBopRecall:
         scene = generate_scene([model], 0.0, 0.0, seed=2)
         gt = scene.gt_poses["box"]
         est = Pose(gt.rotation, [gt.translation[0], gt.translation[1], 20.0])
-        with pytest.raises(ValueError, match="behind camera"):
-            mspd_score(model, gt, est, scene.cam)
+        assert PosedCopies(model, gt, est).mspd(scene.cam) == np.inf
         got = recall_contribution(model, gt, est, scene.cam, scene.depth)
         mssd = mssd_score(model, gt, est)
         mssd_hits = sum(mssd < f * model.diagonal for f in LADDER_FRACTIONS)
         vsd_hits = sum(
-            vsd_score(model, gt, est, scene.cam, scene.depth, f * model.diagonal) < f
+            vsd_at(model, gt, est, scene.cam, scene.depth, f * model.diagonal) < f
             for f in LADDER_FRACTIONS)
         assert got == pytest.approx((vsd_hits + mssd_hits + 0) / 30.0)
 
@@ -359,7 +389,7 @@ class TestAgainstFullForms:
             mssd, mspd, recall = per_symmetry_reference(model, gt, est, scene.cam,
                                                         scene.depth)
             assert mssd_score(model, gt, est) == mssd, name
-            assert mspd_score(model, gt, est, scene.cam) == mspd, name
+            assert PosedCopies(model, gt, est).mspd(scene.cam) == mspd, name
             assert recall_contribution(model, gt, est, scene.cam, scene.depth) == recall, name
 
 
@@ -377,16 +407,11 @@ class TestSymmetryPruning:
         copies MSSD and MSPD posed in full."""
         mssd, mspd, recall = per_symmetry_reference(model, gt, est, scene.cam, scene.depth)
         assert mssd_score(model, gt, est) == mssd
-        if np.isinf(mspd):
-            with pytest.raises(ValueError, match="behind camera"):
-                mspd_score(model, gt, est, scene.cam)
-        else:
-            assert mspd_score(model, gt, est, scene.cam) == mspd
         assert recall_contribution(model, gt, est, scene.cam, scene.depth) == recall
-        posed = metrics._PosedCopies(model, gt, est)
-        assert posed.mssd() == mssd
-        assert posed.mspd(scene.cam) == mspd
-        return set(posed._copies)
+        scores = PosedCopies(model, gt, est)
+        assert scores.mssd() == mssd
+        assert scores.mspd(scene.cam) == mspd
+        return set(scores._copies)
 
     def test_best_copy_that_is_not_the_identity(self, cylinder_scene):
         model, scene = cylinder_scene
@@ -449,8 +474,8 @@ class TestSymmetryPruning:
             posed = self.check(model, gt, est, scene)
             if tz == 45.0:
                 assert posed == set(range(1 + len(model.symmetry)))
-        with pytest.raises(ValueError, match="behind camera"):
-            mspd_score(model, gt, Pose(axis_on_view, [1.0, -2.0, 20.0]), scene.cam)
+        behind = Pose(axis_on_view, [1.0, -2.0, 20.0])
+        assert PosedCopies(model, gt, behind).mspd(scene.cam) == np.inf
 
 
 class TestEvaluatePose:
@@ -468,13 +493,13 @@ class TestEvaluatePose:
                           gt.translation + g.normal(0, 10, 3)) for _ in range(4)]
             for est in ests:
                 got = evaluate_pose(model, gt, est, scene.cam, scene.depth)
-                assert got.add == add_score(model, gt, est)
-                assert got.add_i == add_i_score(model, gt, est)
-                assert got.vsd == vsd_score(model, gt, est, scene.cam, scene.depth,
-                                            metrics.VSD_TAU_FRACTION * model.diagonal)
-                assert got.mssd == mssd_score(model, gt, est)
-                assert got.mspd == mspd_score(model, gt, est, scene.cam)
-                assert got.correct_add == add_correct(model, gt, est)
+                assert got.add == PosedCopies(model, gt, est).add
+                assert got.add_i == PosedCopies(model, gt, est).add_i
+                assert got.vsd == vsd_at(model, gt, est, scene.cam, scene.depth,
+                                         metrics.VSD_TAU_FRACTION * model.diagonal)
+                assert got.mssd == PosedCopies(model, gt, est).mssd()
+                assert got.mspd == PosedCopies(model, gt, est).mspd(scene.cam)
+                assert got.correct_add == PosedCopies(model, gt, est).add_correct()
                 assert got.bop_recall_contribution == recall_contribution(
                     model, gt, est, scene.cam, scene.depth)
 
@@ -487,8 +512,8 @@ class TestEvaluatePose:
         got = evaluate_pose(model, gt, est, scene.cam, scene.depth)
         assert got.mspd == np.inf
         assert got.mssd == mssd_score(model, gt, est)
-        assert got.vsd == vsd_score(model, gt, est, scene.cam, scene.depth,
-                                    metrics.VSD_TAU_FRACTION * model.diagonal)
+        assert got.vsd == vsd_at(model, gt, est, scene.cam, scene.depth,
+                                 metrics.VSD_TAU_FRACTION * model.diagonal)
         assert got.bop_recall_contribution == recall_contribution(model, gt, est, scene.cam,
                                                                   scene.depth)
         assert scores_to_csv([("box", "s0", got)]).splitlines()[1].split(",")[6] == "inf"

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 
 from posetune import pipeline
 from posetune.geometry import ObjectModel, PointCloud, Pose, random_rotation, rotation_about_axis, transform_cloud, voxel_downsample
-from posetune.metrics import add_correct, add_score
+from posetune.metrics import _PosedCopies, add_correct
 from posetune.objects import make_box
 from posetune.pipeline import (
     DIAGONAL_REF,
@@ -75,6 +75,11 @@ class TestParameterTypes:
     def test_continuous_values_are_numbers(self, value):
         with pytest.raises(ValueError, match="vote_threshold must be a number"):
             replace(OPTIMIZED, vote_threshold=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_continuous_values_are_finite(self, value):
+        with pytest.raises(ValueError, match="vote_threshold must be finite"):
+            ContinuousParams(value, 20.0, 4.0, 2.0, 60.0, 10.0, 70.0)
 
     def test_discrete_feasibility(self):
         with pytest.raises(ValueError, match="estimated"):
@@ -250,7 +255,7 @@ class TestRansac:
             pose = Pose(random_rotation(g), [g.uniform(-30, 30), 0, 500.0])
             matches = synthetic_matches(box, pose, 100, 100, 0.5, seed=100 + trial)
             hyps = ransac_pose(matches, 10.0, 1500, box.diagonal, seed=trial)
-            if add_score(box, pose, hyps[0].pose) > 0.02 * box.diagonal:
+            if _PosedCopies(box, pose, hyps[0].pose).add > 0.02 * box.diagonal:
                 failures += 1
         assert failures == 0
 
@@ -376,7 +381,7 @@ class TestC2fIcp:
         start = Pose(pose.rotation, pose.translation + [2.0, 0, 0])
         out = pipeline._icp_refine(start, cKDTree(candidate.points),
                                    icp_model_points(box).points, box.diagonal, 4.85, 1.24, 10)
-        assert add_score(box, pose, out) < 0.5
+        assert _PosedCopies(box, pose, out).add < 0.5
 
     def test_stalls_when_nothing_in_reach(self, box):
         pose = Pose(np.eye(3), [0, 0, 520.0])

@@ -40,6 +40,14 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match="rgb_shift must be a number"):
             NoiseConfig(0.0, 0.0, 0.0, value, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name, text", [("xyz_sigma", "NaN"), ("flatten_frac", "Infinity")])
+    def test_levels_are_finite(self, name, text):
+        # json.loads reads NaN and Infinity, so an edited levels file can hold them
+        data = dict.fromkeys(NoiseConfig.__dataclass_fields__, 0.0)
+        levels = json.loads(json.dumps(data).replace(f'"{name}": 0.0', f'"{name}": {text}'))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NoiseConfig(**levels)
+
 
 class TestGenerateScene:
     def test_clean_scene_contains_only_object_points(self, box):

@@ -121,6 +121,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="xyz_sigma must be a number"):
             workflow.learned_levels(config)
 
+    def test_non_finite_level_is_named(self, tmp_path):
+        config = tiny_config(tmp_path)
+        (tmp_path / "dr").mkdir()
+        (tmp_path / "dr" / "levels.json").write_text(
+            '{"xyz_sigma": 0.0, "normal_sigma": NaN, "rgb_sigma": 0.0, "rgb_shift": 0.0,'
+            ' "rotation_max": 0.0, "flatten_frac": 0.0}')
+        with pytest.raises(ValueError, match="normal_sigma must be finite"):
+            workflow.learned_levels(config)
+
+    def test_non_finite_parameter_is_named(self, tmp_path):
+        config = tiny_config(tmp_path)
+        _write_optimization(tmp_path, "dr")
+        path = tmp_path / "opt" / "continuous_dr.json"
+        path.write_text(path.read_text().replace('"icp_scale": 1.24', '"icp_scale": Infinity'))
+        with pytest.raises(ValueError, match="icp_scale must be finite"):
+            workflow.load_optimization(config)
+
     def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
         # every box found with the translation moved to z = 20 mm: part of the
         # model lies behind the camera, so MSPD is infinite
@@ -210,6 +227,7 @@ class TestConfigValidation:
                   "depth_checked": [1], "icp_iters": [1, 2, 3, 4]}),
         ("seed", 1.5), ("seed", True), ("clutter", True), ("occlusion", False),
         ("budget_seconds", True), ("schedule", [[4, True]]), ("schedule", [[4, "0.5"]]),
+        ("budget_seconds", float("inf")), ("schedule", [[4, float("nan")]]),
     ])
     def test_rejects_bad_values(self, name, value):
         data = dict(asdict(tiny_config("experiment")), **{name: value})

@@ -78,6 +78,8 @@ class Schedule:
     phases: tuple[tuple[int, float | None], ...]
 
     def __post_init__(self):
+        if not self.phases:
+            raise ValueError("a schedule needs at least one phase")
         for count, kappa in self.phases:
             check_integer("phase count", count, 1)
             if kappa is not None and check_number("kappa", kappa) < 0:

@@ -50,6 +50,14 @@ def project_points(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     return np.column_stack([u, v])
 
 
+def _splat_pixels(pts: np.ndarray, z: np.ndarray, cam: CameraIntrinsics):
+    """``(u, v, inside)``: the pixel each point at depth ``z > 0`` splats to,
+    and whether it lies in the image (``render_depth``, ``visible_mask``)."""
+    u = np.rint(cam.fx * pts[:, 0] / z + cam.cx).astype(np.int64)
+    v = np.rint(cam.fy * pts[:, 1] / z + cam.cy).astype(np.int64)
+    return u, v, (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+
+
 def render_depth(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     """Splat points into a per-pixel min-depth buffer (1 px splats).
 
@@ -68,9 +76,7 @@ def render_depth(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
         front = z > 0
         if not front.all():
             pts, z = pts[front], z[front]
-        u = np.rint(cam.fx * pts[:, 0] / z + cam.cx).astype(np.int64)
-        v = np.rint(cam.fy * pts[:, 1] / z + cam.cy).astype(np.int64)
-        inside = (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+        u, v, inside = _splat_pixels(pts, z, cam)
         np.minimum.at(depth, v[inside] * cam.width + u[inside], z[inside])
     depth[np.isinf(depth)] = 0.0
     return depth.reshape(cam.height, cam.width)
@@ -143,9 +149,7 @@ def visible_mask(points: np.ndarray, depth: np.ndarray, cam: CameraIntrinsics,
     front = z > 0
     if not front.any():
         return mask
-    u = np.rint(cam.fx * pts[front, 0] / z[front] + cam.cx).astype(np.int64)
-    v = np.rint(cam.fy * pts[front, 1] / z[front] + cam.cy).astype(np.int64)
-    inside = (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+    u, v, inside = _splat_pixels(pts[front], z[front], cam)
     vis = np.zeros(inside.shape, dtype=bool)
     vis[inside] = z[front][inside] <= depth[v[inside], u[inside]] + tolerance
     mask[front] = vis

@@ -178,7 +178,7 @@ class ObjectModel:
     mean_color: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        diagonal = bbox_diagonal(self.cloud)
+        diagonal = bbox_diagonal(self.cloud.points)
         if diagonal <= 0:
             raise ValueError("diagonal must be positive")
         object.__setattr__(self, "diagonal", diagonal)
@@ -263,9 +263,8 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(bucket_mean(cloud.points), normals, bucket_mean(cloud.colors))
 
 
-def bbox_diagonal(cloud: PointCloud) -> float:
-    """Axis-aligned bounding-box diagonal length."""
-    if len(cloud) == 0:
+def bbox_diagonal(points: np.ndarray) -> float:
+    """Axis-aligned bounding-box diagonal length of (n, 3) ``points``."""
+    if len(points) == 0:
         raise ValueError("empty cloud")
-    extent = cloud.points.max(axis=0) - cloud.points.min(axis=0)
-    return float(np.linalg.norm(extent))
+    return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))

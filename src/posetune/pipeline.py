@@ -20,8 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import box_max, box_min, erode_cross, pixel_window, render_depth
-from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, check_integer,
-                       check_number, rotation_about_axis, voxel_downsample)
+from .geometry import (ObjectModel, PointCloud, Pose, _kept_on_model, bbox_diagonal,
+                       check_integer, check_number, rotation_about_axis, voxel_downsample)
 from .scenes import Scene
 from .seeding import derive_rng
 
@@ -52,8 +52,8 @@ SCENE_VOXEL = 1.0        # scene voxel size (mm)
 ICP_MODEL_VOXEL = 5.0    # voxel size of the model points ICP matches (mm)
 RANSAC_CHUNK = 50        # RANSAC samples per refined hypothesis
 
-# The only clock the pipeline reads: ``prepare`` and ``_staged`` time their
-# work with it. Tests put a counting clock in its place.
+# The only clock the pipeline reads: ``_staged`` times every stage with it,
+# the preparation too. Tests put a counting clock in its place.
 clock = time.perf_counter
 
 
@@ -144,25 +144,22 @@ class Matches:
 class PreparedScene:
     """The preprocessing of one scene that no parameter reads (``prepare``).
 
-    The voxelized cloud, its KD-tree (built on an empty cloud too), the
-    ``_depth_edges`` mask that every depth check reads, and ``seconds``, the
-    wall time all three took. A caller that estimates one scene under many
-    parameter sets prepares it once and passes it to every ``estimate_all``
-    call, and each call charges ``seconds`` to its ``t_pre``.
+    The voxelized cloud, its KD-tree (built on an empty cloud too) and the
+    ``_depth_edges`` mask that every depth check reads. ``estimate_all``
+    keeps it in the stage memo like any other stage, so a caller that
+    estimates one scene under many parameter sets prepares it once
+    (``scene_memo``).
     """
 
     cloud: PointCloud
     tree: cKDTree
     depth_edges: np.ndarray
-    seconds: float
 
 
 def prepare(scene: Scene) -> PreparedScene:
     """Voxel-downsample the scene, build its KD-tree and find its depth edges."""
-    t0 = clock()
     cloud = voxel_downsample(scene.cloud, SCENE_VOXEL)
-    edges = _depth_edges(scene.depth)
-    return PreparedScene(cloud, cKDTree(cloud.points), edges, clock() - t0)
+    return PreparedScene(cloud, cKDTree(cloud.points), _depth_edges(scene.depth))
 
 
 def choose_seeds(prepared: PreparedScene, cp: ContinuousParams, dp: DiscreteParams,
@@ -193,7 +190,7 @@ def objectness(points: np.ndarray, colors: np.ndarray, model: ObjectModel) -> fl
     ``INPUT_POINTS``, its bounding-box diagonal against the model's, and its
     mean colour against the model's."""
     size_factor = len(points) / INPUT_POINTS
-    extent = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+    extent = bbox_diagonal(points)
     geom = np.exp(-abs(extent - model.diagonal) / model.diagonal)
     color = color_similarity(colors.mean(axis=0, keepdims=True), model.mean_color)[0]
     return float(size_factor * geom * color)
@@ -533,23 +530,20 @@ class EstimateResult:
 STAGE_KEYS = ("t_pre", "t_net", "t_ran", "t_icp", "t_depth")
 
 
-def _staged(memo: dict | None, key: tuple, timings: dict[str, float], stage: str, compute):
-    """``compute()``, or the value ``memo`` keeps under ``key``; either way the
-    seconds it took are added to ``timings[stage]``.
+def _staged(memo: dict, key: tuple, timings: dict[str, float], stage: str, compute):
+    """The value ``memo`` keeps under ``key``, computed on a miss; either way
+    the seconds it took are added to ``timings[stage]``.
 
-    A miss times ``compute()`` with ``clock`` and, when ``memo`` is a dict,
-    keeps ``(value, seconds)`` under ``key``. A hit charges the seconds
-    measured on the miss, so a reused stage still costs what computing it did
-    and the stage times state what a fresh image costs. The keys are listed at
-    ``_estimate_prepared``.
+    A miss times ``compute()`` with ``clock`` and keeps ``(value, seconds)``
+    under ``key``. A hit charges the seconds measured on the miss, so a reused
+    stage still costs what computing it did and the stage times state what a
+    fresh image costs. The keys are listed at ``_estimate_prepared``.
     """
-    entry = None if memo is None else memo.get(key)
+    entry = memo.get(key)
     if entry is None:
         t0 = clock()
         value = compute()
-        entry = (value, clock() - t0)
-        if memo is not None:
-            memo[key] = entry
+        entry = memo[key] = (value, clock() - t0)
     timings[stage] += entry[1]
     return entry[0]
 
@@ -565,7 +559,7 @@ def _votes_or_none(candidate: np.ndarray, model: ObjectModel, cp: ContinuousPara
 def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndarray],
                        scene: Scene, model: ObjectModel, cp: ContinuousParams,
                        dp: DiscreteParams, seed: int, timings: dict[str, float],
-                       memo: dict | None) -> EstimateResult:
+                       memo: dict) -> EstimateResult:
     """One object on a prepared scene and its seeds: candidates, ranking,
     votes, RANSAC, coarse-to-fine ICP and the depth check; stage times are
     added to ``timings``.
@@ -577,6 +571,7 @@ def _estimate_prepared(prepared: PreparedScene, seeds: tuple[np.ndarray, np.ndar
     what it reads, and its entry holds what it computes. No key names the
     scene, so one memo serves one scene and one set of models:
 
+    - the preparation, made once per scene: no parameter; ``prepare(scene)``;
     - the seed choice, made once per ``estimate_all`` call: ``cp``, the seed
       and ``classified``; the seeds;
     - the ranking: ``cp``, the seed, the object and ``classified``; every
@@ -657,37 +652,40 @@ class SceneEstimate:
     """Per-object results plus the stage times, kept per image only: the shared
     preprocessing, then each later stage summed over the objects.
 
-    The stage times are what a fresh image costs, also when the call reused a
-    preparation (``PreparedScene``) or a memo (``_staged``).
+    The stage times are what a fresh image costs, also when the call reused
+    stages from a memo (``_staged``), the preparation among them.
     """
 
     results: dict[str, EstimateResult]
     timings: dict[str, float]
 
 
+def scene_memo(scene: Scene) -> dict:
+    """A stage memo that holds only ``scene``'s preparation, timed."""
+    memo: dict = {}
+    _staged(memo, ("prepare",), {"t_pre": 0.0}, "t_pre", lambda: prepare(scene))
+    return memo
+
+
 def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
-                 dp: DiscreteParams, seed=0, prepared: PreparedScene | None = None,
-                 memo: dict | None = None) -> SceneEstimate:
+                 dp: DiscreteParams, seed=0, memo: dict | None = None) -> SceneEstimate:
     """Estimate every object in one scene, preprocessing the scene once; the
     stage times are the image's (see ``SceneEstimate``).
 
-    The seeds are chosen once per call and shared by the objects. Each
-    object's candidates are index sets into the prepared cloud; its later
-    stages read only the points of the first ``dp.estimated`` of its ranking
+    The preparation and the seeds are shared by the objects. Each object's
+    candidates are index sets into the prepared cloud; its later stages read
+    only the points of the first ``dp.estimated`` of its ranking
     (``ranked_candidates``).
 
-    ``prepared`` is ``prepare(scene)``, passed by a caller that estimates the
-    same scene under many parameter sets; without it the call prepares the
-    scene itself.
-
     ``memo`` is a dict that keeps stage results across calls on this one
-    scene and these models, for a caller that runs many tuples at fixed
-    ``cp`` and seed. Its keys are listed at ``_estimate_prepared``.
+    scene and these models; its keys are listed at ``_estimate_prepared``.
+    Calls at many ``cp`` can each take a copy of one ``scene_memo(scene)``;
+    calls at fixed ``cp`` and seed can share one memo. A call made without
+    one keeps its stages in a dict of its own.
     """
-    if prepared is None:
-        prepared = prepare(scene)
+    memo = {} if memo is None else memo
     image = dict.fromkeys(STAGE_KEYS, 0.0)
-    image["t_pre"] = prepared.seconds
+    prepared = _staged(memo, ("prepare",), image, "t_pre", lambda: prepare(scene))
     seeds = _staged(memo, ("seeds", cp, seed, dp.classified), image, "t_pre",
                     lambda: choose_seeds(prepared, cp, dp, seed))
     results = {model.object_id: _estimate_prepared(prepared, seeds, scene, model, cp, dp, seed,

@@ -11,9 +11,10 @@ Pareto front and the fitted runtime coefficients) and the budget selection
 made from them. Those times come from the pipeline's ``clock``; with a
 counting clock in its place they reproduce too.
 
-``cmd_optimize`` prepares each validation scene once for the whole search
-and gives each one stage memo for the grid phase; a found pose is scored once
-per search. Reused work still charges its measured time
+``cmd_optimize`` prepares each validation scene once for the whole search,
+in one stage memo per scene (``pipeline.scene_memo``). Each GP-UCB call
+estimates on a copy of it, and the grid phase shares it; a found pose is
+scored once per search. Reused work still charges its measured time
 (``pipeline.SceneEstimate``), so the grid runtimes and the runtime fit state
 what a fresh image costs.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -46,8 +47,7 @@ from .gridopt import (
 )
 from .metrics import MetricScore, add_correct, evaluate_pose, recall_contribution, scores_to_csv
 from .objects import check_spec_keys, make_object, save_object
-from .pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, PreparedScene,
-                       estimate_all, prepare)
+from .pipeline import STAGE_KEYS, ContinuousParams, DiscreteParams, estimate_all, scene_memo
 from .scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene, load_scene, save_scene
 from .scheduler import run_scheduled_training
 from .seeding import stream_seed
@@ -293,23 +293,19 @@ def _noised_split(config: ExperimentConfig, split: str, levels: NoiseConfig | No
 
 
 def _score_scenes(config: ExperimentConfig, models: list[ObjectModel], scenes: list[Scene],
-                  cp: ContinuousParams, dp: DiscreteParams, stream: str, score,
-                  prepared: list[PreparedScene] | None = None,
-                  memos: list[dict] | None = None):
+                  cp: ContinuousParams, dp: DiscreteParams, stream: str, score, memos):
     """Estimate each scene once and score every instance.
 
     ``score(model, scene, pose)`` is called once per found instance.
-    ``prepared`` and ``memos`` hold one ``prepare(scene)`` and one stage memo
-    per scene, passed on to ``estimate_all``. Returns each stage's mean time
-    over the scenes and one ``(scene index, object id, score)`` record per
-    instance, in scene then model order, with 0 for an instance not found.
+    ``memos`` yields one stage memo (or None) per scene, passed on to
+    ``estimate_all``. Returns each stage's mean time over the scenes and one
+    ``(scene index, object id, score)`` record per instance, in scene then
+    model order, with 0 for an instance not found.
     """
     timings, records = [], []
-    for i, scene in enumerate(scenes):
+    for i, (scene, memo) in enumerate(zip(scenes, memos, strict=True)):
         bundle = estimate_all(scene, models, cp, dp,
-                              seed=stream_seed(config.seed, stream, i),
-                              prepared=None if prepared is None else prepared[i],
-                              memo=None if memos is None else memos[i])
+                              seed=stream_seed(config.seed, stream, i), memo=memo)
         timings.append(bundle.timings)
         for model in models:
             result = bundle.results[model.object_id]
@@ -335,8 +331,8 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     levels = None if no_dr else learned_levels(config)
     scenes = _noised_split(config, "validation", levels, f"valnoise-{tag}")
     # every search call re-estimates these scenes, so their parameter-free
-    # preprocessing is done once here
-    prepared = [prepare(scene) for scene in scenes]
+    # preprocessing is done once here, in one stage memo per scene
+    memos = [scene_memo(scene) for scene in scenes]
     opt_dir = config.out() / "opt"
     opt_dir.mkdir(parents=True, exist_ok=True)
 
@@ -355,14 +351,16 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
         return recalls[key]
 
     def measure(cp: ContinuousParams, dp: DiscreteParams,
-                memos: list[dict] | None = None) -> tuple[dict[str, float], float]:
+                memos) -> tuple[dict[str, float], float]:
         """(mean time per stage, mean recall) over the validation scenes."""
         stages, records = _score_scenes(config, models, scenes, cp, dp, "est",
-                                        instance_recall, prepared, memos)
+                                        instance_recall, memos)
         return stages, float(np.mean([r[2] for r in records]))
 
     def continuous_objective(cp: ContinuousParams) -> float:
-        return measure(cp, BO_FIXED_DISCRETE)[1]
+        # cp changes with every call, so it reuses only the preparation: a
+        # copy of each scene's memo, made when the loop reaches that scene
+        return measure(cp, BO_FIXED_DISCRETE, map(dict, memos))[1]
 
     try:
         best_cp, trace = optimize_continuous(
@@ -376,8 +374,8 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     (opt_dir / f"trace_{tag}.csv").write_text(trace_to_csv(trace))
 
     # cp and the seeds stay fixed over the grid, so its tuples share stage
-    # results: one memo per validation scene, dropped with the grid phase
-    memos = [{} for _ in scenes]
+    # results: the scenes' memos, which no GP-UCB call wrote to, are dropped
+    # with the grid phase
     try:
         grid = enumerate_grid(config.grid_spec())
         entries = evaluate_grid(grid, partial(measure, best_cp, memos=memos))
@@ -414,10 +412,12 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
                  no_dr: bool = False, force: bool = False) -> dict:
     """Select a front entry for the budget and score it on held-out scenes."""
     tag = _mode_tag(no_dr)
-    budget = config.budget_seconds if budget is None else float(budget)
+    # an override is checked by the config's own rule; its repr names it exactly
+    budget = float(config.budget_seconds if budget is None
+                   else replace(config, budget_seconds=budget).budget_seconds)
     models = build_models(config, "evaluate")
     object_count = len(models)
-    stage = f"evaluate-{tag}-{budget:g}-{object_count}"
+    stage = f"evaluate-{tag}-{budget!r}-{object_count}"
     done = _stage_complete(config, stage)
     if done and not force:
         return done
@@ -432,7 +432,7 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
                              scene.depth)
 
     stages, records = _score_scenes(config, models, scenes, cp, dp, "eval-est",
-                                    instance_scores)
+                                    instance_scores, [None] * len(scenes))
     per_object: dict[str, list[float]] = {m.object_id: [] for m in models}
     rows = []
     for i, object_id, score in records:
@@ -458,7 +458,7 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
     }
     eval_dir = config.out() / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
-    stamp = f"{tag}_{budget:g}_{object_count}"
+    stamp = f"{tag}_{budget!r}_{object_count}"
     (eval_dir / f"report_{stamp}.json").write_text(
         json.dumps(report, sort_keys=True, indent=1))
     (eval_dir / f"scores_{stamp}.csv").write_text(scores_to_csv(rows))

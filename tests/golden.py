@@ -2,10 +2,11 @@
 ``golden.json`` beside this file.
 
 - ``estimate_all``: the benchmark experiment's two validation scenes at the
-  deploy continuous parameters (``bench_inputs``). Per scene, prepared once:
-  the 48 grid tuples in grid order through one stage memo, as the grid phase
-  of ``cmd_optimize`` runs them, then ``BO_FIXED_DISCRETE`` without a memo,
-  as a GP-UCB call runs it.
+  deploy continuous parameters (``bench_inputs``). Per scene, prepared once
+  in a scene memo (``pipeline.scene_memo``): the 48 grid tuples in grid order
+  through that memo, as the grid phase of ``cmd_optimize`` runs them, then
+  ``BO_FIXED_DISCRETE`` on a fresh copy of the scene memo, as a GP-UCB call
+  runs it.
 - ``deploy``: the ``deploy`` workload's first ``DEPLOY_IMAGES`` images at
   seed 0, each estimated at the deploy parameters with no memo.
 - ``experiment``: the files a tiny experiment's ``generate``, ``train-dr``
@@ -36,7 +37,7 @@ import scipy
 
 from posetune import pipeline, workflow
 from posetune.gridopt import enumerate_grid
-from posetune.pipeline import SceneEstimate, estimate_all, prepare
+from posetune.pipeline import SceneEstimate, estimate_all, scene_memo
 from posetune.workflow import BO_FIXED_DISCRETE
 
 from bench_inputs import (BENCH_GRID, BENCH_OBJECTS, DEPLOY_CP, DEPLOY_DP, deploy_images,
@@ -68,13 +69,12 @@ def results_digest() -> str:
     grid = enumerate_grid(BENCH_GRID)
     digest = hashlib.sha256()
     for i, scene in enumerate(scenes):
-        prepared = prepare(scene)
-        memo = {}
+        memo = scene_memo(scene)
+        searched = dict(memo)
         for dp in grid:
-            _add(digest, estimate_all(scene, models, DEPLOY_CP, dp, seed=i, prepared=prepared,
-                                      memo=memo))
+            _add(digest, estimate_all(scene, models, DEPLOY_CP, dp, seed=i, memo=memo))
         _add(digest, estimate_all(scene, models, DEPLOY_CP, BO_FIXED_DISCRETE, seed=i,
-                                  prepared=prepared))
+                                  memo=searched))
     return digest.hexdigest()
 
 

@@ -58,6 +58,8 @@ class TestSchedule:
         assert all(a > b for a, b in zip(kappas, kappas[1:]))
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="at least one phase"):
+            Schedule(())
         with pytest.raises(ValueError):
             Schedule(((0, 0.5),))
         with pytest.raises(ValueError):

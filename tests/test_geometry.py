@@ -197,24 +197,24 @@ class TestVoxelDownsample:
 class TestBboxDiagonal:
     def test_unit_cube(self):
         corners = np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).T.reshape(-1, 3)
-        assert bbox_diagonal(cloud_of(corners)) == pytest.approx(np.sqrt(3))
+        assert bbox_diagonal(corners) == pytest.approx(np.sqrt(3))
 
     def test_single_point_is_zero(self):
-        assert bbox_diagonal(cloud_of([[3.0, 4.0, 5.0]])) == 0.0
+        assert bbox_diagonal(np.array([[3.0, 4.0, 5.0]])) == 0.0
 
     def test_flat_box(self):
         pts = np.array([[0, 0, 0], [3.0, 0, 0], [0, 4.0, 0], [3.0, 4.0, 0]])
-        assert bbox_diagonal(cloud_of(pts)) == pytest.approx(5.0)
+        assert bbox_diagonal(pts) == pytest.approx(5.0)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            bbox_diagonal(cloud_of(np.empty((0, 3))))
+            bbox_diagonal(np.empty((0, 3)))
 
     def test_translation_invariant(self):
         g = rng(9)
         pts = g.uniform(-10, 10, (40, 3))
-        a = bbox_diagonal(cloud_of(pts))
-        b = bbox_diagonal(cloud_of(pts + [100.0, -50.0, 7.0]))
+        a = bbox_diagonal(pts)
+        b = bbox_diagonal(pts + [100.0, -50.0, 7.0])
         assert a == pytest.approx(b)
 
 
@@ -276,7 +276,7 @@ class TestObjectModel:
         model = ObjectModel("thing", cloud_of(pts))
         assert len(model.keypoints) == MAX_KEYPOINTS
         np.testing.assert_array_equal(model.keypoints, farthest_point_sample(pts, MAX_KEYPOINTS))
-        assert model.diagonal == bbox_diagonal(model.cloud)
+        assert model.diagonal == bbox_diagonal(model.cloud.points)
 
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError, match="diagonal must be positive"):

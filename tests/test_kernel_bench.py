@@ -62,12 +62,12 @@ def setting():
                 est=_offset(scene.gt_poses["cyl"]), target=scene.cloud.points[near["cyl"]],
                 models=models,
                 box_est=_offset(scene.gt_poses["box"]), box_target=scene.cloud.points[near["box"]],
-                prepared=pipeline.prepare(scene))
+                preparation=pipeline.prepare(scene))
 
 
 def test_depth_check(benchmark, setting):
     score = benchmark(pipeline.depth_check, setting["est"], setting["scene"], setting["cyl"],
-                      CP.background_dist, CP.accept_dist, setting["prepared"].depth_edges)
+                      CP.background_dist, CP.accept_dist, setting["preparation"].depth_edges)
     assert 0.0 <= score <= 1.0
 
 
@@ -120,44 +120,44 @@ def test_voxel_downsample(benchmark, setting):
 def test_prepare(benchmark, setting):
     # the per-scene half of preprocessing, done once per validation scene
     prepared = benchmark(pipeline.prepare, setting["scene"])
-    assert prepared.tree.n == len(prepared.cloud) and prepared.seconds > 0
+    assert prepared.tree.n == len(prepared.cloud) and prepared.depth_edges.any()
 
 
 def test_choose_seeds(benchmark, setting):
     # the per-call half, done by every estimate_all call
-    indices, density = benchmark(pipeline.choose_seeds, setting["prepared"], CP, DP, 0)
+    indices, density = benchmark(pipeline.choose_seeds, setting["preparation"], CP, DP, 0)
     assert len(indices) > 0 and len(density) == len(indices)
 
 
 @pytest.fixture(scope="module")
 def validation(setting):
-    """The benchmark experiment's first validation scene, prepared, with its
-    estimate seed, as ``cmd_optimize`` searches on it."""
+    """The benchmark experiment's first validation scene, with its scene memo
+    (``pipeline.scene_memo``) and its estimate seed, as ``cmd_optimize``
+    searches on it."""
     models = list(setting["models"].values())
     scene = apply_domain_randomization(
         generate_scene(models, 0.75, 0.18, seed=stream_seed(0, "scene", "validation", 0)),
         LEVELS, seed=stream_seed(0, "valnoise-dr", 0))
-    return dict(scene=scene, models=models, prepared=pipeline.prepare(scene),
+    return dict(scene=scene, models=models, memo=pipeline.scene_memo(scene),
                 seed=stream_seed(0, "est", 0))
 
 
 def test_grid_phase(benchmark, validation):
-    # every grid tuple through one fresh stage memo, as cmd_optimize runs it
+    # every grid tuple through one copy of the scene memo, as cmd_optimize runs it
     def grid_phase():
-        memo = {}
+        memo = dict(validation["memo"])
         return [pipeline.estimate_all(validation["scene"], validation["models"], CP, dp,
-                                      seed=validation["seed"], prepared=validation["prepared"],
-                                      memo=memo) for dp in GRID]
+                                      seed=validation["seed"], memo=memo) for dp in GRID]
 
     out = benchmark(grid_phase)
     assert len(out) == 48 and any(r.found for e in out for r in e.results.values())
 
 
 def test_heavy_tuple(benchmark, validation):
-    # one GP-UCB-phase call: the heavy tuple, no memo
-    out = benchmark(pipeline.estimate_all, validation["scene"], validation["models"], CP,
-                    workflow.BO_FIXED_DISCRETE, seed=validation["seed"],
-                    prepared=validation["prepared"])
+    # one GP-UCB-phase call: the heavy tuple on a fresh copy of the scene memo
+    out = benchmark(lambda: pipeline.estimate_all(
+        validation["scene"], validation["models"], CP, workflow.BO_FIXED_DISCRETE,
+        seed=validation["seed"], memo=dict(validation["memo"])))
     assert any(r.found for r in out.results.values())
 
 

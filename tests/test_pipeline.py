@@ -756,15 +756,34 @@ class TestEstimate:
 
 
 class TestStaged:
-    def test_without_memo_every_call_computes_and_charges(self):
-        ticks = iter([0.0, 1.5, 10.0, 12.0])
-        timings = {"t_icp": 0.0}
+    def test_without_memo_every_call_computes_and_charges(self, box, cluttered_scene):
+        # each call keeps its stages in a dict of its own: both prepare the
+        # scene and choose their seeds, and each charges what it measured
+        ticks = iter([0.0, 1.5, 2.0, 2.25, 10.0, 12.0, 13.0, 13.5])
+        prepared = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "clock", lambda: next(ticks))
-            values = [pipeline._staged(None, ("icp",), timings, "t_icp", lambda: [])
-                      for _ in range(2)]
-        assert values == [[], []] and values[0] is not values[1]
-        assert timings == {"t_icp": 3.5}
+            patch.setattr(pipeline, "prepare",
+                          lambda scene: prepared.append(prepare(scene)) or prepared[-1])
+            patch.setattr(pipeline, "_estimate_prepared", lambda *args: None)
+            bundles = [estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=0)
+                       for _ in range(2)]
+        assert len(prepared) == 2 and prepared[0] is not prepared[1]
+        assert [b.timings["t_pre"] for b in bundles] == [1.75, 2.5]
+
+    def test_shared_memo_prepares_once_and_charges_alike(self, box, cluttered_scene):
+        # the caller's memo keeps the preparation, so the second call reuses
+        # it and charges the tick that preparing took
+        prepared = []
+        memo = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "clock", itertools.count().__next__)
+            patch.setattr(pipeline, "prepare",
+                          lambda scene: prepared.append(prepare(scene)) or prepared[-1])
+            bundles = [estimate_all(cluttered_scene, [box], OPTIMIZED, SMALL_DP, seed=seed,
+                                    memo=memo) for seed in (0, 1)]
+        assert len(prepared) == 1 and memo[("prepare",)] == (prepared[0], 1)
+        assert [b.timings["t_pre"] for b in bundles] == [2, 2]   # preparation and seeds
 
     def test_hit_returns_the_kept_value_and_charges_its_seconds(self):
         ticks = iter([0.0, 1.5])

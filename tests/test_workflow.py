@@ -17,7 +17,7 @@ from posetune.gridopt import ParetoEntry, RuntimeCoefficients, enumerate_grid, s
 from posetune.geometry import Pose
 from posetune.objects import make_box, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
-                               PoseHypothesis, SceneEstimate, estimate_all, prepare)
+                               PoseHypothesis, SceneEstimate, estimate_all, scene_memo)
 from posetune.seeding import stream_seed
 
 from bench_inputs import BENCH_GRID, DEPLOY_CP, validation_scenes
@@ -92,7 +92,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(workflow, "evaluate_pose", counted)
         report = workflow.cmd_evaluate(evaluated_config, force=True)
-        stamp = f"dr_{report['budget_seconds']:g}_{report['object_count']}"
+        stamp = f"dr_{report['budget_seconds']!r}_{report['object_count']}"
         rows = (evaluated_config.out() / "eval" / f"scores_{stamp}.csv").read_text()
         found = len(rows.strip().splitlines()) - 1
         assert found >= 1
@@ -141,7 +141,7 @@ class TestEvaluate:
     def test_estimate_behind_camera_completes(self, evaluated_config, monkeypatch):
         # every box found with the translation moved to z = 20 mm: part of the
         # model lies behind the camera, so MSPD is infinite
-        def behind(scene, models, cp, dp, seed=0, prepared=None, memo=None):
+        def behind(scene, models, cp, dp, seed=0, memo=None):
             results = {}
             for model in models:
                 gt = scene.gt_poses[model.object_id]
@@ -161,7 +161,7 @@ class TestEvaluate:
             expected.append(metrics.recall_contribution(models[0], gt, est, scene.cam,
                                                         scene.depth))
         assert report["recall"] == float(np.mean(expected))
-        stamp = f"dr_{report['budget_seconds']:g}_{report['object_count']}"
+        stamp = f"dr_{report['budget_seconds']!r}_{report['object_count']}"
         rows = (evaluated_config.out() / "eval" / f"scores_{stamp}.csv").read_text()
         lines = rows.strip().splitlines()
         assert len(lines) == 1 + len(scenes)
@@ -228,6 +228,7 @@ class TestConfigValidation:
         ("seed", 1.5), ("seed", True), ("clutter", True), ("occlusion", False),
         ("budget_seconds", True), ("schedule", [[4, True]]), ("schedule", [[4, "0.5"]]),
         ("budget_seconds", float("inf")), ("schedule", [[4, float("nan")]]),
+        ("schedule", []),
     ])
     def test_rejects_bad_values(self, name, value):
         data = dict(asdict(tiny_config("experiment")), **{name: value})
@@ -404,13 +405,29 @@ class TestEndToEnd:
         _, front, coeffs = workflow.load_optimization(config)
         for budget, within in ((1e-6, False), (1e9, True)):
             workflow.cmd_evaluate(config, budget=budget)
-            path = tmp_path / "eval" / f"report_dr_{budget:g}_1.json"
+            path = tmp_path / "eval" / f"report_dr_{budget!r}_1.json"
             report = json.loads(path.read_text())
             assert report["budget_seconds"] == budget
             assert report["selection"] == asdict(select_for_budget(front, coeffs, 1, budget))
             assert report["selection"]["within_budget"] is within
         assert len(list((tmp_path / "eval").glob("report_*.json"))) == 3
         assert (tmp_path / "optimize-dr.done.json").read_bytes() == marker
+
+    @pytest.mark.parametrize("budget", [True, 0, -1, float("nan")])
+    def test_bad_budget_override_is_refused(self, run, budget):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            workflow.cmd_evaluate(run["config"], budget=budget)
+
+    def test_budgets_equal_to_six_digits_write_two_reports(self, run, tmp_path):
+        shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
+        config = workflow.ExperimentConfig.from_dict(
+            dict(asdict(run["config"]), output_dir=str(tmp_path)))
+        reports = [workflow.cmd_evaluate(config, budget=budget) for budget in (4.0, 4.0000001)]
+        assert [r["skipped"] for r in reports] == [False, False]
+        assert [r["budget_seconds"] for r in reports] == [4.0, 4.0000001]
+        for budget in (4.0, 4.0000001):
+            path = tmp_path / "eval" / f"report_dr_{budget!r}_1.json"
+            assert json.loads(path.read_text())["budget_seconds"] == budget
 
     def test_optimize_before_generate_raises(self, tmp_path):
         with pytest.raises(workflow.StageError):
@@ -483,7 +500,7 @@ class TestNoDr:
         assert run["optimized"]["mode"] == run["report"]["mode"] == "nodr"
         assert sorted(p.name for p in (out / "opt").iterdir()) == \
             ["continuous_nodr.json", "front_nodr.json", "grid_nodr.csv", "trace_nodr.csv"]
-        stamp = f"nodr_{run['report']['budget_seconds']:g}_1"
+        stamp = f"nodr_{run['report']['budget_seconds']!r}_1"
         assert sorted(p.name for p in (out / "eval").iterdir()) == \
             [f"report_{stamp}.json", f"scores_{stamp}.csv"]
         assert (out / "optimize-nodr.done.json").exists()
@@ -557,8 +574,8 @@ def _recording_stages(patch) -> tuple[list, list, list]:
 
 
 class TestPreparedScenes:
-    """Validation scenes prepared once per search, and the grid phase's stage
-    memos, give what a fresh call gives."""
+    """Validation scenes prepared once per search in one stage memo each, and
+    the grid phase's sharing of those memos, give what a fresh call gives."""
 
     @pytest.fixture(scope="class")
     def validation(self):
@@ -572,17 +589,17 @@ class TestPreparedScenes:
     def test_prepared_call_matches_fresh_call(self, validation, cp, dp):
         models, scenes = validation
         for i, scene in enumerate(scenes):
-            prepared = prepare(scene)
-            reused = estimate_all(scene, models, cp, dp, seed=i, prepared=prepared)
+            memo = scene_memo(scene)
+            reused = estimate_all(scene, models, cp, dp, seed=i, memo=dict(memo))
             fresh = estimate_all(scene, models, cp, dp, seed=i)
-            assert reused.timings["t_pre"] >= prepared.seconds
+            assert reused.timings["t_pre"] >= memo[("prepare",)][1]
             _assert_same_results(reused, fresh)
             assert any(r.found for r in reused.results.values())
 
     @pytest.fixture(scope="class")
     def fresh_grid(self, validation):
-        """Per validation scene: its preparation and a fresh call per bench
-        tuple, timed by a counting clock."""
+        """Per validation scene: its scene memo and a fresh call per bench
+        tuple on a copy of it, timed by a counting clock."""
         models, scenes = validation
         grid = enumerate_grid(BENCH_GRID)
         runs = []
@@ -590,9 +607,9 @@ class TestPreparedScenes:
             with pytest.MonkeyPatch.context() as patch:
                 _counting_clock(patch)
                 _, refined, checked = _recording_stages(patch)
-                prepared = prepare(scene)
-                runs.append((prepared, [estimate_all(scene, models, DEPLOY_CP, dp, seed=i,
-                                                     prepared=prepared) for dp in grid],
+                base = scene_memo(scene)
+                runs.append((base, [estimate_all(scene, models, DEPLOY_CP, dp, seed=i,
+                                                 memo=dict(base)) for dp in grid],
                              set(refined), set(checked)))
         return grid, runs
 
@@ -606,21 +623,22 @@ class TestPreparedScenes:
         positions = list(range(len(grid)))
         if order == "reversed":
             positions.reverse()
-        for i, (scene, (prepared, fresh, fresh_refined, fresh_checked)) in enumerate(
+        for i, (scene, (base, fresh, fresh_refined, fresh_checked)) in enumerate(
                 zip(scenes, runs)):
             with pytest.MonkeyPatch.context() as patch:
                 ranked, refined, checked = _recording_stages(patch)
-                memo = {}
+                memo = dict(base)
                 for k in positions:
                     reused = estimate_all(scene, models, DEPLOY_CP, grid[k], seed=i,
-                                          prepared=prepared, memo=memo)
+                                          memo=memo)
                     _assert_same_results(reused, fresh[k])
                     # every reused stage charges what computing it cost
                     assert reused.timings == fresh[k].timings
             # one entry per stage computed; a fresh call charged one tick per
-            # stage it ran, so the tuples shared most of their stages
-            stage_runs = sum(sum(f.timings.values()) - prepared.seconds for f in fresh)
-            assert len(memo) < stage_runs / 3
+            # stage it ran, so the tuples shared most of their stages. The
+            # preparation, one entry and one tick per call, is left out
+            stage_runs = sum(sum(f.timings.values()) - 1 for f in fresh)
+            assert len(memo) - 1 < stage_runs / 3
             assert any(r.found for f in fresh for r in f.results.values())
             # ICP reads a hypothesis's pose, not its RANSAC iteration count or
             # its rank, and the depth check reads only the pose it checks: so
@@ -641,17 +659,16 @@ class TestPreparedScenes:
         dp = DiscreteParams(4, 2, 100, 2, 6)
         _counting_clock(monkeypatch)
         for scene in scenes:
-            prepared = prepare(scene)
-            memo = {}
-            estimate_all(scene, models, DEPLOY_CP, dp, seed=0, prepared=prepared, memo=memo)
+            base = scene_memo(scene)
+            memo = dict(base)
+            estimate_all(scene, models, DEPLOY_CP, dp, seed=0, memo=memo)
             for cp, seed in ((other_cp, 0), (DEPLOY_CP, 1)):
-                reused = estimate_all(scene, models, cp, dp, seed=seed, prepared=prepared,
-                                      memo=memo)
-                fresh = estimate_all(scene, models, cp, dp, seed=seed, prepared=prepared)
+                reused = estimate_all(scene, models, cp, dp, seed=seed, memo=memo)
+                fresh = estimate_all(scene, models, cp, dp, seed=seed, memo=dict(base))
                 _assert_same_results(reused, fresh)
                 assert reused.timings == fresh.timings
 
-    def test_optimize_passes_a_memo_to_grid_calls_only(self, tmp_path, monkeypatch):
+    def test_optimize_shares_a_memo_among_grid_calls_only(self, tmp_path, monkeypatch):
         config = workflow.ExperimentConfig.from_dict(
             dict(asdict(tiny_config(tmp_path)), validation_scenes=2))
         workflow.cmd_generate(config)
@@ -659,31 +676,50 @@ class TestPreparedScenes:
         original = workflow.estimate_all
 
         def recording(*args, **kwargs):
-            memos.append(kwargs.get("memo"))
+            memos.append(kwargs["memo"])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(workflow, "estimate_all", recording)
         workflow.cmd_optimize(config, no_dr=True)
         # 3 GP-UCB iterations, then 16 grid tuples, each on the 2 scenes
         searched, grid = memos[:3 * 2], memos[3 * 2:]
-        assert searched == [None] * 6 and len(grid) == 16 * 2
+        assert len(grid) == 16 * 2
         # one dict per scene, shared by all its grid calls
         first, second = grid[0], grid[1]
         assert isinstance(first, dict) and isinstance(second, dict) and first is not second
         assert all(m is first for m in grid[0::2]) and all(m is second for m in grid[1::2])
-        assert first and second
+        # every GP-UCB call has a dict of its own, holding its scene's preparation
+        assert len({id(m) for m in searched + [first, second]}) == 8
+        assert all(m[("prepare",)] is first[("prepare",)] for m in searched[0::2])
+        assert all(m[("prepare",)] is second[("prepare",)] for m in searched[1::2])
+        assert len(first) > 1 and len(second) > 1
+
+    def test_optimize_keeps_gp_ucb_stages_out_of_the_grid_memos(self, tmp_path, monkeypatch):
+        config = workflow.ExperimentConfig.from_dict(
+            dict(asdict(tiny_config(tmp_path)), validation_scenes=2))
+        workflow.cmd_generate(config)
+        at_grid = {}
+        original = workflow.estimate_all
+
+        def recording(scene, models, cp, dp, **kwargs):
+            if dp != workflow.BO_FIXED_DISCRETE:
+                at_grid.setdefault(id(kwargs["memo"]), set(kwargs["memo"]))
+            return original(scene, models, cp, dp, **kwargs)
+
+        monkeypatch.setattr(workflow, "estimate_all", recording)
+        workflow.cmd_optimize(config, no_dr=True)
+        # when the grid phase starts, each scene's memo holds only its preparation
+        assert list(at_grid.values()) == [{("prepare",)}] * 2
 
     def test_optimize_prepares_each_validation_scene_once(self, tmp_path, monkeypatch):
         config = workflow.ExperimentConfig.from_dict(
             dict(asdict(tiny_config(tmp_path)), validation_scenes=2))
         workflow.cmd_generate(config)
-        calls = {"workflow": 0, "pipeline": 0}
-        monkeypatch.setattr(workflow, "prepare",
-                            _counted(workflow.prepare, calls, "workflow"))
+        calls = {"pipeline": 0}
         monkeypatch.setattr(pipeline, "prepare",
                             _counted(pipeline.prepare, calls, "pipeline"))
         workflow.cmd_optimize(config, no_dr=True)
-        assert calls == {"workflow": 2, "pipeline": 0}
+        assert calls == {"pipeline": 2}
 
 
 class TestStageMarkers:
@@ -730,11 +766,11 @@ class TestStageMarkers:
         workflow.cmd_generate(config)
         original = workflow.estimate_all
 
-        def broken_in_grid(*args, memo=None, **kwargs):
-            # only the grid phase passes memos
-            if memo is not None:
+        def broken_in_grid(scene, models, cp, dp, **kwargs):
+            # only the grid phase leaves BO_FIXED_DISCRETE
+            if dp != workflow.BO_FIXED_DISCRETE:
                 raise ValueError("bug")
-            return original(*args, **kwargs)
+            return original(scene, models, cp, dp, **kwargs)
 
         monkeypatch.setattr(workflow, "estimate_all", broken_in_grid)
         with pytest.raises(workflow.StageError, match="bug") as raised:

@@ -505,11 +505,16 @@ def depth_check(pose: Pose, scene: Scene, model: ObjectModel, background_dist: f
 
 
 def _depth_edges(scene_depth: np.ndarray) -> np.ndarray:
-    """Pixels within 2 px of a depth discontinuity or a data-validity border."""
+    """Pixels within 2 px of a depth discontinuity or a data-validity border.
+
+    A 3x3 window with no valid pixel has ``dmax = -inf`` and ``dmin = +inf``;
+    their difference is ``-inf``, which raises no floating-point warning and
+    is no jump.
+    """
     valid = scene_depth > 0
     dmax = box_max(np.where(valid, scene_depth, -np.inf), 3)
     dmin = box_min(np.where(valid, scene_depth, np.inf), 3)
-    jump = np.isfinite(dmax) & np.isfinite(dmin) & (dmax - dmin > DEPTH_EDGE_JUMP)
+    jump = dmax - dmin > DEPTH_EDGE_JUMP
     solid_valid = box_max(valid, 3)
     border = solid_valid & ~erode_cross(solid_valid)
     return box_max(jump | border, 5)
@@ -537,7 +542,8 @@ def _staged(memo: dict, key: tuple, timings: dict[str, float], stage: str, compu
     A miss times ``compute()`` with ``clock`` and keeps ``(value, seconds)``
     under ``key``. A hit charges the seconds measured on the miss, so a reused
     stage still costs what computing it did and the stage times state what a
-    fresh image costs. The keys are listed at ``_estimate_prepared``.
+    fresh image costs. The keys are listed at ``_estimate_prepared``. No
+    stage time holds the render of the scene's depth image (``_prepared``).
     """
     entry = memo.get(key)
     if entry is None:
@@ -653,17 +659,29 @@ class SceneEstimate:
     preprocessing, then each later stage summed over the objects.
 
     The stage times are what a fresh image costs, also when the call reused
-    stages from a memo (``_staged``), the preparation among them.
+    stages from a memo (``_staged``), the preparation among them. They leave
+    out the render of the scene's depth image, which stands in for the
+    sensor's output (``Scene.depth``).
     """
 
     results: dict[str, EstimateResult]
     timings: dict[str, float]
 
 
+def _prepared(scene: Scene, memo: dict, timings: dict[str, float]) -> PreparedScene:
+    """``prepare(scene)`` through ``_staged``, timed into ``timings["t_pre"]``.
+
+    The depth image stands in for the sensor's output, so it is read, and on
+    a first read rendered, before the preparation's clock starts.
+    """
+    scene.depth
+    return _staged(memo, ("prepare",), timings, "t_pre", lambda: prepare(scene))
+
+
 def scene_memo(scene: Scene) -> dict:
     """A stage memo that holds only ``scene``'s preparation, timed."""
     memo: dict = {}
-    _staged(memo, ("prepare",), {"t_pre": 0.0}, "t_pre", lambda: prepare(scene))
+    _prepared(scene, memo, {"t_pre": 0.0})
     return memo
 
 
@@ -685,7 +703,7 @@ def estimate_all(scene: Scene, models: list[ObjectModel], cp: ContinuousParams,
     """
     memo = {} if memo is None else memo
     image = dict.fromkeys(STAGE_KEYS, 0.0)
-    prepared = _staged(memo, ("prepare",), image, "t_pre", lambda: prepare(scene))
+    prepared = _prepared(scene, memo, image)
     seeds = _staged(memo, ("seeds", cp, seed, dp.classified), image, "t_pre",
                     lambda: choose_seeds(prepared, cp, dp, seed))
     results = {model.object_id: _estimate_prepared(prepared, seeds, scene, model, cp, dp, seed,

@@ -2,13 +2,16 @@
 
 Scenes stand in for rendered training images: object clouds dropped into
 clutter with exact ground-truth poses, a splat depth image, and a master seed
-that makes every scene reproducible byte for byte.
+that makes every scene reproducible byte for byte. The depth image stands in
+for the sensor's output; it is rendered from the cloud on its first read
+(``Scene.depth``), so a scene whose image nothing reads never renders it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,21 +84,27 @@ def default_jump_sizes() -> NoiseConfig:
 @dataclass(frozen=True)
 class Scene:
     """One synthetic view: visible cloud, ground-truth poses, camera, and the
-    cloud's read-only splat depth image."""
+    cloud's read-only splat depth image, rendered on its first read."""
 
     cloud: PointCloud
     gt_poses: dict[str, Pose]
     cam: CameraIntrinsics
     seed: int
-    depth: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # stream_seed hashes str(seed): a seed of 1.0 or True would silently
         # give other streams than 1
         check_integer("seed", self.seed)
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """The cloud's read-only splat depth image (``render_depth``), rendered
+        on the first read and kept on the scene. The image is the sensor's
+        output, so the estimator's stage clocks leave its render out
+        (``pipeline.estimate_all``)."""
         depth = render_depth(self.cloud.points, self.cam)
         depth.setflags(write=False)
-        object.__setattr__(self, "depth", depth)
+        return depth
 
 
 def _frustum_halfwidth(cam: CameraIntrinsics, z: float) -> tuple[float, float]:
@@ -142,8 +151,8 @@ def generate_scene(objects: list[ObjectModel], clutter_level: float,
 
     ``clutter_level`` scales ground-plane and distractor density,
     ``occlusion_level`` the in-front blocking patch; both in [0, 1]. Points
-    hidden behind other surfaces are removed by a z-buffer pass, and the
-    depth image is splatted from what remains.
+    hidden behind other surfaces are removed by a z-buffer pass; the depth
+    image is splatted from what remains when it is first read.
     """
     if not objects:
         raise ValueError("no objects")
@@ -205,7 +214,8 @@ def apply_domain_randomization(scene: Scene, cfg: NoiseConfig, seed: int) -> Sce
     clipped to max. The whole-cloud rotation (about the cloud centroid) is
     composed into the ground-truth poses; flattening replaces the depth of a
     patch of ``flatten_frac`` of the points with that patch's median depth.
-    The depth image is re-splatted from the noised cloud.
+    The new scene's depth image is splatted from the noised cloud when it is
+    first read.
     """
     rng = derive_rng(scene.seed, seed, "dr")
     points = scene.cloud.points.copy()

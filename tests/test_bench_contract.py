@@ -95,3 +95,19 @@ def test_hooks_see_the_program_calls():
         assert estimated.get(name, {}).get("calls", 0) >= 1, name
     for name in ("training.SurrogateTrainer.__call__", "scenes.apply_domain_randomization"):
         assert trained.get(name, {}).get("calls", 0) >= 1, name
+
+
+def test_scene_render_goes_through_the_hooked_name():
+    # the first read of a scene's depth image, inside ``estimate_all``, renders
+    # through ``scenes.render_depth``, so a traced run counts it once
+    models, [scene, _] = validation_scenes()
+    counts = []
+    for _ in range(2):
+        tracer, patches = Tracer(), Patches()
+        layers.install(tracer, patches)
+        try:
+            pipeline.estimate_all(scene, models, DEPLOY_CP, workflow.BO_FIXED_DISCRETE)
+        finally:
+            patches.close()
+        counts.append(tracer.summary()["camera.render_depth"]["calls"])
+    assert counts[0] == counts[1] + 1

@@ -9,7 +9,7 @@ import pytest
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from posetune import pipeline
+from posetune import pipeline, scenes
 from posetune.geometry import ObjectModel, PointCloud, Pose, random_rotation, rotation_about_axis, transform_cloud, voxel_downsample
 from posetune.metrics import _PosedCopies, add_correct
 from posetune.objects import make_box
@@ -33,7 +33,7 @@ from posetune.pipeline import (
 )
 from posetune.scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene
 from posetune.seeding import derive_rng
-from posetune.camera import default_camera, render_depth
+from posetune.camera import box_max, box_min, default_camera, render_depth
 
 from clouds import cloud_of
 
@@ -533,6 +533,16 @@ def ndimage_depth_edges(scene_depth):
     return ndimage.maximum_filter(jump | border, size=5)
 
 
+def single_valid_pixel_frames():
+    """Frames whose only valid pixel lies inside, on an edge, in a corner."""
+    frames = []
+    for shape, pixel in (((240, 320), (7, 11)), ((240, 320), (0, 150)), ((6, 6), (0, 0))):
+        frame = np.zeros(shape)
+        frame[pixel] = 600.0
+        frames.append(frame)
+    return frames
+
+
 class TestDepthEdges:
     def test_matches_ndimage_reference(self, clean_scene, cluttered_scene):
         levels = NoiseConfig(xyz_sigma=4.0, normal_sigma=0.04, rgb_sigma=0.035,
@@ -543,11 +553,29 @@ class TestDepthEdges:
         patch = g.uniform(400.0, 800.0, (240, 320))
         patch[g.random(patch.shape) < 0.3] = 0.0     # holes touching every border
         depths += [patch, np.zeros((240, 320)), np.full((240, 320), 500.0),
-                   patch[:1], patch[:, :1], patch[:2, :2], patch[:5, :5]]
+                   patch[:1], patch[:, :1], patch[:2, :2], patch[:5, :5],
+                   *single_valid_pixel_frames()]
         for depth in depths:
             got = pipeline._depth_edges(depth)
             assert got.dtype == bool
             np.testing.assert_array_equal(got, ndimage_depth_edges(depth))
+
+    def test_jump_needs_no_finiteness_mask(self, cluttered_scene):
+        # a window without a valid pixel has dmax - dmin = -inf - inf = -inf:
+        # no jump and no floating-point warning, so the finiteness mask changes nothing
+        g = np.random.default_rng(9)
+        holes = cluttered_scene.depth.copy()
+        holes[g.random(holes.shape) < 0.4] = 0.0
+        holes[100:140, 50:200] = 0.0
+        for depth in (cluttered_scene.depth, holes, np.zeros((240, 320)),
+                      *single_valid_pixel_frames()):
+            valid = depth > 0
+            with np.errstate(all="raise"):
+                dmax = box_max(np.where(valid, depth, -np.inf), 3)
+                dmin = box_min(np.where(valid, depth, np.inf), 3)
+                jump = dmax - dmin > pipeline.DEPTH_EDGE_JUMP
+            finite = np.isfinite(dmax) & np.isfinite(dmin)
+            np.testing.assert_array_equal(jump, finite & jump)
 
 
 class TestDepthCheck:
@@ -797,6 +825,25 @@ class TestStaged:
         assert values == [None] * 3 and computed == [1]
         assert memo == {("votes", 0): (None, 1.5)}
         assert timings == {"t_net": 4.5}
+
+    def test_stage_times_leave_out_the_sensor_render(self, box, cluttered_scene, monkeypatch):
+        # each render of a scene's depth image takes one second of a clock that
+        # stands still otherwise; the image stands in for the sensor's output
+        now = [0.0]
+
+        def slow_render(points, cam):
+            now[0] += 1.0
+            return render_depth(points, cam)
+
+        monkeypatch.setattr(pipeline, "clock", lambda: now[0])
+        monkeypatch.setattr(scenes, "render_depth", slow_render)
+        unread = [Scene(cluttered_scene.cloud, cluttered_scene.gt_poses, cluttered_scene.cam,
+                        cluttered_scene.seed) for _ in range(2)]
+        bundle = estimate_all(unread[0], [box], OPTIMIZED, SMALL_DP, seed=0)
+        memo = pipeline.scene_memo(unread[1])
+        assert now[0] == 2.0   # both images were rendered
+        assert bundle.timings["t_pre"] < 1
+        assert memo[("prepare",)][1] < 1
 
     def test_stage_times_come_from_the_module_clock(self, box, cluttered_scene):
         # every measurement spans one tick of a counting clock, so whole

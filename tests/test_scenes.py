@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from posetune import scenes
 from posetune.camera import default_camera, render_depth, visible_mask
 from posetune.geometry import PointCloud, Pose, transform_cloud
 from posetune.objects import make_box
@@ -180,6 +181,52 @@ class TestDomainRandomization:
         b = apply_domain_randomization(scene, cfg, seed=7)
         assert np.array_equal(a.cloud.points, b.cloud.points)
         assert np.array_equal(a.depth, b.depth)
+
+
+class TestLazyDepth:
+    """``Scene.depth`` is rendered through ``scenes.render_depth`` on its
+    first read, once."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """The camera of every ``scenes.render_depth`` call."""
+        cams = []
+
+        def counted(points, cam):
+            cams.append(cam)
+            return render_depth(points, cam)
+
+        monkeypatch.setattr(scenes, "render_depth", counted)
+        return cams
+
+    def test_generate_makes_only_the_coarse_visibility_render(self, box, renders):
+        generate_scene([box], 0.4, 0.1, seed=19)
+        assert renders == [scenes._coarse_camera(default_camera())]
+
+    def test_randomization_and_load_make_no_render(self, box, tmp_path, monkeypatch):
+        scene = generate_scene([box], 0.4, 0.1, seed=19)
+        save_scene(scene, tmp_path)
+        cams = []
+        monkeypatch.setattr(scenes, "render_depth", lambda *args: cams.append(args))
+        apply_domain_randomization(scene, default_noise_config(), seed=1)
+        load_scene(tmp_path)
+        assert cams == []
+
+    def test_first_read_renders_once(self, box, renders):
+        scene = generate_scene([box], 0.4, 0.1, seed=19)
+        del renders[:]
+        first = scene.depth
+        assert renders == [scene.cam]
+        assert scene.depth is first and scene.depth is first
+        assert renders == [scene.cam]
+        assert np.array_equal(first, render_depth(scene.cloud.points, scene.cam))
+
+    def test_depth_is_read_only(self, box):
+        scene = generate_scene([box], 0.4, 0.1, seed=19)
+        with pytest.raises(ValueError, match="read-only"):
+            scene.depth[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            scene.depth = np.zeros((scene.cam.height, scene.cam.width))
 
 
 class TestSceneIO:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import posetune
-from posetune import metrics, pipeline, workflow
+from posetune import metrics, pipeline, scenes, workflow
+from posetune.camera import default_camera
 from posetune.gridopt import ParetoEntry, RuntimeCoefficients, enumerate_grid, select_for_budget
 from posetune.geometry import Pose
 from posetune.objects import make_box, save_object
@@ -720,6 +721,22 @@ class TestPreparedScenes:
                             _counted(pipeline.prepare, calls, "pipeline"))
         workflow.cmd_optimize(config, no_dr=True)
         assert calls == {"pipeline": 2}
+
+
+def test_generate_and_train_dr_make_no_full_resolution_render(tmp_path, monkeypatch):
+    # the scenes they write and the DR copies the trainer scores never read
+    # their depth image, so only generate_scene's coarse visibility pass renders
+    config = tiny_config(tmp_path)
+    widths = []
+    for module in (scenes, pipeline, metrics):
+        def counted(points, cam, render=module.render_depth):
+            widths.append(cam.width)
+            return render(points, cam)
+        monkeypatch.setattr(module, "render_depth", counted)
+    workflow.cmd_generate(config)
+    workflow.cmd_train_dr(config)
+    assert len(widths) == 3   # one train, validation and eval scene each
+    assert default_camera().width not in widths
 
 
 class TestStageMarkers:

@@ -7,8 +7,6 @@ never break the fit.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -264,15 +262,3 @@ def optimize_continuous(
             iteration += 1
     assert best is not None
     return best[1], trace
-
-
-def trace_to_csv(trace: list[TraceEntry]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["iteration", "kappa", *(f.name for f in fields(ContinuousParams)), "value"])
-    for entry in trace:
-        kappa = "" if entry.kappa is None else entry.kappa
-        writer.writerow([entry.iteration, kappa,
-                         *[f"{v:.6g}" for v in entry.params.as_vector()],
-                         f"{entry.value:.6f}"])
-    return buf.getvalue()

@@ -14,8 +14,6 @@ there alone; nothing checks its predictions at another count.
 
 from __future__ import annotations
 
-import io
-import csv
 import itertools
 from dataclasses import astuple, dataclass, fields
 from typing import Callable
@@ -200,14 +198,3 @@ def select_for_budget(front: list[ParetoEntry], coeffs: RuntimeCoefficients,
         return BudgetSelection(front[cheapest], predictions[cheapest], False)
     entry, predicted = max(fitting, key=lambda pair: pair[0].recall)
     return BudgetSelection(entry, predicted, True)
-
-
-def measurements_to_csv(entries: list[ParetoEntry]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([*(f.name for f in fields(DiscreteParams)), "runtime", *STAGE_KEYS,
-                     "recall"])
-    for e in entries:
-        writer.writerow([*astuple(e.params), f"{e.runtime:.6f}",
-                         *(f"{e.stages[key]:.6f}" for key in STAGE_KEYS), f"{e.recall:.6f}"])
-    return buf.getvalue()

@@ -8,9 +8,7 @@ The entry points ``add_correct``, ``mssd_score``, ``recall_contribution`` and
 
 from __future__ import annotations
 
-import io
-import csv
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -303,19 +301,3 @@ def evaluate_pose(model: ObjectModel, gt: Pose, est: Pose, cam: CameraIntrinsics
     return MetricScore(add=posed.add, add_i=posed.add_i, vsd=vsd_errs[-1], mssd=mssd, mspd=mspd,
                        correct_add=posed.add_correct(),
                        bop_recall_contribution=_ladder_recall(model, cam, vsd_errs, mssd, mspd))
-
-
-def scores_to_csv(records: list[tuple[str, str, MetricScore]]) -> str:
-    """Serialize (object_id, scene_id, score) records as CSV text.
-
-    Every score but the BOP recall contribution gets a column, in field order.
-    """
-    columns = [f.name for f in fields(MetricScore)][:-1]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["object_id", "scene_id", *columns])
-    for object_id, scene_id, s in records:
-        writer.writerow([object_id, scene_id,
-                         *(int(v) if isinstance(v, (bool, np.bool_)) else f"{v:.6f}"
-                           for v in astuple(s)[:len(columns)])])
-    return buf.getvalue()

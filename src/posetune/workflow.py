@@ -2,14 +2,22 @@
 
 Four resumable stages share one output directory: scene generation, noise
 scheduling against the surrogate trainer, the two-phase parameter
-optimization, and held-out evaluation with budget selection. All randomness
-derives from the config's master seed through named sub-streams, so re-runs
-reproduce the scenes, the DR traces, the continuous search and the grid
-recalls byte for byte. What depends on measured wall time does not: the grid
-``runtime`` and stage-time columns, and through them ``front_*.json`` (the
-Pareto front and the fitted runtime coefficients) and the budget selection
-made from them. Those times come from the pipeline's ``clock``; with a
-counting clock in its place they reproduce too.
+optimization, and held-out evaluation with budget selection. A stage's
+marker, ``<stage>.done.json``, holds the config's ``fingerprint`` and the
+stage's summary; it is the one record that the stage ran. A stage whose
+marker fits the config is skipped unless forced. One that runs needs its
+upstream markers to fit (``train-dr`` and ``optimize-<tag>`` need
+``generate``, ``learned_levels`` ``train-dr``, ``evaluate`` ``optimize-<tag>``),
+deletes its own marker first and writes it last. ``_write`` writes the
+markers and every JSON and CSV file atomically.
+
+All randomness derives from the config's master seed through named
+sub-streams, so re-runs reproduce the scenes, the DR traces, the continuous
+search and the grid recalls byte for byte. What depends on measured wall
+time does not: the grid ``runtime`` and stage-time columns, and through them
+``front_*.json`` (the Pareto front and the fitted runtime coefficients) and
+the budget selection made from them. Those times come from the pipeline's
+``clock``; with a counting clock in its place they reproduce too.
 
 ``cmd_optimize`` prepares each validation scene once for the whole search,
 in one stage memo per scene (``pipeline.scene_memo``). Each GP-UCB call
@@ -21,16 +29,18 @@ what a fresh image costs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .bayesopt import Schedule, SearchSpace, default_schedule, optimize_continuous, trace_to_csv
+from .bayesopt import Schedule, SearchSpace, TraceEntry, default_schedule, optimize_continuous
 from .geometry import ObjectModel, check_integer, check_number
 from .gridopt import (
     MIN_MEASUREMENTS,
@@ -40,12 +50,11 @@ from .gridopt import (
     enumerate_grid,
     evaluate_grid,
     fit_runtime_model,
-    measurements_to_csv,
     pareto_front,
     predict_runtime,
     select_for_budget,
 )
-from .metrics import MetricScore, add_correct, evaluate_pose, recall_contribution, scores_to_csv
+from .metrics import MetricScore, add_correct, evaluate_pose, recall_contribution
 from .objects import check_spec_keys, make_object, save_object
 from .pipeline import STAGE_KEYS, ContinuousParams, DiscreteParams, estimate_all, scene_memo
 from .scenes import NoiseConfig, Scene, apply_domain_randomization, generate_scene, load_scene, save_scene
@@ -120,8 +129,12 @@ class ExperimentConfig:
         return ExperimentConfig(**data)
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
+        """The hash that stage markers hold. ``output_dir`` and
+        ``budget_seconds`` are left out: neither decides what a stage writes,
+        and an evaluate marker names its budget."""
+        data = asdict(self)
+        del data["output_dir"], data["budget_seconds"]
+        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
     def bo_schedule(self) -> Schedule:
         if self.schedule is None:
@@ -141,6 +154,45 @@ class ExperimentConfig:
         return Path(self.output_dir)
 
 
+def _write(path: Path, data):
+    """Write ``data`` to ``path`` atomically: a temporary file in the same
+    directory, then ``os.replace`` over ``path``. A ``.csv`` path takes a
+    table, header row first; any other takes JSON data."""
+    if path.suffix == ".csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(data)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(data, sort_keys=True, indent=1)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(path.name + ".tmp")
+    temporary.write_text(text)
+    os.replace(temporary, path)
+
+
+def _trace_table(trace: list[TraceEntry]) -> list[list]:
+    """One row per GP-UCB iteration, the parameters to 6 significant digits."""
+    return [["iteration", "kappa", *(f.name for f in fields(ContinuousParams)), "value"],
+            *([t.iteration, "" if t.kappa is None else t.kappa,
+               *(f"{v:.6g}" for v in t.params.as_vector()), f"{t.value:.6f}"] for t in trace)]
+
+
+def _grid_table(entries: list[ParetoEntry]) -> list[list]:
+    """One row per grid tuple: the tuple, its runtime, stage times and recall."""
+    return [[*(f.name for f in fields(DiscreteParams)), "runtime", *STAGE_KEYS, "recall"],
+            *([*astuple(e.params), *(f"{v:.6f}" for v in
+                                     (e.runtime, *(e.stages[k] for k in STAGE_KEYS), e.recall))]
+              for e in entries)]
+
+
+def _score_table(records: list[tuple[str, str, MetricScore]]) -> list[list]:
+    """One row per (object_id, scene_id, score): all scores but the BOP recall."""
+    return [["object_id", "scene_id", *(f.name for f in fields(MetricScore)[:-1])],
+            *([object_id, scene_id, *(int(v) if isinstance(v, (bool, np.bool_)) else f"{v:.6f}"
+                                      for v in astuple(score)[:-1])]
+              for object_id, scene_id, score in records)]
+
+
 def _marker(config: ExperimentConfig, stage: str) -> Path:
     return config.out() / f"{stage}.done.json"
 
@@ -148,32 +200,40 @@ def _marker(config: ExperimentConfig, stage: str) -> Path:
 def _stage_complete(config: ExperimentConfig, stage: str) -> dict | None:
     """The stage's summary if its marker matches this config, else None.
 
-    A marker that does not parse, or lacks ``config_hash`` or ``summary``,
-    counts as not done, so the stage runs again and rewrites it.
+    A marker that is missing, does not parse, or lacks ``config_hash`` or
+    ``summary``, counts as not done, so the stage runs again and rewrites it.
     """
-    marker = _marker(config, stage)
-    if not marker.exists():
-        return None
     try:
-        data = json.loads(marker.read_text())
+        data = json.loads(_marker(config, stage).read_text())
         if data["config_hash"] != config.fingerprint():
             return None
         return dict(data["summary"], skipped=True)
-    except (ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
 def _finish_stage(config: ExperimentConfig, stage: str, summary: dict) -> dict:
-    """Write the stage marker atomically: a temporary file in the same
-    directory, then ``os.replace`` over the marker."""
-    config.out().mkdir(parents=True, exist_ok=True)
-    marker = _marker(config, stage)
-    partial = marker.with_name(marker.name + ".tmp")
-    partial.write_text(json.dumps(
-        {"stage": stage, "config_hash": config.fingerprint(),
-         "summary": summary}, sort_keys=True, indent=1))
-    os.replace(partial, marker)
+    _write(_marker(config, stage),
+           {"stage": stage, "config_hash": config.fingerprint(), "summary": summary})
     return dict(summary, skipped=False)
+
+
+def _run_stage(config: ExperimentConfig, stage: str, force: bool, run, *args) -> dict:
+    """The stage's marked summary if it is done for this config and not
+    ``force``d. Otherwise ``run(config, *args)``'s summary: the marker is
+    deleted before ``run`` and written after it returns."""
+    done = _stage_complete(config, stage)
+    if done and not force:
+        return done
+    _marker(config, stage).unlink(missing_ok=True)
+    return _finish_stage(config, stage, run(config, *args))
+
+
+def _require_upstream(config: ExperimentConfig, stage: str, upstream: str):
+    """Raise ``StageError(stage)`` unless ``upstream``'s marker fits this config."""
+    if _stage_complete(config, upstream) is None:
+        raise StageError(stage, f"the '{upstream}' stage has not run under this config; "
+                                f"run it first")
 
 
 def _repeated(ids: list[str]) -> list[str]:
@@ -213,74 +273,58 @@ def load_split(config: ExperimentConfig, split: str) -> list[Scene]:
 
 
 def cmd_generate(config: ExperimentConfig, force: bool = False) -> dict:
-    """Write object files, seeded scenes for every split, and the manifest."""
-    done = _stage_complete(config, "generate")
-    if done and not force:
-        return done
+    """Write object files and seeded scenes for every split."""
+    return _run_stage(config, "generate", force, _generate)
+
+
+def _generate(config: ExperimentConfig) -> dict:
     models = build_models(config, "generate")
     out = config.out()
     for model in models:
         save_object(model, out / "objects" / model.object_id)
-    manifest: dict = {"object_ids": sorted(m.object_id for m in models),
-                      "splits": {}}
     try:
         for split in SPLITS:
-            seeds = []
             for i in range(_split_count(config, split)):
-                scene_seed = stream_seed(config.seed, "scene", split, i)
                 scene = generate_scene(models, config.clutter, config.occlusion,
-                                       seed=scene_seed)
+                                       seed=stream_seed(config.seed, "scene", split, i))
                 save_scene(scene, _scene_dir(config, split, i))
-                seeds.append(scene_seed)
-            manifest["splits"][split] = {"count": len(seeds), "seeds": seeds}
     except OSError as exc:
         raise StageError("generate", str(exc)) from exc
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    summary = {"output_dir": str(out), "object_ids": manifest["object_ids"],
-               "scene_counts": {s: manifest["splits"][s]["count"] for s in SPLITS}}
-    return _finish_stage(config, "generate", summary)
-
-
-def _require(config: ExperimentConfig, stage: str, path: Path, produced_by: str):
-    if not path.exists():
-        raise StageError(stage, f"missing {path.name}; run the "
-                                f"'{produced_by}' stage first")
+    return {"object_ids": sorted(m.object_id for m in models),
+            "scene_counts": {s: _split_count(config, s) for s in SPLITS}}
 
 
 def cmd_train_dr(config: ExperimentConfig, force: bool = False) -> dict:
     """Run the noise scheduler against the surrogate trainer, per object."""
-    done = _stage_complete(config, "train-dr")
-    if done and not force:
-        return done
-    _require(config, "train-dr", config.out() / "manifest.json", "generate")
+    return _run_stage(config, "train-dr", force, _train_dr)
+
+
+def _train_dr(config: ExperimentConfig) -> dict:
+    _require_upstream(config, "train-dr", "generate")
     models = build_models(config, "train-dr")
     train_scenes = load_split(config, "train")
     dr_dir = config.out() / "dr"
-    dr_dir.mkdir(parents=True, exist_ok=True)
     finals = []
     for model in models:
         trainer = SurrogateTrainer(train_scenes, model,
                                    seed=stream_seed(config.seed, "dr", model.object_id))
         state, history = run_scheduled_training(trainer, config.epochs)
         finals.append(state.levels)
-        (dr_dir / f"{model.object_id}.json").write_text(json.dumps(
-            {"final_levels": state.levels.as_dict(), "phase": state.phase,
-             "trace": [asdict(rec) for rec in history]},
-            sort_keys=True, indent=1))
+        _write(dr_dir / f"{model.object_id}.json",
+               {"final_levels": state.levels.as_dict(), "phase": state.phase,
+                "trace": [asdict(rec) for rec in history]})
     mean_levels = NoiseConfig.from_tuple(
         np.mean([lv.as_tuple() for lv in finals], axis=0))
-    (dr_dir / "levels.json").write_text(
-        json.dumps(mean_levels.as_dict(), sort_keys=True, indent=1))
-    summary = {"levels": mean_levels.as_dict(), "epochs": config.epochs,
-               "objects": sorted(m.object_id for m in models)}
-    return _finish_stage(config, "train-dr", summary)
+    _write(dr_dir / "levels.json", mean_levels.as_dict())
+    return {"levels": mean_levels.as_dict(), "epochs": config.epochs,
+            "objects": sorted(m.object_id for m in models)}
 
 
 def learned_levels(config: ExperimentConfig, stage: str = "optimize") -> NoiseConfig:
-    """The mean DR levels that ``train-dr`` learned, for the calling ``stage``."""
-    path = config.out() / "dr" / "levels.json"
-    _require(config, stage, path, "train-dr")
-    return NoiseConfig(**json.loads(path.read_text()))
+    """The mean DR levels that ``train-dr`` learned under this config, for the
+    calling ``stage``."""
+    _require_upstream(config, stage, "train-dr")
+    return NoiseConfig(**json.loads((config.out() / "dr" / "levels.json").read_text()))
 
 
 def _noised_split(config: ExperimentConfig, split: str, levels: NoiseConfig | None,
@@ -322,11 +366,12 @@ def _mode_tag(no_dr: bool) -> str:
 def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
                  force: bool = False) -> dict:
     """Continuous search at fixed discrete values, then grid + front + fit."""
+    return _run_stage(config, f"optimize-{_mode_tag(no_dr)}", force, _optimize, no_dr)
+
+
+def _optimize(config: ExperimentConfig, no_dr: bool) -> dict:
     tag = _mode_tag(no_dr)
-    done = _stage_complete(config, f"optimize-{tag}")
-    if done and not force:
-        return done
-    _require(config, "optimize", config.out() / "manifest.json", "generate")
+    _require_upstream(config, "optimize", "generate")
     models = build_models(config, "optimize")
     levels = None if no_dr else learned_levels(config)
     scenes = _noised_split(config, "validation", levels, f"valnoise-{tag}")
@@ -334,7 +379,6 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
     # preprocessing is done once here, in one stage memo per scene
     memos = [scene_memo(scene) for scene in scenes]
     opt_dir = config.out() / "opt"
-    opt_dir.mkdir(parents=True, exist_ok=True)
 
     # grid tuples that share their stages find the same poses; each distinct
     # (scene, object, pose) is scored once per search. The scenes live as
@@ -368,10 +412,10 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
             seed=stream_seed(config.seed, "bo", tag))
     except Exception as exc:
         raise StageError("optimize:continuous", str(exc)) from exc
-    (opt_dir / f"continuous_{tag}.json").write_text(json.dumps(
-        {"params": asdict(best_cp), "metric": config.metric,
-         "best_value": max(t.value for t in trace)}, sort_keys=True, indent=1))
-    (opt_dir / f"trace_{tag}.csv").write_text(trace_to_csv(trace))
+    _write(opt_dir / f"continuous_{tag}.json",
+           {"params": asdict(best_cp), "metric": config.metric,
+            "best_value": max(t.value for t in trace)})
+    _write(opt_dir / f"trace_{tag}.csv", _trace_table(trace))
 
     # cp and the seeds stay fixed over the grid, so its tuples share stage
     # results: the scenes' memos, which no GP-UCB call wrote to, are dropped
@@ -384,23 +428,22 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
         coeffs = fit_runtime_model(entries, len(models))
     except Exception as exc:
         raise StageError("optimize:discrete", str(exc)) from exc
-    (opt_dir / f"grid_{tag}.csv").write_text(measurements_to_csv(entries))
-    (opt_dir / f"front_{tag}.json").write_text(json.dumps(
-        {"front": [asdict(e) for e in front],
-         "coefficients": asdict(coeffs)}, sort_keys=True, indent=1))
-    summary = {"mode": tag, "continuous": asdict(best_cp),
-               "best_value": max(t.value for t in trace),
-               "grid_entries": len(entries), "front_size": len(front),
-               "coefficients": asdict(coeffs)}
-    return _finish_stage(config, f"optimize-{tag}", summary)
+    _write(opt_dir / f"grid_{tag}.csv", _grid_table(entries))
+    _write(opt_dir / f"front_{tag}.json",
+           {"front": [asdict(e) for e in front], "coefficients": asdict(coeffs)})
+    return {"mode": tag, "continuous": asdict(best_cp),
+            "best_value": max(t.value for t in trace),
+            "grid_entries": len(entries), "front_size": len(front),
+            "coefficients": asdict(coeffs)}
 
 
 def load_optimization(config: ExperimentConfig, no_dr: bool = False):
+    """The continuous parameters, the front and the runtime fit that
+    ``optimize-<tag>`` found under this config."""
     tag = _mode_tag(no_dr)
+    _require_upstream(config, "evaluate", f"optimize-{tag}")
     cont_path = config.out() / "opt" / f"continuous_{tag}.json"
     front_path = config.out() / "opt" / f"front_{tag}.json"
-    _require(config, "evaluate", cont_path, "optimize")
-    _require(config, "evaluate", front_path, "optimize")
     cp = ContinuousParams(**json.loads(cont_path.read_text())["params"])
     data = json.loads(front_path.read_text())
     front = [ParetoEntry(**dict(e, params=DiscreteParams(**e["params"])))
@@ -411,16 +454,18 @@ def load_optimization(config: ExperimentConfig, no_dr: bool = False):
 def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
                  no_dr: bool = False, force: bool = False) -> dict:
     """Select a front entry for the budget and score it on held-out scenes."""
-    tag = _mode_tag(no_dr)
     # an override is checked by the config's own rule; its repr names it exactly
     budget = float(config.budget_seconds if budget is None
                    else replace(config, budget_seconds=budget).budget_seconds)
     models = build_models(config, "evaluate")
+    return _run_stage(config, f"evaluate-{_mode_tag(no_dr)}-{budget!r}-{len(models)}", force,
+                      _evaluate, models, no_dr, budget)
+
+
+def _evaluate(config: ExperimentConfig, models: list[ObjectModel], no_dr: bool,
+              budget: float) -> dict:
+    tag = _mode_tag(no_dr)
     object_count = len(models)
-    stage = f"evaluate-{tag}-{budget!r}-{object_count}"
-    done = _stage_complete(config, stage)
-    if done and not force:
-        return done
     cp, front, coeffs = load_optimization(config, no_dr)
     levels = learned_levels(config, "evaluate")
     scenes = _noised_split(config, "eval", levels, "evalnoise")
@@ -457,9 +502,7 @@ def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
         "scenes": len(scenes),
     }
     eval_dir = config.out() / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
     stamp = f"{tag}_{budget!r}_{object_count}"
-    (eval_dir / f"report_{stamp}.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1))
-    (eval_dir / f"scores_{stamp}.csv").write_text(scores_to_csv(rows))
-    return _finish_stage(config, stage, report)
+    _write(eval_dir / f"report_{stamp}.json", report)
+    _write(eval_dir / f"scores_{stamp}.csv", _score_table(rows))
+    return report

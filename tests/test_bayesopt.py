@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posetune import workflow
 from posetune.bayesopt import (
     GPSurrogate,
     Schedule,
@@ -8,7 +9,6 @@ from posetune.bayesopt import (
     default_schedule,
     gp_fit,
     optimize_continuous,
-    trace_to_csv,
     ucb_acquire,
 )
 from posetune.pipeline import ContinuousParams
@@ -212,11 +212,12 @@ class TestOptimizeContinuous:
             np.testing.assert_array_equal(a.params.as_vector(), b.params.as_vector())
             assert a.value == b.value
 
-    def test_trace_csv_format(self):
+    def test_trace_csv_format(self, tmp_path):
         sched = Schedule(((3, None),))
         _, trace = optimize_continuous(lambda p: 0.1, SearchSpace.default(),
                                        sched, seed=4)
-        text = trace_to_csv(trace)
+        workflow._write(tmp_path / "trace.csv", workflow._trace_table(trace))
+        text = (tmp_path / "trace.csv").read_text()
         header = text.splitlines()[0].split(",")
         assert header[0] == "iteration"
         assert header[1] == "kappa"

@@ -3,6 +3,7 @@ from dataclasses import asdict, astuple, fields, replace
 import numpy as np
 import pytest
 
+from posetune import workflow
 from posetune.gridopt import (
     BudgetSelection,
     GridSpec,
@@ -12,7 +13,6 @@ from posetune.gridopt import (
     enumerate_grid,
     evaluate_grid,
     fit_runtime_model,
-    measurements_to_csv,
     pareto_front,
     predict_runtime,
     select_for_budget,
@@ -312,11 +312,11 @@ class TestSelectForBudget:
 
 
 class TestEmissions:
-    def test_measurements_csv(self):
-        text = measurements_to_csv([
+    def test_measurements_csv(self, tmp_path):
+        workflow._write(tmp_path / "grid.csv", workflow._grid_table([
             measured(DiscreteParams(8, 2, 500, 1, 10), 0.5, 0.25, 0.5, 0.125, 0.0625, 0.0625),
-            entry(8, 2, 500, 1, 2, 0.75, 0.0)])
-        lines = text.strip().splitlines()
+            entry(8, 2, 500, 1, 2, 0.75, 0.0)]))
+        lines = (tmp_path / "grid.csv").read_text().strip().splitlines()
         assert lines[0] == ("classified,estimated,ransac_iters,depth_checked,icp_iters,"
                             "runtime,t_pre,t_net,t_ran,t_icp,t_depth,recall")
         assert lines[1] == "8,2,500,1,10,1.000000,0.250000,0.500000,0.125000,0.062500," \

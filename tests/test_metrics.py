@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from posetune import metrics
+from posetune import metrics, workflow
 from posetune.camera import CameraIntrinsics, default_camera, project_points, render_depth
 from posetune.geometry import ObjectModel, Pose, random_rotation, rotation_about_axis
 from posetune.metrics import (
@@ -15,7 +15,6 @@ from posetune.metrics import (
     evaluate_pose,
     mssd_score,
     recall_contribution,
-    scores_to_csv,
 )
 from posetune.objects import make_cylinder, make_object
 from posetune.scenes import generate_scene
@@ -503,7 +502,7 @@ class TestEvaluatePose:
                 assert got.bop_recall_contribution == recall_contribution(
                     model, gt, est, scene.cam, scene.depth)
 
-    def test_estimate_behind_camera_gets_infinite_mspd(self):
+    def test_estimate_behind_camera_gets_infinite_mspd(self, tmp_path):
         # box scene seed 2 with the estimate's translation moved to z = 20 mm
         model = make_object({"shape": "box", "id": "box", "size": [40.0, 55.0, 75.0]})
         scene = generate_scene([model], 0.0, 0.0, seed=2)
@@ -516,7 +515,8 @@ class TestEvaluatePose:
                                  metrics.VSD_TAU_FRACTION * model.diagonal)
         assert got.bop_recall_contribution == recall_contribution(model, gt, est, scene.cam,
                                                                   scene.depth)
-        assert scores_to_csv([("box", "s0", got)]).splitlines()[1].split(",")[6] == "inf"
+        workflow._write(tmp_path / "scores.csv", workflow._score_table([("box", "s0", got)]))
+        assert (tmp_path / "scores.csv").read_text().splitlines()[1].split(",")[6] == "inf"
 
 
 class TestMetricScoreType:
@@ -530,10 +530,10 @@ class TestMetricScoreType:
             MetricScore(add=1.0, add_i=0.5, vsd=1.5, mssd=0.0, mspd=0.0,
                         correct_add=True, bop_recall_contribution=1.0)
 
-    def test_csv_emission(self):
+    def test_csv_emission(self, tmp_path):
         score = MetricScore(add=1.0, add_i=0.5, vsd=0.1, mssd=2.0, mspd=3.0,
                             correct_add=True, bop_recall_contribution=0.9)
-        text = scores_to_csv([("obj", "scene0", score)])
-        lines = text.strip().splitlines()
+        workflow._write(tmp_path / "scores.csv", workflow._score_table([("obj", "scene0", score)]))
+        lines = (tmp_path / "scores.csv").read_text().strip().splitlines()
         assert lines[0] == "object_id,scene_id,add,add_i,vsd,mssd,mspd,correct_add"
         assert lines[1].startswith("obj,scene0,1.000000,0.500000")

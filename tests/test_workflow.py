@@ -5,7 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,9 @@ OPTIMIZED = ContinuousParams(vote_threshold=0.174, ransac_dist=19.88, icp_dist=4
                              cut_radius=108.0)
 SMALL_DP = DiscreteParams(classified=4, estimated=1, ransac_iters=100,
                           depth_checked=1, icp_iters=2)
-# ``tiny_config("experiment").fingerprint()`` as first released.
-FINGERPRINT = "f423e061b86340e4f95e93d87c96971222047271de1fe6606442f08ba1c7fb42"
+# ``tiny_config("experiment").fingerprint()`` since it left out ``output_dir``
+# and ``budget_seconds``.
+FINGERPRINT = "8be42e089ecaa1963bc710594870d2ec4dd24595f84a7d00e35743614fd7cae9"
 
 
 @pytest.fixture(scope="module")
@@ -41,23 +42,32 @@ def evaluated_config(tmp_path_factory):
         output_dir=str(out), seed=3, train_scenes=1, validation_scenes=1,
         eval_scenes=3, clutter=0.0, occlusion=0.0)
     workflow.cmd_generate(config)
-    (out / "dr").mkdir()
-    (out / "dr" / "levels.json").write_text(json.dumps(
+    _write_levels(config, json.dumps(
         {"xyz_sigma": 0.5, "normal_sigma": 0.0, "rgb_sigma": 0.0, "rgb_shift": 0.0,
          "rotation_max": 0.0, "flatten_frac": 0.0}))
-    _write_optimization(out, "dr")
+    _write_optimization(config, "dr")
     return config
 
 
-def _write_optimization(out, tag: str):
-    """Hand-written ``optimize`` results: ``OPTIMIZED`` and a one-entry front
-    at ``SMALL_DP``."""
+def _write_levels(config, text: str):
+    """Hand-written ``train-dr`` results: ``dr/levels.json`` holding ``text``,
+    and the stage's marker."""
+    (config.out() / "dr").mkdir()
+    (config.out() / "dr" / "levels.json").write_text(text)
+    workflow._finish_stage(config, "train-dr", {})
+
+
+def _write_optimization(config, tag: str):
+    """Hand-written ``optimize`` results: ``OPTIMIZED``, a one-entry front at
+    ``SMALL_DP``, and the stage's marker."""
+    out = config.out()
     (out / "opt").mkdir()
     (out / "opt" / f"continuous_{tag}.json").write_text(json.dumps(
         {"params": asdict(OPTIMIZED)}))
     (out / "opt" / f"front_{tag}.json").write_text(json.dumps(
         {"front": [asdict(ParetoEntry(SMALL_DP, 0.1, 0.5, dict.fromkeys(STAGE_KEYS, 0.02)))],
          "coefficients": asdict(RuntimeCoefficients(0.01, 0.0, 0.0, 0.0, 0.0))}))
+    workflow._finish_stage(config, f"optimize-{tag}", {})
 
 
 def _eval_scores(config, cp, dp, score) -> list[float]:
@@ -108,15 +118,14 @@ class TestEvaluate:
         # the no-DR searches never read the learned levels; the evaluation does
         config = tiny_config(tmp_path)
         workflow.cmd_generate(config)
-        _write_optimization(tmp_path, "nodr")
-        with pytest.raises(workflow.StageError, match="levels.json") as raised:
+        _write_optimization(config, "nodr")
+        with pytest.raises(workflow.StageError, match="'train-dr' stage has not run") as raised:
             workflow.cmd_evaluate(config, no_dr=True)
         assert raised.value.stage == "evaluate"
 
     def test_edited_level_is_named(self, tmp_path):
         config = tiny_config(tmp_path)
-        (tmp_path / "dr").mkdir()
-        (tmp_path / "dr" / "levels.json").write_text(json.dumps(
+        _write_levels(config, json.dumps(
             {"xyz_sigma": True, "normal_sigma": 0.0, "rgb_sigma": 0.0, "rgb_shift": 0.0,
              "rotation_max": 0.0, "flatten_frac": 0.0}))
         with pytest.raises(ValueError, match="xyz_sigma must be a number"):
@@ -124,16 +133,15 @@ class TestEvaluate:
 
     def test_non_finite_level_is_named(self, tmp_path):
         config = tiny_config(tmp_path)
-        (tmp_path / "dr").mkdir()
-        (tmp_path / "dr" / "levels.json").write_text(
-            '{"xyz_sigma": 0.0, "normal_sigma": NaN, "rgb_sigma": 0.0, "rgb_shift": 0.0,'
-            ' "rotation_max": 0.0, "flatten_frac": 0.0}')
+        _write_levels(config,
+                      '{"xyz_sigma": 0.0, "normal_sigma": NaN, "rgb_sigma": 0.0, "rgb_shift": 0.0,'
+                      ' "rotation_max": 0.0, "flatten_frac": 0.0}')
         with pytest.raises(ValueError, match="normal_sigma must be finite"):
             workflow.learned_levels(config)
 
     def test_non_finite_parameter_is_named(self, tmp_path):
         config = tiny_config(tmp_path)
-        _write_optimization(tmp_path, "dr")
+        _write_optimization(config, "dr")
         path = tmp_path / "opt" / "continuous_dr.json"
         path.write_text(path.read_text().replace('"icp_scale": 1.24', '"icp_scale": Infinity'))
         with pytest.raises(ValueError, match="icp_scale must be finite"):
@@ -182,7 +190,6 @@ def tiny_config(output_dir) -> workflow.ExperimentConfig:
 
 def _snapshot(out) -> dict:
     paths = [*sorted((out / "scenes").rglob("*.*")), *sorted((out / "objects").rglob("*.*")),
-             out / "manifest.json",
              *sorted((out / "dr").glob("*.json")), out / "opt" / "continuous_dr.json",
              out / "opt" / "trace_dr.csv"]
     return {str(p.relative_to(out)): p.read_bytes() for p in paths}
@@ -423,19 +430,66 @@ class TestEndToEnd:
         shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
         config = workflow.ExperimentConfig.from_dict(
             dict(asdict(run["config"]), output_dir=str(tmp_path)))
-        reports = [workflow.cmd_evaluate(config, budget=budget) for budget in (4.0, 4.0000001)]
+        # the copy holds the run's markers, evaluate at 4.0 among them
+        reports = [workflow.cmd_evaluate(config, budget=budget) for budget in (2.0, 2.0000001)]
         assert [r["skipped"] for r in reports] == [False, False]
-        assert [r["budget_seconds"] for r in reports] == [4.0, 4.0000001]
-        for budget in (4.0, 4.0000001):
+        assert [r["budget_seconds"] for r in reports] == [2.0, 2.0000001]
+        for budget in (2.0, 2.0000001):
             path = tmp_path / "eval" / f"report_dr_{budget!r}_1.json"
             assert json.loads(path.read_text())["budget_seconds"] == budget
+
+    def test_evaluate_under_another_config_names_its_optimize_marker(self, run, tmp_path):
+        # the front on disk was found on another grid from other scenes
+        shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
+        config = workflow.ExperimentConfig.from_dict(
+            dict(asdict(run["config"]), output_dir=str(tmp_path), seed=6,
+                 grid=dict(run["config"].grid, icp_iters=[1, 3])))
+        upstream = {name: (tmp_path / f"{name}.done.json").read_bytes()
+                    for name in ("generate", "train-dr", "optimize-dr")}
+        with pytest.raises(workflow.StageError, match="'optimize-dr' stage has not run") as raised:
+            workflow.cmd_evaluate(config)
+        assert raised.value.stage == "evaluate"
+        assert workflow._stage_complete(config, "evaluate-dr-4.0-1") is None
+        # checking an upstream marker leaves it as it was
+        assert {name: (tmp_path / f"{name}.done.json").read_bytes()
+                for name in upstream} == upstream
+
+    def test_failed_forced_optimize_leaves_no_marker(self, run, tmp_path, monkeypatch):
+        shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
+        config = workflow.ExperimentConfig.from_dict(
+            dict(asdict(run["config"]), output_dir=str(tmp_path)))
+        with monkeypatch.context() as patch:
+            patch.setattr(workflow, "estimate_all", _broken_in_grid(workflow.estimate_all))
+            with pytest.raises(workflow.StageError, match="bug"):
+                workflow.cmd_optimize(config, force=True)
+        # a new continuous_dr.json lies beside the old front: nothing vouches for them
+        assert not (tmp_path / "optimize-dr.done.json").exists()
+        assert workflow.cmd_optimize(config)["skipped"] is False
+        assert workflow._stage_complete(config, "optimize-dr") is not None
+
+    @pytest.mark.parametrize("edit", ["copied", "budget", "relative"])
+    def test_continued_directory_skips_the_expensive_stages(self, run, tmp_path, monkeypatch,
+                                                            edit):
+        # neither where the directory lies nor the budget decides what
+        # generate, train-dr and optimize write
+        config = run["config"]
+        if edit == "copied":
+            shutil.copytree(config.out(), tmp_path / "copy")
+            changes = {"output_dir": str(tmp_path / "copy")}
+        elif edit == "budget":
+            changes = {"budget_seconds": 9.0}
+        else:
+            monkeypatch.chdir(config.out().parent)
+            changes = {"output_dir": config.out().name}
+        continued = replace(config, **changes)
+        assert [stage(continued)["skipped"] for stage in self.STAGES[:3]] == [True] * 3
 
     def test_optimize_before_generate_raises(self, tmp_path):
         with pytest.raises(workflow.StageError):
             workflow.cmd_optimize(tiny_config(tmp_path))
 
     def test_fingerprint_is_stable(self):
-        # stage markers written by earlier versions stay valid
+        # stage markers stay valid while it holds
         assert tiny_config("experiment").fingerprint() == FINGERPRINT
 
 
@@ -529,6 +583,16 @@ def _assert_same_results(a: SceneEstimate, b: SceneEstimate):
             assert np.array_equal(ha.pose.translation, hb.pose.translation)
             assert (ha.depth_score, ha.inlier_count, ha.flags) == \
                 (hb.depth_score, hb.inlier_count, hb.flags)
+
+
+def _broken_in_grid(estimate):
+    """``estimate`` for the GP-UCB calls; a grid call, the only kind that
+    leaves ``BO_FIXED_DISCRETE``, raises ``ValueError("bug")``."""
+    def broken(scene, models, cp, dp, **kwargs):
+        if dp != workflow.BO_FIXED_DISCRETE:
+            raise ValueError("bug")
+        return estimate(scene, models, cp, dp, **kwargs)
+    return broken
 
 
 def _counting_clock(patch):
@@ -756,14 +820,12 @@ class TestStageMarkers:
         assert workflow.cmd_generate(config)["skipped"] is False
         assert marker.read_text() == intact
         assert workflow.cmd_generate(config)["skipped"] is True
-        assert sorted(p.name for p in tmp_path.glob("*.json")) == \
-            ["generate.done.json", "manifest.json"]
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == ["generate.done.json"]
 
     def test_objective_bug_becomes_stage_error(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
         workflow.cmd_generate(config)
-        (tmp_path / "dr").mkdir()
-        (tmp_path / "dr" / "levels.json").write_text(json.dumps(
+        _write_levels(config, json.dumps(
             {"xyz_sigma": 0.5, "normal_sigma": 0.0, "rgb_sigma": 0.0, "rgb_shift": 0.0,
              "rotation_max": 0.0, "flatten_frac": 0.0}))
 
@@ -781,15 +843,7 @@ class TestStageMarkers:
     def test_grid_objective_error_becomes_stage_error(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path)
         workflow.cmd_generate(config)
-        original = workflow.estimate_all
-
-        def broken_in_grid(scene, models, cp, dp, **kwargs):
-            # only the grid phase leaves BO_FIXED_DISCRETE
-            if dp != workflow.BO_FIXED_DISCRETE:
-                raise ValueError("bug")
-            return original(scene, models, cp, dp, **kwargs)
-
-        monkeypatch.setattr(workflow, "estimate_all", broken_in_grid)
+        monkeypatch.setattr(workflow, "estimate_all", _broken_in_grid(workflow.estimate_all))
         with pytest.raises(workflow.StageError, match="bug") as raised:
             workflow.cmd_optimize(config, no_dr=True)
         assert raised.value.stage == "optimize:discrete"

@@ -103,16 +103,20 @@ DEFAULT_COLOR = [0.7, 0.3, 0.3]
 
 
 def check_spec_keys(spec: dict) -> None:
-    """Raise ``ValueError`` naming any key of ``spec`` that ``make_object``
-    would not read. A missing or unknown shape is left to ``make_object``."""
+    """Raise ``ValueError`` unless ``make_object`` can build ``spec``: a
+    ``path`` alone, or a known ``shape`` with an ``id`` and only the keys
+    that shape reads. The message names the missing or unknown key."""
     if not isinstance(spec, dict):
         raise ValueError(f"object spec {spec!r} is not a mapping")
     if "path" in spec:
         allowed = {"path"}
-    elif spec.get("shape") in SHAPES:
-        allowed = {"shape", "id", "color", *SHAPES[spec["shape"]][1]}
+    elif spec.get("shape") not in SHAPES:
+        raise ValueError(f"object spec {spec!r} has no 'path' and an unknown shape "
+                         f"{spec.get('shape')!r}; known shapes are {sorted(SHAPES)}")
+    elif "id" not in spec:
+        raise ValueError(f"object spec {spec!r} has no 'id'")
     else:
-        return
+        allowed = {"shape", "id", "color", *SHAPES[spec["shape"]][1]}
     unknown = sorted(set(spec) - allowed)
     if unknown:
         raise ValueError(f"object spec {spec!r} has unknown keys {unknown}")
@@ -123,8 +127,6 @@ def make_object(spec: dict) -> ObjectModel:
     check_spec_keys(spec)
     if "path" in spec:
         return load_object(spec["path"])
-    if spec["shape"] not in SHAPES:
-        raise ValueError(f"unknown shape {spec['shape']!r}")
     build, defaults = SHAPES[spec["shape"]]
     options = {key: spec.get(key, default) for key, default in defaults.items()}
     return build(spec["id"], color=spec.get("color", DEFAULT_COLOR), **options)

@@ -3,13 +3,16 @@
 Four resumable stages share one output directory: scene generation, noise
 scheduling against the surrogate trainer, the two-phase parameter
 optimization, and held-out evaluation with budget selection. A stage's
-marker, ``<stage>.done.json``, holds the config's ``fingerprint`` and the
-stage's summary; it is the one record that the stage ran. A stage whose
-marker fits the config is skipped unless forced. One that runs needs its
-upstream markers to fit (``train-dr`` and ``optimize-<tag>`` need
-``generate``, ``learned_levels`` ``train-dr``, ``evaluate`` ``optimize-<tag>``),
-deletes its own marker first and writes it last. ``_write`` writes the
-markers and every JSON and CSV file atomically.
+marker, ``<stage>.done.json``, holds the config's ``fingerprint``, the
+stages it read and its summary; it is the one record that the stage ran.
+Each ``cmd_*`` names the stages its stage reads, and ``_run_stage`` keeps
+the protocol. A stage runs only when each marker it reads fits the config,
+and is skipped when its own marker fits too, unless forced. One that runs
+first deletes its own marker and, in turn, that of every stage that read a
+deleted one, and writes its marker last. ``_write`` writes the markers and
+every JSON and CSV file atomically. A marker records the config, not the
+code: after a code change that alters what a stage writes, force the first
+stage that changed.
 
 All randomness derives from the config's master seed through named
 sub-streams, so re-runs reproduce the scenes, the DR traces, the continuous
@@ -34,7 +37,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -96,6 +99,8 @@ class ExperimentConfig:
     grid: dict | None = None
 
     def __post_init__(self):
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError(f"output_dir must be a non-empty path, not {self.output_dir!r}")
         for name in ("train_scenes", "validation_scenes", "eval_scenes", "epochs"):
             check_integer(name, getattr(self, name), 1)
         check_integer("seed", self.seed)
@@ -200,40 +205,49 @@ def _marker(config: ExperimentConfig, stage: str) -> Path:
 def _stage_complete(config: ExperimentConfig, stage: str) -> dict | None:
     """The stage's summary if its marker matches this config, else None.
 
-    A marker that is missing, does not parse, or lacks ``config_hash`` or
-    ``summary``, counts as not done, so the stage runs again and rewrites it.
+    A marker that is missing, does not parse, or lacks ``config_hash``,
+    ``reads`` or ``summary`` counts as not done, so the stage runs again and
+    rewrites it.
     """
     try:
         data = json.loads(_marker(config, stage).read_text())
-        if data["config_hash"] != config.fingerprint():
+        if data["config_hash"] != config.fingerprint() or "reads" not in data:
             return None
         return dict(data["summary"], skipped=True)
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
-def _finish_stage(config: ExperimentConfig, stage: str, summary: dict) -> dict:
-    _write(_marker(config, stage),
-           {"stage": stage, "config_hash": config.fingerprint(), "summary": summary})
-    return dict(summary, skipped=False)
+def _unmark(config: ExperimentConfig, stage: str):
+    """Delete ``stage``'s marker, then, in turn, that of every stage that read it."""
+    _marker(config, stage).unlink(missing_ok=True)
+    for path in config.out().glob("*.done.json"):
+        try:
+            read = stage in json.loads(path.read_text())["reads"]
+        except (OSError, ValueError, KeyError, TypeError):
+            read = False
+        if read:
+            _unmark(config, path.name.removesuffix(".done.json"))
 
 
-def _run_stage(config: ExperimentConfig, stage: str, force: bool, run, *args) -> dict:
-    """The stage's marked summary if it is done for this config and not
-    ``force``d. Otherwise ``run(config, *args)``'s summary: the marker is
-    deleted before ``run`` and written after it returns."""
+def _run_stage(config: ExperimentConfig, name: tuple, reads: tuple[str, ...], force: bool,
+               run, *args) -> dict:
+    """Stage ``name``, its parts joined by ``-``, run or skipped as the module
+    docstring says and marked as reading ``reads``; ``name[0]`` names its
+    ``StageError``. Returns ``run(config, *args)``'s summary or the marked one."""
+    stage = "-".join(map(str, name))
+    for upstream in reads:
+        if _stage_complete(config, upstream) is None:
+            raise StageError(name[0], f"the '{upstream}' stage has not run under this "
+                                      f"config; run it first")
     done = _stage_complete(config, stage)
     if done and not force:
         return done
-    _marker(config, stage).unlink(missing_ok=True)
-    return _finish_stage(config, stage, run(config, *args))
-
-
-def _require_upstream(config: ExperimentConfig, stage: str, upstream: str):
-    """Raise ``StageError(stage)`` unless ``upstream``'s marker fits this config."""
-    if _stage_complete(config, upstream) is None:
-        raise StageError(stage, f"the '{upstream}' stage has not run under this config; "
-                                f"run it first")
+    _unmark(config, stage)
+    summary = run(config, *args)
+    _write(_marker(config, stage), {"stage": stage, "config_hash": config.fingerprint(),
+                                    "reads": list(reads), "summary": summary})
+    return dict(summary, skipped=False)
 
 
 def _repeated(ids: list[str]) -> list[str]:
@@ -274,7 +288,7 @@ def load_split(config: ExperimentConfig, split: str) -> list[Scene]:
 
 def cmd_generate(config: ExperimentConfig, force: bool = False) -> dict:
     """Write object files and seeded scenes for every split."""
-    return _run_stage(config, "generate", force, _generate)
+    return _run_stage(config, ("generate",), (), force, _generate)
 
 
 def _generate(config: ExperimentConfig) -> dict:
@@ -296,11 +310,10 @@ def _generate(config: ExperimentConfig) -> dict:
 
 def cmd_train_dr(config: ExperimentConfig, force: bool = False) -> dict:
     """Run the noise scheduler against the surrogate trainer, per object."""
-    return _run_stage(config, "train-dr", force, _train_dr)
+    return _run_stage(config, ("train-dr",), ("generate",), force, _train_dr)
 
 
 def _train_dr(config: ExperimentConfig) -> dict:
-    _require_upstream(config, "train-dr", "generate")
     models = build_models(config, "train-dr")
     train_scenes = load_split(config, "train")
     dr_dir = config.out() / "dr"
@@ -320,10 +333,8 @@ def _train_dr(config: ExperimentConfig) -> dict:
             "objects": sorted(m.object_id for m in models)}
 
 
-def learned_levels(config: ExperimentConfig, stage: str = "optimize") -> NoiseConfig:
-    """The mean DR levels that ``train-dr`` learned under this config, for the
-    calling ``stage``."""
-    _require_upstream(config, stage, "train-dr")
+def learned_levels(config: ExperimentConfig) -> NoiseConfig:
+    """The mean DR levels that ``train-dr`` wrote."""
     return NoiseConfig(**json.loads((config.out() / "dr" / "levels.json").read_text()))
 
 
@@ -366,12 +377,12 @@ def _mode_tag(no_dr: bool) -> str:
 def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
                  force: bool = False) -> dict:
     """Continuous search at fixed discrete values, then grid + front + fit."""
-    return _run_stage(config, f"optimize-{_mode_tag(no_dr)}", force, _optimize, no_dr)
+    reads = ("generate",) if no_dr else ("generate", "train-dr")
+    return _run_stage(config, ("optimize", _mode_tag(no_dr)), reads, force, _optimize, no_dr)
 
 
 def _optimize(config: ExperimentConfig, no_dr: bool) -> dict:
     tag = _mode_tag(no_dr)
-    _require_upstream(config, "optimize", "generate")
     models = build_models(config, "optimize")
     levels = None if no_dr else learned_levels(config)
     scenes = _noised_split(config, "validation", levels, f"valnoise-{tag}")
@@ -439,9 +450,8 @@ def _optimize(config: ExperimentConfig, no_dr: bool) -> dict:
 
 def load_optimization(config: ExperimentConfig, no_dr: bool = False):
     """The continuous parameters, the front and the runtime fit that
-    ``optimize-<tag>`` found under this config."""
+    ``optimize-<tag>`` wrote."""
     tag = _mode_tag(no_dr)
-    _require_upstream(config, "evaluate", f"optimize-{tag}")
     cont_path = config.out() / "opt" / f"continuous_{tag}.json"
     front_path = config.out() / "opt" / f"front_{tag}.json"
     cp = ContinuousParams(**json.loads(cont_path.read_text())["params"])
@@ -451,23 +461,20 @@ def load_optimization(config: ExperimentConfig, no_dr: bool = False):
     return cp, front, RuntimeCoefficients(**data["coefficients"])
 
 
-def cmd_evaluate(config: ExperimentConfig, budget: float | None = None,
-                 no_dr: bool = False, force: bool = False) -> dict:
-    """Select a front entry for the budget and score it on held-out scenes."""
-    # an override is checked by the config's own rule; its repr names it exactly
-    budget = float(config.budget_seconds if budget is None
-                   else replace(config, budget_seconds=budget).budget_seconds)
-    models = build_models(config, "evaluate")
-    return _run_stage(config, f"evaluate-{_mode_tag(no_dr)}-{budget!r}-{len(models)}", force,
-                      _evaluate, models, no_dr, budget)
-
-
-def _evaluate(config: ExperimentConfig, models: list[ObjectModel], no_dr: bool,
-              budget: float) -> dict:
+def cmd_evaluate(config: ExperimentConfig, no_dr: bool = False, force: bool = False) -> dict:
+    """Select a front entry for the config's budget and score it on held-out scenes."""
     tag = _mode_tag(no_dr)
+    return _run_stage(config, ("evaluate", tag, float(config.budget_seconds), len(config.objects)),
+                      (f"optimize-{tag}", "train-dr"), force, _evaluate, no_dr)
+
+
+def _evaluate(config: ExperimentConfig, no_dr: bool) -> dict:
+    tag = _mode_tag(no_dr)
+    budget = float(config.budget_seconds)
+    models = build_models(config, "evaluate")
     object_count = len(models)
     cp, front, coeffs = load_optimization(config, no_dr)
-    levels = learned_levels(config, "evaluate")
+    levels = learned_levels(config)
     scenes = _noised_split(config, "eval", levels, "evalnoise")
     selection = select_for_budget(front, coeffs, object_count, budget)
     dp = selection.entry.params

@@ -14,7 +14,8 @@ import pytest
 import posetune
 from posetune import metrics, pipeline, scenes, workflow
 from posetune.camera import default_camera
-from posetune.gridopt import ParetoEntry, RuntimeCoefficients, enumerate_grid, select_for_budget
+from posetune.gridopt import (ParetoEntry, RuntimeCoefficients, enumerate_grid,
+                              predict_runtime, select_for_budget)
 from posetune.geometry import Pose
 from posetune.objects import make_box, save_object
 from posetune.pipeline import (STAGE_KEYS, ContinuousParams, DiscreteParams, EstimateResult,
@@ -49,12 +50,18 @@ def evaluated_config(tmp_path_factory):
     return config
 
 
+def _mark(config, name: tuple):
+    """Mark stage ``name`` done without running it. The marker reads no
+    stage, so no upstream stage need have run."""
+    workflow._run_stage(config, name, (), True, lambda config: {})
+
+
 def _write_levels(config, text: str):
     """Hand-written ``train-dr`` results: ``dr/levels.json`` holding ``text``,
     and the stage's marker."""
     (config.out() / "dr").mkdir()
     (config.out() / "dr" / "levels.json").write_text(text)
-    workflow._finish_stage(config, "train-dr", {})
+    _mark(config, ("train-dr",))
 
 
 def _write_optimization(config, tag: str):
@@ -67,7 +74,7 @@ def _write_optimization(config, tag: str):
     (out / "opt" / f"front_{tag}.json").write_text(json.dumps(
         {"front": [asdict(ParetoEntry(SMALL_DP, 0.1, 0.5, dict.fromkeys(STAGE_KEYS, 0.02)))],
          "coefficients": asdict(RuntimeCoefficients(0.01, 0.0, 0.0, 0.0, 0.0))}))
-    workflow._finish_stage(config, f"optimize-{tag}", {})
+    _mark(config, ("optimize", tag))
 
 
 def _eval_scores(config, cp, dp, score) -> list[float]:
@@ -237,6 +244,7 @@ class TestConfigValidation:
         ("budget_seconds", True), ("schedule", [[4, True]]), ("schedule", [[4, "0.5"]]),
         ("budget_seconds", float("inf")), ("schedule", [[4, float("nan")]]),
         ("schedule", []),
+        ("output_dir", None), ("output_dir", 5), ("output_dir", ""),
     ])
     def test_rejects_bad_values(self, name, value):
         data = dict(asdict(tiny_config("experiment")), **{name: value})
@@ -268,7 +276,11 @@ class TestConfigValidation:
         ({"shape": "cylinder", "id": "c", "size": [10, 10, 10]}, "['size']"),
         ({"path": "objects/box", "id": "box"}, "['id']"),
         ("box", "not a mapping"),
-    ], ids=["misspelt", "other-shape", "id-beside-path", "not-a-mapping"])
+        ({"id": "x"}, "has no 'path' and an unknown shape None"),
+        ({"shape": "sphere", "id": "x"}, "unknown shape 'sphere'"),
+        ({"shape": "box"}, "has no 'id'"),
+    ], ids=["misspelt", "other-shape", "id-beside-path", "not-a-mapping", "no-shape",
+            "unknown-shape", "no-id"])
     def test_unknown_object_keys_fail_the_config(self, spec, named):
         data = dict(asdict(tiny_config("experiment")), objects=[spec])
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -412,7 +424,7 @@ class TestEndToEnd:
         marker = (tmp_path / "optimize-dr.done.json").read_bytes()
         _, front, coeffs = workflow.load_optimization(config)
         for budget, within in ((1e-6, False), (1e9, True)):
-            workflow.cmd_evaluate(config, budget=budget)
+            workflow.cmd_evaluate(replace(config, budget_seconds=budget))
             path = tmp_path / "eval" / f"report_dr_{budget!r}_1.json"
             report = json.loads(path.read_text())
             assert report["budget_seconds"] == budget
@@ -424,14 +436,14 @@ class TestEndToEnd:
     @pytest.mark.parametrize("budget", [True, 0, -1, float("nan")])
     def test_bad_budget_override_is_refused(self, run, budget):
         with pytest.raises(ValueError, match="budget_seconds"):
-            workflow.cmd_evaluate(run["config"], budget=budget)
+            workflow.cmd_evaluate(replace(run["config"], budget_seconds=budget))
 
     def test_budgets_equal_to_six_digits_write_two_reports(self, run, tmp_path):
         shutil.copytree(run["config"].out(), tmp_path, dirs_exist_ok=True)
         config = workflow.ExperimentConfig.from_dict(
             dict(asdict(run["config"]), output_dir=str(tmp_path)))
-        # the copy holds the run's markers, evaluate at 4.0 among them
-        reports = [workflow.cmd_evaluate(config, budget=budget) for budget in (2.0, 2.0000001)]
+        reports = [workflow.cmd_evaluate(replace(config, budget_seconds=budget))
+                   for budget in (2.0, 2.0000001)]
         assert [r["skipped"] for r in reports] == [False, False]
         assert [r["budget_seconds"] for r in reports] == [2.0, 2.0000001]
         for budget in (2.0, 2.0000001):
@@ -810,7 +822,9 @@ class TestStageMarkers:
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                  if k != "summary"}),             # no summary
         lambda text: "[]",
-    ], ids=["truncated", "no-hash", "no-summary", "not-an-object"])
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "reads"}),               # an older format
+    ], ids=["truncated", "no-hash", "no-summary", "not-an-object", "no-reads"])
     def test_damaged_marker_reruns_the_stage(self, tmp_path, damage):
         config = tiny_config(tmp_path)
         workflow.cmd_generate(config)
@@ -848,6 +862,77 @@ class TestStageMarkers:
             workflow.cmd_optimize(config, no_dr=True)
         assert raised.value.stage == "optimize:discrete"
         assert not (tmp_path / "opt" / "grid_nodr.csv").exists()
+
+
+def _markers(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.glob("*.done.json")}
+
+
+class TestStageGraph:
+    """Each stage runs only on the stages it reads, and a stage that reruns
+    unmarks every stage that read it."""
+
+    @pytest.fixture(scope="class")
+    def done(self, tmp_path_factory):
+        """A tiny experiment with every stage done in both modes."""
+        config = tiny_config(tmp_path_factory.mktemp("graph"))
+        workflow.cmd_generate(config)
+        workflow.cmd_train_dr(config)
+        for no_dr in (False, True):
+            workflow.cmd_optimize(config, no_dr=no_dr)
+            workflow.cmd_evaluate(config, no_dr=no_dr)
+        return config
+
+    @staticmethod
+    def copy(config, directory):
+        shutil.copytree(config.out(), directory, dirs_exist_ok=True)
+        return replace(config, output_dir=str(directory))
+
+    @pytest.mark.parametrize("command, no_dr, upstream", [
+        ("train_dr", None, "generate"),
+        ("optimize", False, "generate"), ("optimize", False, "train-dr"),
+        ("optimize", True, "generate"),
+        ("evaluate", False, "optimize-dr"), ("evaluate", False, "train-dr"),
+        ("evaluate", True, "optimize-nodr"), ("evaluate", True, "train-dr"),
+    ])
+    def test_stage_without_an_upstream_marker_fails_first(self, done, tmp_path, monkeypatch,
+                                                          command, no_dr, upstream):
+        config = self.copy(done, tmp_path)
+        (tmp_path / f"{upstream}.done.json").unlink()
+        markers = _markers(tmp_path)
+        calls = []
+        monkeypatch.setattr(workflow, "estimate_all", lambda *args, **kwargs: calls.append(1))
+        options = {} if no_dr is None else {"no_dr": no_dr}
+        with pytest.raises(workflow.StageError,
+                           match=f"the '{upstream}' stage has not run") as raised:
+            getattr(workflow, f"cmd_{command}")(config, **options)
+        assert raised.value.stage == command.replace("_", "-")
+        assert _markers(tmp_path) == markers
+        assert calls == []
+
+    def test_forced_generate_reruns_every_later_stage(self, done, tmp_path):
+        config = self.copy(done, tmp_path)
+        workflow.cmd_generate(config, force=True)
+        assert [stage(config)["skipped"] for stage in TestEndToEnd.STAGES[1:]] == [False] * 3
+
+    def test_forced_optimize_reruns_evaluate_on_the_new_fit(self, done, tmp_path):
+        config = self.copy(done, tmp_path)
+        workflow.cmd_optimize(config, force=True)
+        report = workflow.cmd_evaluate(config)
+        assert report["skipped"] is False
+        _, _, coeffs = workflow.load_optimization(config)
+        dp = DiscreteParams(**report["selection"]["entry"]["params"])
+        assert report["predicted_runtime"] == predict_runtime(coeffs, dp, 1)
+
+    def test_forced_train_dr_unmarks_its_readers_only(self, done, tmp_path):
+        config = self.copy(done, tmp_path)
+        assert sorted(_markers(tmp_path)) == [
+            "evaluate-dr-4.0-1.done.json", "evaluate-nodr-4.0-1.done.json",
+            "generate.done.json", "optimize-dr.done.json", "optimize-nodr.done.json",
+            "train-dr.done.json"]
+        workflow.cmd_train_dr(config, force=True)
+        assert sorted(_markers(tmp_path)) == [
+            "generate.done.json", "optimize-nodr.done.json", "train-dr.done.json"]
 
 
 def _loaded_by_workflow(module: str) -> bool:

@@ -142,51 +142,39 @@ def _dedup_latest(inputs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
     return x[keep], y[keep]
 
 
-def _fit_with(inputs: np.ndarray, values: np.ndarray, length_scales: np.ndarray,
-              signal_var: float) -> GPSurrogate:
-    """Refit the posterior with known kernel hyper-parameters."""
-    x, y = _dedup_latest(inputs, values)
-    _, chol, alpha = _log_marginal(x, y, length_scales, signal_var)
-    if chol is None:
-        raise np.linalg.LinAlgError("kernel matrix not positive definite")
-    return GPSurrogate(x, y, np.asarray(length_scales, dtype=np.float64),
-                       signal_var, chol, alpha)
-
-
-def gp_fit(inputs: np.ndarray, values: np.ndarray) -> GPSurrogate:
+def gp_fit(inputs: np.ndarray, values: np.ndarray,
+           hypers: tuple[np.ndarray, float] | None = None) -> GPSurrogate:
     """Fit the surrogate to unit-cube inputs and raw objective values.
 
-    Hyper-parameters maximize the log marginal likelihood over a fixed grid
-    of isotropic length scales and signal variances, followed by one
-    coordinate-refinement pass over per-dimension scales. Duplicate inputs
-    keep their latest value.
+    The kernel's hyper-parameters are ``hypers``, a (length scales, signal
+    variance) pair, when given. Otherwise they maximize the log marginal
+    likelihood over a fixed grid of isotropic length scales and signal
+    variances, followed by one coordinate-refinement pass over per-dimension
+    scales. Either way the posterior is then fit once under them. Duplicate
+    inputs keep their latest value.
     """
     x, y = _dedup_latest(inputs, values)
-
-    var_y = max(float(np.var(y)), 1e-3)
-    signal_grid = sorted({0.25 * var_y, var_y, 4.0 * var_y, 1.0})
-    dim = x.shape[1]
-    best = (-np.inf, None)
-    for ls0 in LENGTH_SCALE_GRID:
-        ls = np.full(dim, ls0)
-        for sv in signal_grid:
-            lml, chol, alpha = _log_marginal(x, y, ls, sv)
-            if lml > best[0]:
-                best = (lml, (ls, sv, chol, alpha))
-    assert best[1] is not None, "no admissible hyper-parameters"
-    best_lml = best[0]
-    ls, sv, chol, alpha = best[1]
-
-    if len(x) >= 8:
-        for d in range(dim):
-            for factor in (0.5, 2.0):
-                trial = ls.copy()
-                trial[d] *= factor
-                lml, c, a = _log_marginal(x, y, trial, sv)
-                if lml > best_lml:
-                    best_lml = lml
-                    ls, chol, alpha = trial, c, a
-    return GPSurrogate(x, y, ls, sv, chol, alpha)
+    if hypers is None:
+        var_y = max(float(np.var(y)), 1e-3)
+        dim = x.shape[1]
+        grid = [(np.full(dim, ls0), sv) for ls0 in LENGTH_SCALE_GRID
+                for sv in sorted({0.25 * var_y, var_y, 4.0 * var_y, 1.0})]
+        # max keeps the first of equal likelihoods
+        best_lml, ls, sv = max(((_log_marginal(x, y, *pair)[0], *pair) for pair in grid),
+                               key=lambda candidate: candidate[0])
+        if len(x) >= 8:
+            for d in range(dim):
+                for factor in (0.5, 2.0):
+                    trial = ls.copy()
+                    trial[d] *= factor
+                    lml = _log_marginal(x, y, trial, sv)[0]
+                    if lml > best_lml:
+                        best_lml, ls = lml, trial
+        hypers = (ls, sv)
+    _, chol, alpha = _log_marginal(x, y, *hypers)
+    if chol is None:
+        raise np.linalg.LinAlgError("kernel matrix not positive definite")
+    return GPSurrogate(x, y, np.asarray(hypers[0], dtype=np.float64), hypers[1], chol, alpha)
 
 
 def ucb_acquire(gp: GPSurrogate, kappa: float, rng: np.random.Generator,
@@ -236,29 +224,20 @@ def optimize_continuous(
     """
     rng = derive_rng(seed, "bo")
     xs: list[np.ndarray] = []
-    ys: list[float] = []
     trace: list[TraceEntry] = []
-    best: tuple[float, ContinuousParams] | None = None
-    iteration = 0
     hypers: tuple[np.ndarray, float] | None = None
     for count, kappa in schedule.phases:
         for _ in range(count):
-            if kappa is None or not xs:
+            iteration = len(trace)
+            if kappa is None or not trace:
                 unit = rng.uniform(size=space.dim)
             else:
-                if hypers is None or iteration % HYPER_REFRESH_PERIOD == 0:
-                    gp = gp_fit(np.array(xs), np.array(ys))
-                    hypers = (gp.length_scales, gp.signal_var)
-                else:
-                    gp = _fit_with(np.array(xs), np.array(ys), *hypers)
+                gp = gp_fit(np.array(xs), np.array([t.value for t in trace]),
+                            None if iteration % HYPER_REFRESH_PERIOD == 0 else hypers)
+                hypers = (gp.length_scales, gp.signal_var)
                 unit = space.normalize(ucb_acquire(gp, kappa, rng, space))
             params = ContinuousParams.from_vector(space.denormalize(unit))
-            value = float(objective(params))
             xs.append(unit)
-            ys.append(value)
-            trace.append(TraceEntry(iteration, kappa, params, value))
-            if best is None or value > best[0]:
-                best = (value, params)
-            iteration += 1
-    assert best is not None
-    return best[1], trace
+            trace.append(TraceEntry(iteration, kappa, params, float(objective(params))))
+    # max keeps the first of equal values
+    return max(trace, key=lambda t: t.value).params, trace

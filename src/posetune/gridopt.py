@@ -116,25 +116,18 @@ def evaluate_grid(
     return entries
 
 
-def _entry_sort_key(entry: ParetoEntry):
-    return (entry.runtime, entry.recall, astuple(entry.params))
-
-
 def pareto_front(entries: list[ParetoEntry]) -> list[ParetoEntry]:
-    """Runtime-sorted sweep keeping strict recall improvements.
+    """One sweep in order of (runtime, -recall, params), keeping each entry
+    that strictly raises the best recall so far.
 
-    Entries sharing a runtime collapse to the best recall among them, so the
-    front is strictly increasing in both coordinates and matches a pairwise
-    dominance filter.
+    Among entries that share a runtime the first seen has the best recall,
+    so the front is strictly increasing in both coordinates and matches a
+    pairwise dominance filter.
     """
     if not entries:
         raise ValueError("no entries")
     front: list[ParetoEntry] = []
-    for entry in sorted(entries, key=_entry_sort_key):
-        if front and entry.runtime == front[-1].runtime:
-            if entry.recall > front[-1].recall:
-                front[-1] = entry
-            continue
+    for entry in sorted(entries, key=lambda e: (e.runtime, -e.recall, astuple(e.params))):
         if not front or entry.recall > front[-1].recall:
             front.append(entry)
     return front

@@ -113,15 +113,12 @@ class _PosedCopies:
     """
 
     def __init__(self, model: ObjectModel, gt: Pose, est: Pose):
-        if len(model.cloud) == 0:
-            raise ValueError("empty model")
         self.model = model
         self.pts = model.cloud.points
         self.est = est
         self.syms = _sym_poses(model)
         self.gt_pts = gt.apply(self.pts)
         self._copies: dict[int, np.ndarray] = {}
-        self._sub: np.ndarray | None = None
         self._frame = _bound_frame(model)
         reach = self._frame[3]
         self.scale = reach + float(np.linalg.norm(est.translation))
@@ -148,15 +145,14 @@ class _PosedCopies:
         score = self.add_i if self.model.is_symmetric else self.add
         return score < ADD_CORRECT_FRACTION * self.model.diagonal
 
+    @cached_property
     def sub_copies(self) -> np.ndarray:
         """The bound rows of every copy, (copies, rows, 3), posed at once by
         the composed poses."""
-        if self._sub is None:
-            sub, sym_rot, sym_t, _ = self._frame
-            rot = self.est.rotation @ sym_rot
-            trans = sym_t @ self.est.rotation.T + self.est.translation
-            self._sub = sub @ rot.transpose(0, 2, 1) + trans[:, None, :]
-        return self._sub
+        sub, sym_rot, sym_t, _ = self._frame
+        rot = self.est.rotation @ sym_rot
+        trans = sym_t @ self.est.rotation.T + self.est.translation
+        return sub @ rot.transpose(0, 2, 1) + trans[:, None, :]
 
     def _min(self, bounds, exact, scale: float) -> float:
         """``min(exact(i))`` over the copies; ``bounds()`` gives their lower bounds."""
@@ -173,7 +169,7 @@ class _PosedCopies:
     def mssd(self) -> float:
         """Max surface distance, minimized over the symmetry copies."""
         return self._min(
-            lambda: np.linalg.norm(self.gt_pts[::BOUND_STRIDE] - self.sub_copies(),
+            lambda: np.linalg.norm(self.gt_pts[::BOUND_STRIDE] - self.sub_copies,
                                    axis=2).max(axis=1),
             lambda i: float(np.linalg.norm(self.gt_pts - self.copy(i), axis=1).max()),
             self.scale)
@@ -197,7 +193,7 @@ class _PosedCopies:
             return min(exact(i) for i in range(len(self.syms)))
 
         def bounds() -> np.ndarray:
-            subs = self.sub_copies()
+            subs = self.sub_copies
             px = project_points(subs.reshape(-1, 3), cam).reshape(*subs.shape[:2], 2)
             return np.linalg.norm(gt_px[::BOUND_STRIDE] - px, axis=2).max(axis=1)
 

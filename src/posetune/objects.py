@@ -102,21 +102,35 @@ SHAPES = {
 DEFAULT_COLOR = [0.7, 0.3, 0.3]
 
 
+def _checked_id(object_id, owner: str) -> str:
+    """``object_id``, unless it is not a non-empty string naming one path
+    component: ``generate`` writes each object under ``objects/<id>``."""
+    if not isinstance(object_id, str) or object_id in ("", ".", "..") or "/" in object_id:
+        raise ValueError(f"{owner} has the id {object_id!r}, which does not name one "
+                         f"path component")
+    return object_id
+
+
 def check_spec_keys(spec: dict) -> None:
     """Raise ``ValueError`` unless ``make_object`` can build ``spec``: a
-    ``path`` alone, or a known ``shape`` with an ``id`` and only the keys
-    that shape reads. The message names the missing or unknown key."""
+    non-empty ``path`` string alone, or a known ``shape`` with an ``id`` (see
+    ``_checked_id``) and only the keys that shape reads. The message names
+    the missing, bad or unknown key."""
     if not isinstance(spec, dict):
         raise ValueError(f"object spec {spec!r} is not a mapping")
+    shape = spec.get("shape")
     if "path" in spec:
+        if not isinstance(spec["path"], str) or not spec["path"]:
+            raise ValueError(f"object spec {spec!r} has a 'path' that is not a non-empty string")
         allowed = {"path"}
-    elif spec.get("shape") not in SHAPES:
+    elif not isinstance(shape, str) or shape not in SHAPES:
         raise ValueError(f"object spec {spec!r} has no 'path' and an unknown shape "
-                         f"{spec.get('shape')!r}; known shapes are {sorted(SHAPES)}")
+                         f"{shape!r}; known shapes are {sorted(SHAPES)}")
     elif "id" not in spec:
         raise ValueError(f"object spec {spec!r} has no 'id'")
     else:
-        allowed = {"shape", "id", "color", *SHAPES[spec["shape"]][1]}
+        _checked_id(spec["id"], f"object spec {spec!r}")
+        allowed = {"shape", "id", "color", *SHAPES[shape][1]}
     unknown = sorted(set(spec) - allowed)
     if unknown:
         raise ValueError(f"object spec {spec!r} has unknown keys {unknown}")
@@ -144,5 +158,6 @@ def save_object(model: ObjectModel, directory: str | Path) -> None:
 def load_object(directory: str | Path) -> ObjectModel:
     directory = Path(directory)
     data = json.loads((directory / "model.json").read_text())
-    return ObjectModel(data["object_id"], PointCloud.load(directory),
+    return ObjectModel(_checked_id(data["object_id"], str(directory / "model.json")),
+                       PointCloud.load(directory),
                        tuple(Pose.from_dict(p) for p in data["symmetry"]))

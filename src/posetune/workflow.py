@@ -9,10 +9,12 @@ Each ``cmd_*`` names the stages its stage reads, and ``_run_stage`` keeps
 the protocol. A stage runs only when each marker it reads fits the config,
 and is skipped when its own marker fits too, unless forced. One that runs
 first deletes its own marker and, in turn, that of every stage that read a
-deleted one, and writes its marker last. ``_write`` writes the markers and
-every JSON and CSV file atomically. A marker records the config, not the
-code: after a code change that alters what a stage writes, force the first
-stage that changed.
+deleted one, and writes its marker last. ``_run_stage`` turns whatever a
+stage raises into a ``StageError`` that names the stage, with the original
+exception as its cause; only ``optimize`` names its own, for its two search
+phases. ``_write`` writes the markers and every JSON and CSV file
+atomically. A marker records the config, not the code: after a code change
+that alters what a stage writes, force the first stage that changed.
 
 All randomness derives from the config's master seed through named
 sub-streams, so re-runs reproduce the scenes, the DR traces, the continuous
@@ -233,8 +235,9 @@ def _unmark(config: ExperimentConfig, stage: str):
 def _run_stage(config: ExperimentConfig, name: tuple, reads: tuple[str, ...], force: bool,
                run, *args) -> dict:
     """Stage ``name``, its parts joined by ``-``, run or skipped as the module
-    docstring says and marked as reading ``reads``; ``name[0]`` names its
-    ``StageError``. Returns ``run(config, *args)``'s summary or the marked one."""
+    docstring says and marked as reading ``reads``. Any exception from
+    ``run`` becomes ``StageError(name[0], ...)``; a ``StageError`` passes
+    unchanged. Returns ``run(config, *args)``'s summary or the marked one."""
     stage = "-".join(map(str, name))
     for upstream in reads:
         if _stage_complete(config, upstream) is None:
@@ -244,7 +247,12 @@ def _run_stage(config: ExperimentConfig, name: tuple, reads: tuple[str, ...], fo
     if done and not force:
         return done
     _unmark(config, stage)
-    summary = run(config, *args)
+    try:
+        summary = run(config, *args)
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name[0], str(exc)) from exc
     _write(_marker(config, stage), {"stage": stage, "config_hash": config.fingerprint(),
                                     "reads": list(reads), "summary": summary})
     return dict(summary, skipped=False)
@@ -254,19 +262,16 @@ def _repeated(ids: list[str]) -> list[str]:
     return sorted({i for i in ids if ids.count(i) > 1})
 
 
-def build_models(config: ExperimentConfig, stage: str) -> list[ObjectModel]:
-    """The configured models, for the calling ``stage``. A spec that cannot
-    build one, such as an object directory without ``normals.npy`` or
-    ``colors.npy``, fails here with ``StageError(stage)`` before the stage
-    does any work; so do two models with one id, which a config cannot catch
-    when an object directory holds its id in ``model.json``."""
-    try:
-        models = [make_object(spec) for spec in config.objects]
-    except (KeyError, ValueError, OSError) as exc:
-        raise StageError(stage, f"bad object spec: {exc}") from exc
+def build_models(config: ExperimentConfig) -> list[ObjectModel]:
+    """The configured models. A spec that cannot build one, such as an object
+    directory without ``normals.npy`` or ``colors.npy``, raises here, before
+    the calling stage does any work; so do two models with one id, which a
+    config cannot catch when an object directory holds its id in
+    ``model.json``."""
+    models = [make_object(spec) for spec in config.objects]
     repeated = _repeated([model.object_id for model in models])
     if repeated:
-        raise StageError(stage, f"repeated object ids {repeated}")
+        raise ValueError(f"repeated object ids {repeated}")
     return models
 
 
@@ -292,18 +297,15 @@ def cmd_generate(config: ExperimentConfig, force: bool = False) -> dict:
 
 
 def _generate(config: ExperimentConfig) -> dict:
-    models = build_models(config, "generate")
+    models = build_models(config)
     out = config.out()
     for model in models:
         save_object(model, out / "objects" / model.object_id)
-    try:
-        for split in SPLITS:
-            for i in range(_split_count(config, split)):
-                scene = generate_scene(models, config.clutter, config.occlusion,
-                                       seed=stream_seed(config.seed, "scene", split, i))
-                save_scene(scene, _scene_dir(config, split, i))
-    except OSError as exc:
-        raise StageError("generate", str(exc)) from exc
+    for split in SPLITS:
+        for i in range(_split_count(config, split)):
+            scene = generate_scene(models, config.clutter, config.occlusion,
+                                   seed=stream_seed(config.seed, "scene", split, i))
+            save_scene(scene, _scene_dir(config, split, i))
     return {"object_ids": sorted(m.object_id for m in models),
             "scene_counts": {s: _split_count(config, s) for s in SPLITS}}
 
@@ -314,7 +316,7 @@ def cmd_train_dr(config: ExperimentConfig, force: bool = False) -> dict:
 
 
 def _train_dr(config: ExperimentConfig) -> dict:
-    models = build_models(config, "train-dr")
+    models = build_models(config)
     train_scenes = load_split(config, "train")
     dr_dir = config.out() / "dr"
     finals = []
@@ -383,7 +385,7 @@ def cmd_optimize(config: ExperimentConfig, no_dr: bool = False,
 
 def _optimize(config: ExperimentConfig, no_dr: bool) -> dict:
     tag = _mode_tag(no_dr)
-    models = build_models(config, "optimize")
+    models = build_models(config)
     levels = None if no_dr else learned_levels(config)
     scenes = _noised_split(config, "validation", levels, f"valnoise-{tag}")
     # every search call re-estimates these scenes, so their parameter-free
@@ -471,7 +473,7 @@ def cmd_evaluate(config: ExperimentConfig, no_dr: bool = False, force: bool = Fa
 def _evaluate(config: ExperimentConfig, no_dr: bool) -> dict:
     tag = _mode_tag(no_dr)
     budget = float(config.budget_seconds)
-    models = build_models(config, "evaluate")
+    models = build_models(config)
     object_count = len(models)
     cp, front, coeffs = load_optimization(config, no_dr)
     levels = learned_levels(config)

@@ -14,6 +14,11 @@
   runtimes, the front and the runtime fit reproduce too: ``dr/*.json``,
   ``trace_dr.csv``, ``continuous_dr.json``, ``grid_dr.csv`` and
   ``front_dr.json``.
+- ``search``: ``optimize_continuous`` on a fixed synthetic objective
+  (``search_objective``) under ``SEARCH_SCHEDULE`` at seeds 0-2: every trace
+  entry and the best point. Its 33 steps reach both the full hyper-parameter
+  fits and the posterior-only refits between them, which the ``experiment``
+  digest's one GP-UCB step does not.
 
 Each ``estimate_all`` result adds its found flag, reason, pose bytes, inlier
 count, depth score and flags. ``test_golden.py`` recomputes the digests and
@@ -36,6 +41,7 @@ import numpy as np
 import scipy
 
 from posetune import pipeline, workflow
+from posetune.bayesopt import Schedule, SearchSpace, optimize_continuous
 from posetune.gridopt import enumerate_grid
 from posetune.pipeline import SceneEstimate, estimate_all, scene_memo
 from posetune.workflow import BO_FIXED_DISCRETE
@@ -47,6 +53,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden.json")
 DEPLOY_IMAGES = 6
 EXPERIMENT_FILES = ("dr/*.json", "opt/trace_dr.csv", "opt/continuous_dr.json",
                     "opt/grid_dr.csv", "opt/front_dr.json")
+SEARCH_SCHEDULE = ((5, None), (14, 0.5), (8, 0.1), (6, 0.0))
 
 
 def versions() -> dict[str, str]:
@@ -113,9 +120,29 @@ def experiment_digest() -> str:
         pipeline.clock = saved
 
 
+def search_objective(params) -> float:
+    """One smooth peak in the default search space, floored to steps of 1/30
+    as a recall ladder is, so that equal values occur."""
+    unit = SearchSpace.default().normalize(params.as_vector())
+    return float(np.floor(30.0 * np.exp(-4.0 * ((unit - 0.3) ** 2).sum())) / 30.0)
+
+
+def search_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(3):
+        best, trace = optimize_continuous(search_objective, SearchSpace.default(),
+                                          Schedule(SEARCH_SCHEDULE), seed=seed)
+        for t in trace:
+            digest.update(f"{t.iteration}|{t.kappa}|".encode() + t.params.as_vector().tobytes()
+                          + np.float64(t.value).tobytes())
+        digest.update(best.as_vector().tobytes())
+    return digest.hexdigest()
+
+
 def main():
     data = {"versions": versions(), "estimate_all": results_digest(),
-            "deploy": deploy_digest(), "experiment": experiment_digest()}
+            "deploy": deploy_digest(), "experiment": experiment_digest(),
+            "search": search_digest()}
     GOLDEN_PATH.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
     print(f"wrote {GOLDEN_PATH}: {data}")
 

@@ -17,10 +17,10 @@ WRITING = {"write_text", "write_bytes", "open", "mkdir", "touch", "rename", "rep
            "savez", "savez_compressed", "savetxt", "tofile", "dump"}
 
 
-def _writers(module: str, source: str) -> set[str]:
-    """``<module>.<function>`` for each function of ``source`` that calls a
-    writing name (``<module>`` alone for module-level code). A bare
-    ``replace``, such as ``dataclasses.replace``, does not count."""
+def _callers(module: str, source: str, attributes: set[str], names: set[str]) -> set[str]:
+    """``<module>.<function>`` for each function of ``source`` that calls an
+    attribute named in ``attributes`` or a bare name in ``names``
+    (``<module>`` alone for module-level code)."""
     found = set()
 
     def visit(node, owner):
@@ -28,15 +28,21 @@ def _writers(module: str, source: str) -> set[str]:
             owner = f"{module}.{node.name}"
         if isinstance(node, ast.Call):
             func = node.func
-            name = (func.attr if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) and func.id == "open" else None)
-            if name in WRITING:
+            if (func.attr in attributes if isinstance(func, ast.Attribute)
+                    else isinstance(func, ast.Name) and func.id in names):
                 found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), module)
     return found
+
+
+def _writers(module: str, source: str) -> set[str]:
+    """The functions of ``source`` that call a writing name (see
+    ``_callers``). A bare ``replace``, such as ``dataclasses.replace``, does
+    not count."""
+    return _callers(module, source, WRITING, {"open"})
 
 
 def _imports(source: str) -> set[str]:

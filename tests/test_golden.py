@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from golden import GOLDEN_PATH, deploy_digest, experiment_digest, results_digest, versions
+from golden import (GOLDEN_PATH, deploy_digest, experiment_digest, results_digest, search_digest,
+                    versions)
 
 
 @pytest.fixture(scope="module")
@@ -29,3 +30,7 @@ def test_deploy_images_match_the_committed_digest(golden):
 
 def test_experiment_artifacts_match_the_committed_digest(golden):
     assert experiment_digest() == golden["experiment"], _moved("experiment")
+
+
+def test_search_trace_matches_the_committed_digest(golden):
+    assert search_digest() == golden["search"], _moved("search")

@@ -190,8 +190,9 @@ class TestRuntimeModel:
             RuntimeCoefficients(value, 0.0, 0.0, 0.0, 0.0)
 
     def test_stage_fields_follow_stage_keys(self):
-        # fit_runtime_model fills the coefficients by position, and asdict
-        # names them in front_*.json beside the stage columns of grid_*.csv
+        # fit_runtime_model fills the coefficients by position and
+        # predict_runtime reads them by position, and asdict names them in
+        # front_*.json beside the stage columns of grid_*.csv
         assert [f.name for f in fields(RuntimeCoefficients)] == [*STAGE_KEYS, "residual"]
 
     def test_exact_recovery_of_planted_coefficients(self):

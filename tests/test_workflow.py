@@ -80,7 +80,7 @@ def _write_optimization(config, tag: str):
 def _eval_scores(config, cp, dp, score) -> list[float]:
     """``score(model, scene, pose)`` for every eval instance, 0 for one not
     found, estimated again at ``cp``, ``dp``."""
-    models = workflow.build_models(config, "evaluate")
+    models = workflow.build_models(config)
     scenes = workflow._noised_split(config, "eval", workflow.learned_levels(config),
                                     "evalnoise")
     scores = []
@@ -167,7 +167,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(workflow, "estimate_all", behind)
         report = workflow.cmd_evaluate(evaluated_config, force=True)
-        models = workflow.build_models(evaluated_config, "evaluate")
+        models = workflow.build_models(evaluated_config)
         scenes = workflow._noised_split(evaluated_config, "eval",
                                         workflow.learned_levels(evaluated_config), "evalnoise")
         expected = []
@@ -279,8 +279,17 @@ class TestConfigValidation:
         ({"id": "x"}, "has no 'path' and an unknown shape None"),
         ({"shape": "sphere", "id": "x"}, "unknown shape 'sphere'"),
         ({"shape": "box"}, "has no 'id'"),
+        ({"shape": "box", "id": 5}, "has the id 5"),
+        ({"shape": "box", "id": ""}, "has the id ''"),
+        ({"shape": "box", "id": "."}, "has the id '.'"),
+        ({"shape": "box", "id": ".."}, "has the id '..'"),
+        ({"shape": "box", "id": "a/b"}, "has the id 'a/b'"),
+        ({"shape": ["box"], "id": "x"}, "unknown shape ['box']"),
+        ({"path": 5}, "'path' that is not a non-empty string"),
+        ({"path": ""}, "'path' that is not a non-empty string"),
     ], ids=["misspelt", "other-shape", "id-beside-path", "not-a-mapping", "no-shape",
-            "unknown-shape", "no-id"])
+            "unknown-shape", "no-id", "int-id", "empty-id", "dot-id", "parent-id", "slash-id",
+            "list-shape", "int-path", "empty-path"])
     def test_unknown_object_keys_fail_the_config(self, spec, named):
         data = dict(asdict(tiny_config("experiment")), objects=[spec])
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -304,6 +313,21 @@ class TestConfigValidation:
             workflow.cmd_generate(config)
         assert raised.value.stage == "generate"
         assert not (tmp_path / "out").exists()
+
+    def test_saved_id_outside_objects_fails_generate(self, tmp_path):
+        # model.json names the id, and generate would write objects/<id>
+        save_object(make_box("a", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "saved")
+        (tmp_path / "saved" / "model.json").write_text(json.dumps(
+            dict(json.loads((tmp_path / "saved" / "model.json").read_text()),
+                 object_id="../x")))
+        config = workflow.ExperimentConfig.from_dict(
+            dict(asdict(tiny_config(tmp_path / "out")),
+                 objects=[{"path": str(tmp_path / "saved")}]))
+        with pytest.raises(workflow.StageError, match=re.escape("has the id '../x'")) as raised:
+            workflow.cmd_generate(config)
+        assert raised.value.stage == "generate"
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["saved"]
 
     def test_bad_object_fails_with_the_calling_stage(self, tmp_path):
         save_object(make_box("saved", [40.0, 55.0, 75.0], [0.7, 0.3, 0.3]), tmp_path / "saved")
@@ -923,6 +947,29 @@ class TestStageGraph:
         _, _, coeffs = workflow.load_optimization(config)
         dp = DiscreteParams(**report["selection"]["entry"]["params"])
         assert report["predicted_runtime"] == predict_runtime(coeffs, dp, 1)
+
+    @pytest.mark.parametrize("command, cause", [
+        ("generate", ValueError), ("train_dr", FileNotFoundError), ("optimize", ValueError),
+        ("evaluate", json.JSONDecodeError),
+    ])
+    def test_stage_failure_becomes_its_stage_error(self, done, tmp_path, command, cause):
+        config = self.copy(done, tmp_path)
+        if command == "generate":
+            # past the config's own check, which refuses this id
+            config.objects = [dict(config.objects[0], id=5)]
+        elif command == "train_dr":
+            (tmp_path / "scenes" / "train" / "scene_000" / "meta.json").unlink()
+        elif command == "optimize":
+            levels = tmp_path / "dr" / "levels.json"
+            levels.write_text(json.dumps(dict(json.loads(levels.read_text()), xyz_sigma=-1.0)))
+        else:
+            front = tmp_path / "opt" / "front_dr.json"
+            front.write_text(front.read_text()[:20])
+        with pytest.raises(workflow.StageError) as raised:
+            getattr(workflow, f"cmd_{command}")(config, force=True)
+        assert raised.value.stage == command.replace("_", "-")
+        assert type(raised.value.__cause__) is cause
+        assert str(raised.value) == f"[{raised.value.stage}] {raised.value.__cause__}"
 
     def test_forced_train_dr_unmarks_its_readers_only(self, done, tmp_path):
         config = self.copy(done, tmp_path)
